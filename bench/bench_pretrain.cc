@@ -1,16 +1,19 @@
-// Pre-training benchmark: measures what the data-parallel sharded engine
-// (core/parallel_trainer.h) buys over the legacy single-replica step loop,
-// verifies its bitwise-determinism contract as a hard gate, and emits
-// BENCH_pretrain.json for CI tracking.
+// Pre-training benchmark: measures the data-parallel engine
+// (core/parallel_trainer.h) that every core::Pretrain call trains through
+// against a plain single-replica step, verifies the engine's
+// bitwise-determinism contract as a hard gate, and emits BENCH_pretrain.json
+// for CI tracking.
 //
 // Three measurements:
-//  1. Optimizer-step throughput of the legacy loop (stage-1 + two encodes +
-//     central losses + backward + clip + AdamW on one replica) — the
-//     reference the engine must not regress when K = 1.
-//  2. The same work through the sharded engine at K = 1 / 2 / 4 replicas
-//     with a fixed grain decomposition: the K = 1 column prices the
-//     engine's bookkeeping (batch slicing, boundary gather/scatter, tree
-//     reduce), the K = 4 column the actual data-parallel scaling.
+//  1. Optimizer-step throughput of a plain single-replica step (stage-1 +
+//     two encodes + losses + one backward + clip + AdamW, no engine
+//     bookkeeping) — the reference the engine must not regress when K = 1.
+//  2. The same work through the engine: at the PretrainConfig defaults
+//     (K = 1, grain 0: one grain per step, the path every default Pretrain
+//     takes), and at K = 1 / 2 / 4 replicas over a fixed grain-4
+//     decomposition. The two K = 1 columns price the engine's bookkeeping
+//     (batch slicing, boundary gather/scatter, tree reduce), the K = 4
+//     column the actual data-parallel scaling.
 //  3. The determinism gate: K ∈ {2, 3, 5} must produce bitwise-identical
 //     parameters and loss values to K = 1 — the contract that makes shard
 //     count a deployment knob instead of a science decision.
@@ -28,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #ifdef _OPENMP
@@ -128,9 +132,11 @@ std::unique_ptr<StartModel> MakeModel(const World& w) {
                                       w.transfer.get(), &rng);
 }
 
-/// Faithful reimplementation of the legacy single-replica optimizer step
-/// (core/pretrain.cc's non-sharded loop): stage 1 shared across both
-/// encodes, combined loss, backward, clip, fused AdamW.
+/// Reference single-replica optimizer step, as core::Pretrain ran it before
+/// every run went through ParallelTrainer: stage 1 shared across both
+/// encodes, combined loss, one backward over the whole graph, clip, fused
+/// AdamW. It has none of the engine's bookkeeping, so it is the floor the
+/// engine's K = 1 step rate is priced against.
 double RunLegacy(const World& w, int64_t steps, double* sink) {
   auto model = MakeModel(w);
   model->SetTraining(true);
@@ -169,17 +175,18 @@ double RunLegacy(const World& w, int64_t steps, double* sink) {
   return elapsed;
 }
 
-/// The sharded engine at `num_shards` replicas over the fixed kGrain
-/// decomposition. Returns elapsed seconds; fills `model_out` (for the
-/// bitwise gate) when non-null.
+/// The engine at `num_shards` replicas over `grain`-trajectory micro-shards
+/// (0 = one grain per batch, the PretrainConfig default). Returns elapsed
+/// seconds; fills `model_out` (for the bitwise gate) when non-null.
 double RunSharded(const World& w, int num_shards, int64_t steps, double* sink,
                   std::unique_ptr<StartModel>* model_out = nullptr,
-                  std::vector<double>* losses_out = nullptr) {
+                  std::vector<double>* losses_out = nullptr,
+                  int64_t grain = kGrain) {
   auto model = MakeModel(w);
   start::nn::AdamW opt(model->Parameters(), kLr);
   ShardConfig config;
   config.num_shards = num_shards;
-  config.shard_grain = kGrain;
+  config.shard_grain = grain;
   config.lambda = kLambda;
   config.tau = kTau;
   config.grad_clip = kGradClip;
@@ -238,10 +245,14 @@ int main() {
   // Warm the allocator pools and code paths once before timing.
   RunSharded(w, 1, 2, &sink);
 
-  // 1-2. Throughput: legacy loop vs engine at K = 1 / 2 / 4.
+  // 1-2. Throughput: reference step vs the engine at its defaults and at
+  // K = 1 / 2 / 4 over the grain-4 decomposition.
   const int64_t kSteps = 10;
   const double legacy_s =
       BestOf2([&] { return RunLegacy(w, kSteps, &sink); });
+  const double default_s = BestOf2([&] {
+    return RunSharded(w, 1, kSteps, &sink, nullptr, nullptr, /*grain=*/0);
+  });
   const double shard1_s =
       BestOf2([&] { return RunSharded(w, 1, kSteps, &sink); });
   const double shard2_s =
@@ -249,10 +260,12 @@ int main() {
   const double shard4_s =
       BestOf2([&] { return RunSharded(w, 4, kSteps, &sink); });
   const double sps_legacy = static_cast<double>(kSteps) / legacy_s;
+  const double sps_default = static_cast<double>(kSteps) / default_s;
   const double sps_1 = static_cast<double>(kSteps) / shard1_s;
   const double sps_2 = static_cast<double>(kSteps) / shard2_s;
   const double sps_4 = static_cast<double>(kSteps) / shard4_s;
   const double overhead_ratio = sps_1 / sps_legacy;
+  const double default_ratio = sps_default / sps_legacy;
   const double scaling_4 = sps_4 / sps_1;
 
   // 3. Determinism gate: K ∈ {2, 3, 5} bitwise vs K = 1 over 3 steps.
@@ -279,9 +292,12 @@ int main() {
 
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf("host                   : %u hardware threads\n", cores);
-  std::printf("optimizer steps/sec    : legacy %.2f | engine K=1 %.2f "
-              "(%.2fx of legacy) | K=2 %.2f | K=4 %.2f (%.2fx over K=1)\n",
-              sps_legacy, sps_1, overhead_ratio, sps_2, sps_4, scaling_4);
+  std::printf("optimizer steps/sec    : legacy %.2f | engine defaults "
+              "(K=1, grain 0) %.2f (%.2fx of legacy)\n",
+              sps_legacy, sps_default, default_ratio);
+  std::printf("grain %ld steps/sec     : K=1 %.2f (%.2fx of legacy) | "
+              "K=2 %.2f | K=4 %.2f (%.2fx over K=1)\n",
+              kGrain, sps_1, overhead_ratio, sps_2, sps_4, scaling_4);
   std::printf("bitwise K in {2,3,5}   : %s\n",
               bitwise_ok ? "identical to K=1" : "DIVERGED");
 
@@ -295,15 +311,18 @@ int main() {
                "  \"hardware_threads\": %u,\n"
                "  \"batch_size\": %ld,\n"
                "  \"shard_grain\": %ld,\n"
-               "  \"steps_per_sec\": {\"legacy\": %.3f, \"shards_1\": %.3f, "
+               "  \"steps_per_sec\": {\"legacy\": %.3f, "
+               "\"default_grain0\": %.3f, \"shards_1\": %.3f, "
                "\"shards_2\": %.3f, \"shards_4\": %.3f},\n"
+               "  \"overhead_default_vs_legacy\": %.3f,\n"
                "  \"overhead_1shard_vs_legacy\": %.3f,\n"
                "  \"scaling_4shards_vs_1\": %.3f,\n"
                "  \"bitwise_identical\": %.1f,\n"
                "  \"checksum\": %.6f\n"
                "}\n",
-               cores, kBatchSize, kGrain, sps_legacy, sps_1, sps_2, sps_4,
-               overhead_ratio, scaling_4, bitwise_ok ? 1.0 : 0.0, sink);
+               cores, kBatchSize, kGrain, sps_legacy, sps_default, sps_1,
+               sps_2, sps_4, default_ratio, overhead_ratio, scaling_4,
+               bitwise_ok ? 1.0 : 0.0, sink);
   std::fclose(json);
   std::printf("wrote BENCH_pretrain.json\n");
 
@@ -314,13 +333,20 @@ int main() {
   if (!bitwise_ok) return 1;
   // 2. Always: the engine's bookkeeping (slicing, boundary gather/scatter,
   //    per-grain slots, tree reduce) must not eat the single-replica step
-  //    rate. Both sides run on this host, so the ratio is host-independent.
-  if (overhead_ratio < 0.75) {
-    std::fprintf(stderr,
-                 "FAIL: engine K=1 runs at %.2fx of the legacy loop "
-                 "(floor 0.75)\n",
-                 overhead_ratio);
-    return 1;
+  //    rate — neither at the defaults every Pretrain call runs with nor over
+  //    the grain-4 decomposition. Both sides run on this host, so the
+  //    ratios are host-independent.
+  for (const auto& [name, ratio] :
+       {std::pair<const char*, double>{"defaults (K=1, grain 0)",
+                                       default_ratio},
+        {"K=1 grain 4", overhead_ratio}}) {
+    if (ratio < 0.75) {
+      std::fprintf(stderr,
+                   "FAIL: engine %s runs at %.2fx of the legacy loop "
+                   "(floor 0.75)\n",
+                   name, ratio);
+      return 1;
+    }
   }
   // 3. On >= 4 cores: K = 4 must deliver >= 1.5x the K = 1 step rate.
   //    Data parallelism needs hardware parallelism, so smaller hosts report

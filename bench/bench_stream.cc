@@ -157,21 +157,22 @@ int main() {
                  loaded.status().ToString().c_str());
     return 1;
   }
-  const auto frozen = std::move(loaded).value();
+  const std::shared_ptr<const start::serve::FrozenEncoder> frozen =
+      std::move(loaded).value();
   const int64_t d = frozen->dim();
 
-  start::serve::HnswIndex index(d);
+  auto index = std::make_shared<start::serve::HnswIndex>(d);
   start::serve::DriftConfig drift_config;
   drift_config.window_size = 256;
-  start::serve::DriftMonitor drift(d, drift_config);
+  auto drift = std::make_shared<start::serve::DriftMonitor>(d, drift_config);
 
   start::serve::StreamConfig stream_config;
   stream_config.match_workers = 2;
   stream_config.embed_workers = 2;
   stream_config.service.max_batch_size = 16;
   stream_config.service.batch_deadline_us = 100;
-  start::serve::StreamPipeline pipeline(frozen.get(), w.net.get(), &index,
-                                        stream_config, &drift);
+  start::serve::StreamPipeline pipeline({frozen, index, drift}, w.net.get(),
+                                        stream_config);
   // The oracle mirror: every ingested (id, row) also lands in the exact
   // index, so recall is measured against exactly what was served.
   start::serve::EmbeddingIndex exact(d);
@@ -225,7 +226,7 @@ int main() {
         }
       }
       Stopwatch qt;
-      const auto result = index.Query(q.data(), d, 10);
+      const auto result = index->Query(q.data(), d, 10);
       if (!result.ok()) std::abort();
       query_ms.push_back(qt.ElapsedMillis());
     }
@@ -274,7 +275,7 @@ int main() {
           static_cast<float>(recall_rng.Normal(0.0, 0.05));
     }
     const auto truth = exact.Query(q.data(), d, 10);
-    const auto got = index.Query(q.data(), d, 10);
+    const auto got = index->Query(q.data(), d, 10);
     if (!truth.ok() || !got.ok()) std::abort();
     int64_t overlap = 0;
     for (const auto& nb : *got) {
@@ -290,10 +291,10 @@ int main() {
   }
   const double recall = recall_sum / static_cast<double>(kQueries);
   std::printf("quiesced recall@10 vs exact oracle: %.4f over %lld rows\n",
-              recall, static_cast<long long>(index.size()));
+              recall, static_cast<long long>(index->size()));
   std::printf("drift: %lld windows, %lld events\n",
-              static_cast<long long>(drift.windows_completed()),
-              static_cast<long long>(drift.drift_events()));
+              static_cast<long long>(drift->windows_completed()),
+              static_cast<long long>(drift->drift_events()));
 
   // 4. The adaptation loop end to end: a controller boots from the same
   //    checkpoint, ingests a replay stream, and a triggered round
@@ -423,11 +424,11 @@ int main() {
                query_p50, query_p95);
   std::fprintf(json, "  \"recall_at_10_vs_exact\": %.4f,\n", recall);
   std::fprintf(json, "  \"index_rows\": %lld,\n",
-               static_cast<long long>(index.size()));
+               static_cast<long long>(index->size()));
   std::fprintf(json, "  \"drift_windows\": %lld,\n",
-               static_cast<long long>(drift.windows_completed()));
+               static_cast<long long>(drift->windows_completed()));
   std::fprintf(json, "  \"drift_events\": %lld,\n",
-               static_cast<long long>(drift.drift_events()));
+               static_cast<long long>(drift->drift_events()));
   std::fprintf(json,
                "  \"adaptation\": {\"round_seconds\": %.2f, "
                "\"generation\": %lld, \"catch_up_items\": %lld, "
@@ -464,10 +465,10 @@ int main() {
                          "violated\n");
     return 1;
   }
-  if (drift.windows_completed() < 4) {
+  if (drift->windows_completed() < 4) {
     std::fprintf(stderr, "GATE FAILED: drift monitor saw %lld windows "
                          "(stream too small?)\n",
-                 static_cast<long long>(drift.windows_completed()));
+                 static_cast<long long>(drift->windows_completed()));
     return 1;
   }
   std::printf("all gates passed\n");

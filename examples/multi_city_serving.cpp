@@ -37,8 +37,8 @@ struct City {
   std::unique_ptr<traj::TrafficModel> traffic;
   std::vector<traj::Trajectory> corpus;
   std::unique_ptr<roadnet::TransferProbability> transfer;
-  std::unique_ptr<serve::FrozenEncoder> encoder;
-  std::unique_ptr<serve::EmbeddingIndex> index;
+  std::shared_ptr<const serve::FrozenEncoder> encoder;
+  std::shared_ptr<serve::EmbeddingIndex> index;
 };
 
 std::unique_ptr<City> MakeCity(const std::string& name,
@@ -90,7 +90,7 @@ std::unique_ptr<City> MakeCity(const std::string& name,
     return nullptr;
   }
   city->encoder = std::move(loaded).value();
-  city->index = std::make_unique<serve::EmbeddingIndex>(config.d);
+  city->index = std::make_shared<serve::EmbeddingIndex>(config.d);
   return city;
 }
 
@@ -154,8 +154,8 @@ int main() {
   serve::CityRouter router(&registry);
   for (auto* city : {porto.get(), beijing.get()}) {
     serve::CityRouter::CityConfig lane;
-    lane.encoder = city->encoder.get();
-    lane.index = city->index.get();
+    lane.encoder = city->encoder;
+    lane.index = city->index;
     lane.stream.match_workers = 2;
     lane.stream.embed_workers = 2;
     const auto status = router.OpenCity(city->name, lane);

@@ -28,8 +28,9 @@ constexpr char kRngStateKey[] = "trainer.rng_state";
 constexpr char kScheduleKey[] = "trainer.schedule_fingerprint";
 constexpr char kPlanHashKey[] = "trainer.plan_hash";
 // Shard topology of the data-parallel engine: {num_shards, shard_grain,
-// accum_steps} plus the per-replica RNG cursors. Absent in pre-engine
-// checkpoints; ignored by older loaders — both directions stay compatible.
+// accum_steps} plus the per-replica RNG cursors. Absent in checkpoints that
+// predate the engine (they load with the TrainerState defaults); ignored by
+// older loaders — both directions stay compatible.
 constexpr char kShardTopologyKey[] = "trainer.shard_topology";
 constexpr char kShardRngKey[] = "trainer.shard_rng";
 
@@ -180,11 +181,9 @@ common::Status SaveTrainingCheckpoint(const std::string& path,
   bundle.uints[kRngStateKey] = state.rng_state;
   bundle.uints[kScheduleKey] = {state.schedule_fingerprint};
   bundle.uints[kPlanHashKey] = {state.plan_hash};
-  if (state.num_shards > 0) {
-    bundle.ints[kShardTopologyKey] = {state.num_shards, state.shard_grain,
-                                      state.accum_steps};
-    bundle.uints[kShardRngKey] = state.shard_rng;
-  }
+  bundle.ints[kShardTopologyKey] = {state.num_shards, state.shard_grain,
+                                    state.accum_steps};
+  bundle.uints[kShardRngKey] = state.shard_rng;
   return tensor::SaveBundle(path, config_hash, bundle);
 }
 

@@ -65,9 +65,10 @@ struct TrainerState {
   std::vector<double> mask_sum;
   std::vector<double> con_sum;
   std::vector<int64_t> batch_count;
-  /// Dropout-stream cursor at save time (common::Rng::GetState). Pretrain
-  /// reseeds the stream per step, so this is diagnostic; consumers that draw
-  /// from a long-lived stream restore it to continue the exact sequence.
+  /// Dropout-stream cursor at save time (common::Rng::GetState), for
+  /// consumers that draw from one long-lived stream and restore it to
+  /// continue the exact sequence. Pretrain leaves it empty: the engine's
+  /// streams are per shard (`shard_rng`).
   std::vector<uint64_t> rng_state;
 
   // --- Shard topology (data-parallel engine, core/parallel_trainer.h) ------
@@ -75,7 +76,7 @@ struct TrainerState {
   /// count is a pure scheduling knob (K shards are bitwise-identical to 1),
   /// so a resume may legally use a different value — asserted by
   /// tests/parallel_trainer_test.cc.
-  int64_t num_shards = 0;  ///< 0 = legacy single-replica loop.
+  int64_t num_shards = 1;
   /// Micro-shard decomposition grain (samples per shard). Unlike num_shards
   /// this *defines* the gradient summation order, so it is folded into the
   /// plan hash: resuming under a different grain is refused.
@@ -84,7 +85,7 @@ struct TrainerState {
   /// and plan-hash-folded.
   int64_t accum_steps = 1;
   /// Per-replica dropout-stream cursors at save time (6 words per shard,
-  /// common::Rng::GetState layout). Diagnostic like `rng_state`: the engine
+  /// common::Rng::GetState layout). Diagnostic only: the engine
   /// reseeds every (optimizer step, micro-shard) pair via StepSeed, so the
   /// cursors document where each replica's stream stopped rather than being
   /// required to resume it.

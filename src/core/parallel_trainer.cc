@@ -18,7 +18,7 @@ using tensor::Tensor;
 namespace {
 
 /// Salts separating the engine's dropout streams from each other and from
-/// the loader's augmentation stream / the legacy loop's kDropoutStreamSalt.
+/// the loader's augmentation stream.
 constexpr uint64_t kShardDropoutSalt = 0x5aadd0f05eedULL;
 constexpr uint64_t kStage1DropoutSalt = 0x57a6e15eed01ULL;
 
@@ -96,7 +96,8 @@ struct ParallelTrainer::Grain {
   int64_t cls_row = 0;     ///< First row in the central CLS gather.
   int64_t cls_rows = 0;    ///< 2 * (row_end - row_begin) when contrastive.
 
-  // Phase A outputs (retained graphs), consumed by phase B.
+  // Phase A outputs (retained graphs), consumed by phase B. Their values
+  // are also written into the grain's rows of the central boundary leaves.
   data::Batch masked_slice, contrastive_slice;
   Tensor proxy;   ///< This grain's road-reps leaf.
   Tensor logits;  ///< [logit_rows, V] or undefined.
@@ -256,6 +257,22 @@ ShardStepStats ParallelTrainer::Step(
       config_.seed ^ kStage1DropoutSalt, opt_step));
   Tensor road_reps = primary_->ComputeRoadReps();
 
+  // Central boundary leaves. Both objectives couple samples across the whole
+  // optimizer step (NT-Xent's in-batch negatives; the CE mean over every
+  // masked position), so they are evaluated once, serially, over these
+  // gathered rows — the same computation for every shard count, and the
+  // mechanism through which gradient accumulation enlarges the effective
+  // contrastive batch. Each grain writes its own rows during phase A.
+  Tensor logits_cat, cls_cat;
+  if (logit_rows_total > 0) {
+    logits_cat = Tensor::Zeros(tensor::Shape({logit_rows_total, v}),
+                               /*requires_grad=*/true);
+  }
+  if (cls_rows_total > 0) {
+    cls_cat = Tensor::Zeros(tensor::Shape({cls_rows_total, d}),
+                            /*requires_grad=*/true);
+  }
+
   // ---- Phase A: per-grain forward to the loss boundary ---------------------
   RunOnReplicas([&](int r) {
     int64_t begin, end;
@@ -272,42 +289,18 @@ ShardStepStats ParallelTrainer::Step(
         const EncoderOutput out = model->Encode(g.masked_slice, g.proxy);
         g.logits = model->MaskedLogits(out, g.local_positions,
                                        g.masked_slice.max_len);
+        CopyRowsOut(g.logits, logits_cat.data() + g.logit_row * v);
       }
       if (g.cls_rows > 0) {
         data::SliceBatchRows(g.micro->contrastive, 2 * g.row_begin,
                              2 * g.row_end, &g.contrastive_slice);
         g.cls = model->Encode(g.contrastive_slice, g.proxy).cls;
+        CopyRowsOut(g.cls, cls_cat.data() + g.cls_row * d);
       }
     }
   });
 
   // ---- Central losses over the gathered boundary ---------------------------
-  // Both objectives couple samples across the whole optimizer step (NT-Xent's
-  // in-batch negatives; the CE mean over every masked position), so they are
-  // evaluated once, serially, over the gathered rows — the same computation
-  // for every shard count, and the mechanism through which gradient
-  // accumulation enlarges the effective contrastive batch.
-  Tensor logits_cat, cls_cat;
-  if (logit_rows_total > 0) {
-    std::vector<float> buf(
-        static_cast<size_t>(logit_rows_total * v));
-    for (const Grain& g : grains) {
-      if (g.logit_rows > 0) {
-        CopyRowsOut(g.logits, buf.data() + g.logit_row * v);
-      }
-    }
-    logits_cat = Tensor::FromVector(tensor::Shape({logit_rows_total, v}),
-                                    std::move(buf), /*requires_grad=*/true);
-  }
-  if (cls_rows_total > 0) {
-    std::vector<float> buf(static_cast<size_t>(cls_rows_total * d));
-    for (const Grain& g : grains) {
-      if (g.cls_rows > 0) CopyRowsOut(g.cls, buf.data() + g.cls_row * d);
-    }
-    cls_cat = Tensor::FromVector(tensor::Shape({cls_rows_total, d}),
-                                 std::move(buf), /*requires_grad=*/true);
-  }
-
   ShardStepStats stats;
   stats.grains = num_grains;
   Tensor loss;
@@ -336,7 +329,7 @@ ShardStepStats ParallelTrainer::Step(
       logits_cat.defined() ? logits_cat.grad() : nullptr;
   const float* cls_grad = cls_cat.defined() ? cls_cat.grad() : nullptr;
 
-  // ---- Phase B: per-grain backward from the scattered boundary grads -------
+  // ---- Phase B: per-grain backward seeded from the central grad rows -------
   RunOnReplicas([&](int r) {
     int64_t begin, end;
     grains_of(r, &begin, &end);
@@ -346,16 +339,8 @@ ShardStepStats ParallelTrainer::Step(
       // Fixed within-grain order: masked first, then contrastive — leaf
       // gradients accumulate across the two Backward calls in this order on
       // every shard count.
-      if (g.logit_rows > 0) {
-        g.logits.Backward(std::vector<float>(
-            logits_grad + g.logit_row * v,
-            logits_grad + (g.logit_row + g.logit_rows) * v));
-      }
-      if (g.cls_rows > 0) {
-        g.cls.Backward(std::vector<float>(
-            cls_grad + g.cls_row * d,
-            cls_grad + (g.cls_row + g.cls_rows) * d));
-      }
+      if (g.logit_rows > 0) g.logits.Backward(logits_grad + g.logit_row * v);
+      if (g.cls_rows > 0) g.cls.Backward(cls_grad + g.cls_row * d);
       // Steal the accumulated leaf gradients into the grain's reduce slot
       // (zero-copy) and leave the replica's buffers unallocated for the next
       // grain. Untouched parameters (the whole stage-1 tower) stay null —
@@ -375,7 +360,8 @@ ShardStepStats ParallelTrainer::Step(
   });
 
   // ---- Fixed-order tree all-reduce + fused AdamW (primary) -----------------
-  opt->ZeroGrad();
+  // The reduce installs each combined buffer as the primary's gradient, so a
+  // one-grain step hands its buffers straight to the optimizer.
   {
     std::vector<nn::GradShard> shards;
     shards.reserve(static_cast<size_t>(num_grains));
@@ -389,9 +375,9 @@ ShardStepStats ParallelTrainer::Step(
     const auto reps_grad = nn::TreeReduce(std::move(proxy_slots));
     if (reps_grad != nullptr) {
       // Stage-1 backward, once, serially, from the combined road-reps
-      // gradient — GAT parameter grads land on the primary like everything
-      // else (leaf grads accumulate onto the zeros ZeroGrad left).
-      road_reps.Backward(*reps_grad);
+      // gradient — GAT parameter grads accumulate onto the zero gradients
+      // the reduce left on every parameter no grain touched.
+      road_reps.Backward(reps_grad->data());
     }
   }
   nn::ClipGradNorm(replica_params_[0], config_.grad_clip);

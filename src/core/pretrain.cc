@@ -5,36 +5,25 @@
 
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/rng.h"
 #include "core/checkpoint.h"
 #include "core/parallel_trainer.h"
-#include "data/batch.h"
 #include "data/dataset.h"
 #include "data/loader.h"
-#include "nn/losses.h"
 #include "nn/optimizer.h"
 #include "nn/schedule.h"
-#include "tensor/ops.h"
 
 namespace start::core {
 
-using tensor::Tensor;
-
 namespace {
 
-/// Salt separating the dropout stream from the loader's augmentation stream:
-/// both are derived per step from the run seed via StepSeed, but must never
-/// collide. Reseeding dropout per step makes every optimizer step a pure
-/// function of (parameters, optimizer state, step index), which is what lets
-/// a resumed run replay the exact masks of an uninterrupted one.
-constexpr uint64_t kDropoutStreamSalt = 0x5eedD120F0D7ULL;
-
-/// Folded into the plan hash when the sharded engine runs: the engine's
-/// central-loss construction orders floating-point sums differently from the
-/// legacy loop, so a checkpoint must never silently resume across the two —
-/// nor across different (shard_grain, accum_steps) decompositions. num_shards
-/// deliberately stays out of the hash: shard count is bitwise-neutral, and
-/// resuming under a different one is supported (tested).
+/// Folded into every plan hash. Checkpoints written by the single-replica
+/// loop that preceded ParallelTrainer carry the same plan fields without
+/// this word, and their floating-point stream differs from the engine's, so
+/// the marker makes Pretrain refuse them rather than resume incoherently.
+/// The engine's summation-order-defining knobs (shard_grain, accum_steps)
+/// are folded in after it. num_shards deliberately stays out of the hash:
+/// shard count is bitwise-neutral, and resuming under a different one is
+/// supported (tested).
 constexpr uint64_t kShardedEngineMarker = 0x5aa2ded0e6019e5dULL;
 
 }  // namespace
@@ -71,12 +60,10 @@ PretrainStats Pretrain(StartModel* model,
   batch_options.aug_a = config.aug_a;
   batch_options.aug_b = config.aug_b;
 
-  // The sharded engine groups `accum_steps` loader micro-steps into one
-  // optimizer step; its LR schedule and step counters run in optimizer
-  // steps, so a (batch B, accum 2) run anneals exactly like a (batch 2B,
-  // accum 1) run. The legacy loop is the accum == 1 special case.
-  const bool sharded = config.UsesShardedEngine();
-  const int64_t accum = sharded ? config.accum_steps : 1;
+  // The engine groups `accum_steps` loader micro-steps into one optimizer
+  // step; the LR schedule and step counters run in optimizer steps, so a
+  // (batch B, accum 2) run anneals exactly like a (batch 2B, accum 1) run.
+  const int64_t accum = config.accum_steps;
   START_CHECK_GE(accum, 1);
   const int64_t total_opt_steps = (total_steps + accum - 1) / accum;
 
@@ -91,9 +78,9 @@ PretrainStats Pretrain(StartModel* model,
   // The header tag identifies the model architecture (any consumer of the
   // artifact checks it); the plan hash additionally pins everything
   // MakeShuffledPlan's output depends on — epochs, batch size, bucketing,
-  // seed, and the full length profile of the corpus — so a resume under a
-  // different step plan is refused up front. The sharded engine folds its
-  // summation-order-defining knobs in too (see kShardedEngineMarker).
+  // seed, and the full length profile of the corpus — plus the engine's
+  // summation-order-defining knobs (see kShardedEngineMarker), so a resume
+  // under a different step plan or summation order is refused up front.
   const uint64_t config_hash = HashStartConfig(model->config());
   uint64_t plan_hash = HashCombine(config_hash, 0x9e3779b97f4a7c15ULL);
   plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.epochs));
@@ -105,12 +92,9 @@ PretrainStats Pretrain(StartModel* model,
   for (const int64_t length : corpus_lengths) {
     plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(length));
   }
-  if (sharded) {
-    plan_hash = HashCombine(plan_hash, kShardedEngineMarker);
-    plan_hash =
-        HashCombine(plan_hash, static_cast<uint64_t>(config.shard_grain));
-    plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(accum));
-  }
+  plan_hash = HashCombine(plan_hash, kShardedEngineMarker);
+  plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.shard_grain));
+  plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(accum));
 
   // Trainer state doubles as the live accumulator set: the loss sums below
   // are exactly what a checkpoint persists, so a resumed run's epoch trace
@@ -132,14 +116,12 @@ PretrainStats Pretrain(StartModel* model,
       START_CHECK_LE(start_step, total_steps);
       START_CHECK_EQ(static_cast<int64_t>(state.loss_sum.size()),
                      config.epochs);
-      if (sharded) {
-        // The engine checkpoints only at optimizer-step boundaries, so a
-        // valid cursor is a multiple of the accumulation depth — except the
-        // end-of-plan cursor, whose final group may be partial when accum
-        // does not divide total_steps (the plan hash already refused
-        // mismatched accum/grain).
-        START_CHECK(start_step % accum == 0 || start_step == total_steps);
-      }
+      // Checkpoints land only at optimizer-step boundaries, so a valid
+      // cursor is a multiple of the accumulation depth — except the
+      // end-of-plan cursor, whose final group may be partial when accum
+      // does not divide total_steps (the plan hash already refused
+      // mismatched accum/grain).
+      START_CHECK(start_step % accum == 0 || start_step == total_steps);
       if (state.schedule_fingerprint != 0 &&
           state.schedule_fingerprint != schedule.Fingerprint()) {
         START_LOG(Warning)
@@ -179,189 +161,92 @@ PretrainStats Pretrain(StartModel* model,
           ? epoch_of_step[static_cast<size_t>(start_step)]
           : std::max<int64_t>(0, config.epochs - 1);
 
-  if (sharded) {
-    // ---- Data-parallel engine (see core/parallel_trainer.h) ---------------
-    ShardConfig shard_config;
-    shard_config.num_shards = config.num_shards;
-    shard_config.shard_grain = config.shard_grain;
-    shard_config.accum_steps = accum;
-    shard_config.use_mask_task = config.use_mask_task;
-    shard_config.use_contrastive_task = config.use_contrastive_task;
-    shard_config.lambda = config.lambda;
-    shard_config.tau = config.tau;
-    shard_config.grad_clip = config.grad_clip;
-    shard_config.seed = config.seed;
-    // Built after the resume load, so the replicas copy the resumed values.
-    ParallelTrainer trainer(model, shard_config);
+  // ---- One optimizer step per accumulation group, through the data-parallel
+  // engine (see core/parallel_trainer.h). Every config trains here: the
+  // defaults (num_shards 1, shard_grain 0, accum_steps 1) run one grain per
+  // step on the primary model.
+  ShardConfig shard_config;
+  shard_config.num_shards = config.num_shards;
+  shard_config.shard_grain = config.shard_grain;
+  shard_config.accum_steps = accum;
+  shard_config.use_mask_task = config.use_mask_task;
+  shard_config.use_contrastive_task = config.use_contrastive_task;
+  shard_config.lambda = config.lambda;
+  shard_config.tau = config.tau;
+  shard_config.grad_clip = config.grad_clip;
+  shard_config.seed = config.seed;
+  // Built after the resume load, so the replicas copy the resumed values.
+  ParallelTrainer trainer(model, shard_config);
 
-    const auto save_checkpoint = [&](int64_t next_step) {
-      state.next_step = next_step;
-      state.adam_step = opt.step_count();
-      state.schedule_fingerprint = schedule.Fingerprint();
-      state.plan_hash = plan_hash;
-      state.rng_state.clear();  // engine streams are per-shard, below
-      state.num_shards = config.num_shards;
-      state.shard_grain = config.shard_grain;
-      state.accum_steps = accum;
-      state.shard_rng = trainer.ShardRngStates();
-      const auto st = SaveTrainingCheckpoint(config.checkpoint_path, *model,
-                                             opt, state, config_hash);
-      if (!st.ok()) {
-        START_LOG(Warning) << "checkpoint save failed: " << st.ToString();
-      } else if (config.verbose) {
-        START_LOG(Info) << "checkpointed step " << next_step << " -> "
-                        << config.checkpoint_path;
-      }
-    };
-
-    std::vector<data::TrainingBatch> group(static_cast<size_t>(accum));
-    std::vector<const data::TrainingBatch*> micros;
-    int64_t opt_steps_done = 0;
-    bool exhausted = false;
-    while (!exhausted) {
-      int64_t got = 0;
-      while (got < accum && loader.Next(&group[static_cast<size_t>(got)])) {
-        ++got;
-      }
-      if (got < accum) exhausted = true;
-      if (got == 0) break;
-      const int64_t first_step = group[0].step;
-      const int64_t last_step_idx = group[static_cast<size_t>(got - 1)].step;
-      const int64_t opt_step = first_step / accum;
-      micros.clear();
-      for (int64_t i = 0; i < got; ++i) {
-        micros.push_back(&group[static_cast<size_t>(i)]);
-      }
-      const ShardStepStats step_stats =
-          trainer.Step(micros, opt_step, &opt, schedule.LrAt(opt_step));
-
-      // The whole accumulation group books under its first micro-step's
-      // epoch (groups spanning an epoch boundary are attributed once).
-      const int64_t epoch = epoch_of_step[static_cast<size_t>(first_step)];
-      if (config.verbose && epoch != current_epoch) {
-        log_epoch(current_epoch);
-        current_epoch = epoch;
-      }
-      const auto e = static_cast<size_t>(epoch);
-      state.loss_sum[e] += step_stats.loss;
-      state.mask_sum[e] += step_stats.mask_loss;
-      state.con_sum[e] += step_stats.con_loss;
-      ++state.batch_count[e];
-
-      ++opt_steps_done;
-      const bool hit_max =
-          config.max_steps > 0 && opt_steps_done >= config.max_steps;
-      const bool plan_done = last_step_idx + 1 == total_steps;
-      if (!config.checkpoint_path.empty() &&
-          (hit_max || plan_done ||
-           (config.checkpoint_every_steps > 0 &&
-            opt_steps_done % config.checkpoint_every_steps == 0))) {
-        save_checkpoint(last_step_idx + 1);
-      }
-      for (int64_t i = 0; i < got; ++i) {
-        loader.Recycle(std::move(group[static_cast<size_t>(i)]));
-      }
-      if (hit_max) break;  // simulated interruption; loader shuts down
+  const auto save_checkpoint = [&](int64_t next_step) {
+    state.next_step = next_step;
+    state.adam_step = opt.step_count();
+    state.schedule_fingerprint = schedule.Fingerprint();
+    state.plan_hash = plan_hash;
+    state.num_shards = config.num_shards;
+    state.shard_grain = config.shard_grain;
+    state.accum_steps = accum;
+    state.shard_rng = trainer.ShardRngStates();
+    const auto st = SaveTrainingCheckpoint(config.checkpoint_path, *model,
+                                           opt, state, config_hash);
+    if (!st.ok()) {
+      START_LOG(Warning) << "checkpoint save failed: " << st.ToString();
+    } else if (config.verbose) {
+      START_LOG(Info) << "checkpointed step " << next_step << " -> "
+                      << config.checkpoint_path;
     }
-    if (config.verbose) log_epoch(current_epoch);
-  } else {
-    // ---- Legacy single-replica loop (floating-point stream preserved) -----
-    // Every step draws its dropout masks from a stream reseeded with the
-    // step's private seed (mirroring the loader's determinism contract), so
-    // an uninterrupted run and a checkpoint-resumed run sample identical
-    // masks.
-    common::Rng dropout_rng(config.seed);
-    model->SetDropoutRng(&dropout_rng);
+  };
 
-    const auto save_checkpoint = [&](int64_t next_step) {
-      state.next_step = next_step;
-      state.adam_step = opt.step_count();
-      state.schedule_fingerprint = schedule.Fingerprint();
-      state.plan_hash = plan_hash;
-      state.rng_state = dropout_rng.GetState();
-      const auto st = SaveTrainingCheckpoint(config.checkpoint_path, *model,
-                                             opt, state, config_hash);
-      if (!st.ok()) {
-        START_LOG(Warning) << "checkpoint save failed: " << st.ToString();
-      } else if (config.verbose) {
-        START_LOG(Info) << "checkpointed step " << next_step << " -> "
-                        << config.checkpoint_path;
-      }
-    };
-
-    int64_t steps_done = 0;
-    data::TrainingBatch tb;
-    while (loader.Next(&tb)) {
-      dropout_rng.Seed(data::BatchLoader::StepSeed(
-          config.seed ^ kDropoutStreamSalt, tb.step));
-      Tensor loss;
-      double mask_val = 0.0, con_val = 0.0;
-      // Stage 1 once per step: both pretext batches are encoded under the
-      // same parameters, so they share the road representations (gradients
-      // accumulate into the GAT from both graphs).
-      const Tensor road_reps = model->ComputeRoadReps();
-
-      // --- Task 1: span-masked trajectory recovery (Sec. III-C1) -----------
-      if (tb.has_masked && !tb.mask_positions.empty()) {
-        const EncoderOutput out = model->Encode(tb.masked, road_reps);
-        const Tensor logits =
-            model->MaskedLogits(out, tb.mask_positions, tb.masked.max_len);
-        const Tensor mask_loss =
-            tensor::CrossEntropyWithLogits(logits, tb.mask_targets);
-        mask_val = mask_loss.item();
-        loss = tensor::Scale(mask_loss, config.use_contrastive_task
-                                            ? static_cast<float>(config.lambda)
-                                            : 1.0f);
-      }
-
-      // --- Task 2: trajectory contrastive learning (Sec. III-C2) -----------
-      if (tb.has_contrastive) {
-        const EncoderOutput out = model->Encode(tb.contrastive, road_reps);
-        const Tensor con_loss = nn::NtXentLoss(out.cls, config.tau);
-        con_val = con_loss.item();
-        const Tensor scaled = tensor::Scale(
-            con_loss, config.use_mask_task
-                          ? static_cast<float>(1.0 - config.lambda)
-                          : 1.0f);
-        loss = loss.defined() ? tensor::Add(loss, scaled) : scaled;
-      }
-
-      START_CHECK(loss.defined());
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(model->Parameters(), config.grad_clip);
-      opt.set_lr(schedule.LrAt(tb.step));
-      opt.Step();
-
-      // Steps arrive in plan order, so epochs advance monotonically; log
-      // each one as soon as its last batch has trained.
-      const int64_t epoch = epoch_of_step[static_cast<size_t>(tb.step)];
-      if (config.verbose && epoch != current_epoch) {
-        log_epoch(current_epoch);
-        current_epoch = epoch;
-      }
-      const auto e = static_cast<size_t>(epoch);
-      state.loss_sum[e] += loss.item();
-      state.mask_sum[e] += mask_val;
-      state.con_sum[e] += con_val;
-      ++state.batch_count[e];
-
-      ++steps_done;
-      const bool hit_max =
-          config.max_steps > 0 && steps_done >= config.max_steps;
-      const bool last_step = tb.step + 1 == total_steps;
-      if (!config.checkpoint_path.empty() &&
-          (hit_max || last_step ||
-           (config.checkpoint_every_steps > 0 &&
-            steps_done % config.checkpoint_every_steps == 0))) {
-        save_checkpoint(tb.step + 1);
-      }
-      loader.Recycle(std::move(tb));
-      if (hit_max) break;  // simulated interruption; loader shuts down cleanly
+  std::vector<data::TrainingBatch> group(static_cast<size_t>(accum));
+  std::vector<const data::TrainingBatch*> micros;
+  int64_t opt_steps_done = 0;
+  bool exhausted = false;
+  while (!exhausted) {
+    int64_t got = 0;
+    while (got < accum && loader.Next(&group[static_cast<size_t>(got)])) {
+      ++got;
     }
-    model->SetDropoutRng(nullptr);  // the stream above is about to go away
-    if (config.verbose) log_epoch(current_epoch);
+    if (got < accum) exhausted = true;
+    if (got == 0) break;
+    const int64_t first_step = group[0].step;
+    const int64_t last_step_idx = group[static_cast<size_t>(got - 1)].step;
+    const int64_t opt_step = first_step / accum;
+    micros.clear();
+    for (int64_t i = 0; i < got; ++i) {
+      micros.push_back(&group[static_cast<size_t>(i)]);
+    }
+    const ShardStepStats step_stats =
+        trainer.Step(micros, opt_step, &opt, schedule.LrAt(opt_step));
+
+    // The whole accumulation group books under its first micro-step's
+    // epoch (groups spanning an epoch boundary are attributed once).
+    const int64_t epoch = epoch_of_step[static_cast<size_t>(first_step)];
+    if (config.verbose && epoch != current_epoch) {
+      log_epoch(current_epoch);
+      current_epoch = epoch;
+    }
+    const auto e = static_cast<size_t>(epoch);
+    state.loss_sum[e] += step_stats.loss;
+    state.mask_sum[e] += step_stats.mask_loss;
+    state.con_sum[e] += step_stats.con_loss;
+    ++state.batch_count[e];
+
+    ++opt_steps_done;
+    const bool hit_max =
+        config.max_steps > 0 && opt_steps_done >= config.max_steps;
+    const bool plan_done = last_step_idx + 1 == total_steps;
+    if (!config.checkpoint_path.empty() &&
+        (hit_max || plan_done ||
+         (config.checkpoint_every_steps > 0 &&
+          opt_steps_done % config.checkpoint_every_steps == 0))) {
+      save_checkpoint(last_step_idx + 1);
+    }
+    for (int64_t i = 0; i < got; ++i) {
+      loader.Recycle(std::move(group[static_cast<size_t>(i)]));
+    }
+    if (hit_max) break;  // simulated interruption; loader shuts down
   }
+  if (config.verbose) log_epoch(current_epoch);
 
   PretrainStats stats;
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {

@@ -52,15 +52,18 @@ struct PretrainConfig {
   /// Periodic checkpoint cadence in optimizer steps; 0 = final-only.
   int64_t checkpoint_every_steps = 0;
   /// Resume from `checkpoint_path` when it holds a training checkpoint. The
-  /// resumed run replays the loader's StepSeed stream and the per-step
-  /// dropout seeds from the saved cursor, so it is bitwise identical to a
-  /// never-interrupted run (tests/core_pretrain_test.cc asserts this).
+  /// resumed run replays the loader's StepSeed stream and the engine's
+  /// per-step dropout seeds from the saved cursor, so it is bitwise
+  /// identical to a never-interrupted run (tests/core_pretrain_test.cc
+  /// asserts this).
   bool resume = false;
   /// Stop after this many optimizer steps past the resume point (0 = run the
   /// whole plan). Simulates interruption; pair with `checkpoint_path`.
   int64_t max_steps = 0;
 
-  // --- Data-parallel sharding (see core/parallel_trainer.h) ---------------
+  // --- Data-parallel engine (see core/parallel_trainer.h) ----------------
+  // Every run trains through ParallelTrainer. The defaults run one grain
+  // per step on the primary model alone.
   /// Model replicas training in data parallel. A pure *scheduling* knob:
   /// for any fixed (shard_grain, accum_steps) decomposition, every value of
   /// num_shards — including 1 — produces bitwise-identical parameters,
@@ -75,13 +78,6 @@ struct PretrainConfig {
   /// The group's losses are evaluated jointly, so accumulation enlarges the
   /// effective (contrastive) batch; also summation-order-defining.
   int64_t accum_steps = 1;
-
-  /// True when this config routes through the sharded engine instead of the
-  /// legacy single-replica loop (whose floating-point stream is preserved
-  /// exactly for default configs).
-  bool UsesShardedEngine() const {
-    return num_shards > 1 || shard_grain > 0 || accum_steps > 1;
-  }
 };
 
 /// \brief Per-epoch telemetry of a pre-training run.

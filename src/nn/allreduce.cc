@@ -50,16 +50,14 @@ void TreeReduceInto(std::vector<GradShard> shards,
     std::vector<std::shared_ptr<std::vector<float>>> slots;
     slots.reserve(shards.size());
     for (auto& shard : shards) slots.push_back(std::move(shard[p]));
-    const auto combined = TreeReduce(std::move(slots));
-    if (combined == nullptr) return;  // no shard touched this parameter
-    const tensor::Tensor& param = params[p];
-    START_CHECK_EQ(static_cast<int64_t>(combined->size()), param.numel());
-    START_CHECK_MSG(param.has_grad(),
-                    "TreeReduceInto requires pre-allocated gradients "
-                    "(call Optimizer::ZeroGrad first)");
-    float* g = const_cast<float*>(param.grad());
-    const float* c = combined->data();
-    for (int64_t e = 0; e < param.numel(); ++e) g[e] += c[e];
+    auto combined = TreeReduce(std::move(slots));
+    const auto& param = params[p].impl();
+    if (combined == nullptr) {  // no shard touched this parameter
+      param->ResetGrad();
+      return;
+    }
+    START_CHECK_EQ(static_cast<int64_t>(combined->size()), param->numel());
+    param->grad = std::move(combined);
   };
 
   if (pool == nullptr || num_params < 2) {

@@ -42,12 +42,15 @@ using GradShard = std::vector<std::shared_ptr<std::vector<float>>>;
 std::shared_ptr<std::vector<float>> TreeReduce(
     std::vector<std::shared_ptr<std::vector<float>>> slots);
 
-/// Tree-reduces `shards` per parameter and accumulates each combined buffer
-/// into the parameter's gradient (which the caller must have allocated and
-/// zeroed, e.g. via Optimizer::ZeroGrad). Per-parameter reductions are
-/// independent, so they are fanned out over `pool` when one is given —
-/// scheduling cannot change any sum's association order, only who computes
-/// it. Shard buffers are consumed.
+/// Tree-reduces `shards` per parameter and installs each combined buffer as
+/// the parameter's gradient, replacing whatever it held. The buffer is
+/// adopted, not copied or added, so a single shard costs no pass over the
+/// parameters. A parameter no shard touched gets a zero-filled gradient, so
+/// every parameter leaves with an allocated gradient, as after
+/// Optimizer::ZeroGrad. Per-parameter reductions are independent, so they
+/// are fanned out over `pool` when one is given — scheduling cannot change
+/// any sum's association order, only who computes it. Shard buffers are
+/// consumed.
 void TreeReduceInto(std::vector<GradShard> shards,
                     const std::vector<tensor::Tensor>& params,
                     common::ThreadPool* pool = nullptr);

@@ -23,7 +23,8 @@ common::Status CityRouter::OpenCity(const std::string& city,
   lane->graph = graph;
   lane->config = config;
   lane->pipeline = std::make_unique<StreamPipeline>(
-      config.encoder, graph->network.get(), config.index, config.stream);
+      EngineBundle{config.encoder, config.index, nullptr},
+      graph->network.get(), config.stream);
 
   std::unique_lock<std::shared_mutex> lock(mu_);
   const auto [it, inserted] = lanes_.emplace(city, std::move(lane));

@@ -31,12 +31,12 @@ namespace start::serve {
 /// proceed while another city is being opened.
 class CityRouter {
  public:
-  /// Serving dependencies of one city. `encoder` and `index` must outlive
-  /// the router; the encoder must have been trained/loaded against the
-  /// city's own road network.
+  /// Serving dependencies of one city. The lane shares ownership of
+  /// `encoder` and `index`; the encoder must have been trained/loaded
+  /// against the city's own road network.
   struct CityConfig {
-    const FrozenEncoder* encoder = nullptr;
-    IndexInterface* index = nullptr;
+    std::shared_ptr<const FrozenEncoder> encoder;
+    std::shared_ptr<IndexInterface> index;
     StreamConfig stream;
   };
 

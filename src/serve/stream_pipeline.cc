@@ -9,17 +9,6 @@
 
 namespace start::serve {
 
-namespace {
-
-/// Wraps a caller-owned raw pointer for the legacy constructor: shared_ptr
-/// semantics without ownership (the no-op deleter).
-template <typename T>
-std::shared_ptr<T> NonOwning(T* p) {
-  return std::shared_ptr<T>(p, [](T*) {});
-}
-
-}  // namespace
-
 void StreamPipeline::LatencyRing::Record(double value) {
   std::lock_guard<std::mutex> lock(mu);
   if (ms.size() < kCapacity) {
@@ -75,16 +64,6 @@ std::shared_ptr<StreamPipeline::Lease> StreamPipeline::MakeLease(
   lease->epoch = epoch;
   return lease;
 }
-
-StreamPipeline::StreamPipeline(const FrozenEncoder* encoder,
-                               const roadnet::RoadNetwork* net,
-                               IndexInterface* index,
-                               const StreamConfig& config,
-                               DriftMonitor* drift,
-                               const common::FaultHooks* hooks)
-    : StreamPipeline(
-          EngineBundle{NonOwning(encoder), NonOwning(index), NonOwning(drift)},
-          net, config, hooks) {}
 
 StreamPipeline::StreamPipeline(EngineBundle engine,
                                const roadnet::RoadNetwork* net,
@@ -508,16 +487,6 @@ EngineBundle StreamPipeline::engine() const {
 int64_t StreamPipeline::epoch() const {
   std::lock_guard<std::mutex> lock(match_q_.mu);
   return lease_->epoch;
-}
-
-const FrozenEncoder* StreamPipeline::encoder() const {
-  std::lock_guard<std::mutex> lock(match_q_.mu);
-  return lease_->engine.encoder.get();
-}
-
-IndexInterface* StreamPipeline::index() const {
-  std::lock_guard<std::mutex> lock(match_q_.mu);
-  return lease_->engine.index.get();
 }
 
 }  // namespace start::serve

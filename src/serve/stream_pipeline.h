@@ -177,15 +177,6 @@ class StreamPipeline {
                  const StreamConfig& config = {},
                  const common::FaultHooks* hooks = nullptr);
 
-  /// Raw-pointer convenience overload: wraps the components in non-owning
-  /// shared_ptrs, so `encoder`, `net`, `index` (and `drift`/`hooks` when
-  /// given) must outlive the pipeline — including any in-flight items when
-  /// the bundle is later retired by SwapEngine().
-  StreamPipeline(const FrozenEncoder* encoder,
-                 const roadnet::RoadNetwork* net, IndexInterface* index,
-                 const StreamConfig& config = {},
-                 DriftMonitor* drift = nullptr,
-                 const common::FaultHooks* hooks = nullptr);
   ~StreamPipeline();
 
   StreamPipeline(const StreamPipeline&) = delete;
@@ -246,12 +237,6 @@ class StreamPipeline {
   EngineBundle engine() const;
   /// Epoch of the currently serving bundle (0 before the first swap).
   int64_t epoch() const;
-
-  /// Raw borrows of the current bundle's components. May dangle once a
-  /// concurrent SwapEngine() retires the bundle — prefer engine() when the
-  /// pipeline is hot-swapped.
-  const FrozenEncoder* encoder() const;
-  IndexInterface* index() const;
 
  private:
   /// The serving unit a Work item is pinned to at Push: one EngineBundle

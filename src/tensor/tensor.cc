@@ -245,6 +245,12 @@ void Tensor::Backward() {
 void Tensor::Backward(const std::vector<float>& seed) {
   START_CHECK(defined());
   START_CHECK_EQ(static_cast<int64_t>(seed.size()), numel());
+  Backward(seed.data());
+}
+
+void Tensor::Backward(const float* seed) {
+  START_CHECK(defined());
+  START_CHECK(seed != nullptr);
   std::vector<std::shared_ptr<TensorImpl>> order;
   TopoSort(impl_, &order);
   // Leaf gradients accumulate across Backward() calls (optimizers own their
@@ -258,7 +264,8 @@ void Tensor::Backward(const std::vector<float>& seed) {
     }
   }
   float* g = impl_->grad_ptr();
-  for (size_t i = 0; i < seed.size(); ++i) g[i] += seed[i];
+  const int64_t n = numel();
+  for (int64_t i = 0; i < n; ++i) g[i] += seed[i];
   // Children come after parents in `order`; run backward in reverse.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     if ((*it)->backward_fn) (*it)->backward_fn(**it);

@@ -175,6 +175,10 @@ class Tensor {
   /// Runs reverse-mode autodiff with an explicit seed gradient (same numel).
   void Backward(const std::vector<float>& seed);
 
+  /// Same, reading the seed from `seed[0 .. numel())` — lets a caller seed
+  /// from a row range of a larger gradient buffer without copying it out.
+  void Backward(const float* seed);
+
   /// Returns a new leaf tensor sharing no graph edges. Only the viewed
   /// extent is copied (a Detach of a [2, 4] slice of a huge base tensor
   /// costs 8 floats), and the result is always contiguous.

@@ -38,8 +38,8 @@ std::string TempPath(const char* name) {
 struct ServingCity {
   std::unique_ptr<testutil::TinyWorld> world;
   std::shared_ptr<const roadnet::RoadNetwork> net;  ///< Owns world->net.
-  std::unique_ptr<serve::FrozenEncoder> encoder;
-  std::unique_ptr<serve::EmbeddingIndex> index;
+  std::shared_ptr<const serve::FrozenEncoder> encoder;
+  std::shared_ptr<serve::EmbeddingIndex> index;
 };
 
 class CityRouterTest : public ::testing::Test {
@@ -85,7 +85,7 @@ class CityRouterTest : public ::testing::Test {
                                              city->world->transfer.get());
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
     city->encoder = std::move(loaded).value();
-    city->index = std::make_unique<serve::EmbeddingIndex>(config_->d);
+    city->index = std::make_shared<serve::EmbeddingIndex>(config_->d);
     return city;
   }
 
@@ -110,8 +110,8 @@ class CityRouterTest : public ::testing::Test {
 
   static serve::CityRouter::CityConfig ConfigFor(const ServingCity& city) {
     serve::CityRouter::CityConfig config;
-    config.encoder = city.encoder.get();
-    config.index = city.index.get();
+    config.encoder = city.encoder;
+    config.index = city.index;
     config.stream.match_workers = 2;
     config.stream.embed_workers = 2;
     return config;

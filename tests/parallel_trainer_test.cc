@@ -63,17 +63,32 @@ TEST(TreeReduceTest, NullSlotsAreExactZeros) {
   EXPECT_EQ(nn::TreeReduce({}), nullptr);
 }
 
-TEST(TreeReduceTest, ReduceIntoAccumulatesOntoZeroedGrads) {
+TEST(TreeReduceTest, ReduceIntoInstallsCombinedGrads) {
   tensor::Tensor p =
       tensor::Tensor::Zeros(tensor::Shape({2}), /*requires_grad=*/true);
+  tensor::Tensor single =
+      tensor::Tensor::Zeros(tensor::Shape({2}), /*requires_grad=*/true);
+  tensor::Tensor untouched =
+      tensor::Tensor::Zeros(tensor::Shape({3}), /*requires_grad=*/true);
+  // Stale gradients are replaced, not accumulated onto.
   p.ZeroGrad();
+  p.grad()[0] = 5.0f;
+  untouched.ZeroGrad();
+  untouched.grad()[2] = 7.0f;
+  auto only = Buf({3.0f, 4.0f});
+  const float* only_storage = only->data();
   std::vector<nn::GradShard> shards;
-  shards.push_back({Buf({1.0f, 2.0f})});
-  shards.push_back({Buf({10.0f, 20.0f})});
-  shards.push_back({nullptr});
-  nn::TreeReduceInto(std::move(shards), {p});
+  shards.push_back({Buf({1.0f, 2.0f}), std::move(only), nullptr});
+  shards.push_back({Buf({10.0f, 20.0f}), nullptr, nullptr});
+  shards.push_back({nullptr, nullptr, nullptr});
+  nn::TreeReduceInto(std::move(shards), {p, single, untouched});
   EXPECT_EQ(p.grad()[0], 11.0f);
   EXPECT_EQ(p.grad()[1], 22.0f);
+  // One live slot: its buffer is installed as the gradient, not copied.
+  EXPECT_EQ(single.grad(), only_storage);
+  EXPECT_EQ(single.grad()[1], 4.0f);
+  // No shard touched it: an allocated, exactly-zero gradient.
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(untouched.grad()[i], 0.0f);
 }
 
 // ---------------------------------------------------------------------------
@@ -336,16 +351,28 @@ class ShardedPretrainTest : public ParallelTrainerTest {
 };
 
 TEST_F(ShardedPretrainTest, PretrainShardSweepBitwiseIdentical) {
-  auto reference = MakeModel(77);
-  const PretrainStats ref_stats = Run(EngineConfig(), reference.get());
-  for (const int k : {2, 3}) {
-    SCOPED_TRACE("num_shards=" + std::to_string(k));
-    auto model = MakeModel(77);
-    PretrainConfig config = EngineConfig();
-    config.num_shards = k;
-    const PretrainStats stats = Run(config, model.get());
-    ExpectParamsBitwiseEqual(*reference, *model);
-    ExpectStatsBitwiseEqual(ref_stats, stats);
+  // Grain 2 splits every batch into micro-shards; grain 0 is the
+  // PretrainConfig default (one grain per step) that every run without
+  // sharding knobs trains with.
+  struct Sweep {
+    int64_t grain;
+    std::vector<int> shard_counts;
+  };
+  for (const Sweep& sweep : {Sweep{2, {2, 3}}, Sweep{0, {3}}}) {
+    SCOPED_TRACE("shard_grain=" + std::to_string(sweep.grain));
+    PretrainConfig base = EngineConfig();
+    base.shard_grain = sweep.grain;
+    auto reference = MakeModel(77);
+    const PretrainStats ref_stats = Run(base, reference.get());  // K = 1
+    for (const int k : sweep.shard_counts) {
+      SCOPED_TRACE("num_shards=" + std::to_string(k));
+      auto model = MakeModel(77);
+      PretrainConfig config = base;
+      config.num_shards = k;
+      const PretrainStats stats = Run(config, model.get());
+      ExpectParamsBitwiseEqual(*reference, *model);
+      ExpectStatsBitwiseEqual(ref_stats, stats);
+    }
   }
 }
 
@@ -424,28 +451,32 @@ TEST_F(ShardedPretrainTest, ResumeAfterCompletedRunWithPartialFinalGroup) {
   ExpectParamsBitwiseEqual(*model, *resumed);
 }
 
-// A legacy (pre-engine) checkpoint must not silently resume under the
-// sharded engine — its floating-point stream differs, so the plan hash
-// refuses and the run restarts from scratch (still training successfully).
-TEST_F(ShardedPretrainTest, LegacyCheckpointRefusedBySharded) {
+// A checkpoint written under one grain decomposition must not silently
+// resume under another — the summation order differs, so the plan hash
+// refuses and the run restarts from scratch: it matches a run that never
+// saw the checkpoint, bitwise.
+TEST_F(ShardedPretrainTest, GrainChangeRefusesResume) {
   TempDir dir;
-  const std::string ckpt = dir.File("legacy.sttn");
+  const std::string ckpt = dir.File("grain2.sttn");
   auto a = MakeModel(5);
-  PretrainConfig legacy;
-  legacy.epochs = 2;
-  legacy.batch_size = 8;
-  legacy.seed = 21;
-  legacy.checkpoint_path = ckpt;
-  Run(legacy, a.get());
+  PretrainConfig grain2 = EngineConfig();
+  grain2.num_shards = 2;
+  grain2.checkpoint_path = ckpt;
+  grain2.max_steps = 3;  // mid-plan cursor: a resume would skip steps
+  Run(grain2, a.get());
+
+  PretrainConfig grain0 = EngineConfig();
+  grain0.shard_grain = 0;
+  auto fresh = MakeModel(6);
+  const PretrainStats fresh_stats = Run(grain0, fresh.get());
 
   auto b = MakeModel(6);
-  PretrainConfig sharded = EngineConfig();
-  sharded.num_shards = 2;
-  sharded.checkpoint_path = ckpt;
-  sharded.resume = true;  // refused -> trains from scratch
-  const PretrainStats stats = Run(sharded, b.get());
-  ASSERT_EQ(stats.epoch_loss.size(), 2u);
-  EXPECT_GT(stats.epoch_loss.front(), 0.0);
+  PretrainConfig resumed = grain0;
+  resumed.checkpoint_path = ckpt;
+  resumed.resume = true;  // refused -> trains from scratch
+  const PretrainStats stats = Run(resumed, b.get());
+  ExpectParamsBitwiseEqual(*fresh, *b);
+  ExpectStatsBitwiseEqual(fresh_stats, stats);
 }
 
 // The checkpoint records the shard topology and per-replica RNG cursors.

@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -76,14 +77,13 @@ class StreamPipelineTest : public ::testing::Test {
                                              world_->net.get(),
                                              world_->transfer.get());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    encoder_ = std::move(loaded).value().release();
+    encoder_ = std::move(loaded).value();
   }
 
   static void TearDownTestSuite() {
-    delete encoder_;
+    encoder_.reset();
     delete config_;
     delete world_;
-    encoder_ = nullptr;
     config_ = nullptr;
     world_ = nullptr;
   }
@@ -145,18 +145,12 @@ class StreamPipelineTest : public ::testing::Test {
 
   static testutil::TinyWorld* world_;
   static core::StartConfig* config_;
-  static serve::FrozenEncoder* encoder_;
+  static std::shared_ptr<const serve::FrozenEncoder> encoder_;
 };
-
-/// Non-owning shared_ptr wrapper for fixture-owned components.
-template <typename T>
-std::shared_ptr<T> Borrow(T* p) {
-  return std::shared_ptr<T>(p, [](T*) {});
-}
 
 testutil::TinyWorld* StreamPipelineTest::world_ = nullptr;
 core::StartConfig* StreamPipelineTest::config_ = nullptr;
-serve::FrozenEncoder* StreamPipelineTest::encoder_ = nullptr;
+std::shared_ptr<const serve::FrozenEncoder> StreamPipelineTest::encoder_;
 
 /// Callback recorder: ids in finalization order + a copy of each embedding.
 struct Recorder {
@@ -175,8 +169,8 @@ struct Recorder {
 TEST_F(StreamPipelineTest, IngestMatchesDirectMatchAndEncodeBitwise) {
   const std::vector<StreamItem> stream = MakeStream(32);
   ASSERT_GE(stream.size(), 16u);
-  HnswIndex index(encoder_->dim());
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, SmallConfig());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), SmallConfig());
   Recorder rec;
   pipeline.SetOnIngested(rec.Callback());
   for (const StreamItem& item : stream) {
@@ -188,7 +182,7 @@ TEST_F(StreamPipelineTest, IngestMatchesDirectMatchAndEncodeBitwise) {
   EXPECT_EQ(s.accepted, s.pushed);
   EXPECT_GT(s.ingested(), 0);
   ExpectAccounted(s);
-  EXPECT_EQ(index.size(), s.ingested());
+  EXPECT_EQ(index->size(), s.ingested());
   EXPECT_EQ(static_cast<int64_t>(rec.ids.size()), s.ingested());
 
   // The reference path: the same matcher + a direct single-trajectory
@@ -198,7 +192,7 @@ TEST_F(StreamPipelineTest, IngestMatchesDirectMatchAndEncodeBitwise) {
   std::map<int64_t, const traj::GpsTrajectory*> by_id;
   for (const StreamItem& item : stream) by_id[item.id] = &item.gps;
   for (size_t i = 0; i < rec.ids.size(); ++i) {
-    EXPECT_TRUE(index.Contains(rec.ids[i]));
+    EXPECT_TRUE(index->Contains(rec.ids[i]));
     const traj::Trajectory matched = matcher.MatchTrajectory(*by_id[rec.ids[i]]);
     ASSERT_TRUE(encoder_->Validate(matched).ok());
     const tensor::Tensor direct =
@@ -228,11 +222,10 @@ TEST_F(StreamPipelineTest, TransientEmbedFailuresRetryWithBackoff) {
     std::lock_guard<std::mutex> lock(mu);
     sleeps.push_back(micros);
   };
-  HnswIndex index(encoder_->dim());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
   StreamConfig config = SmallConfig();
   config.embed_workers = 1;  // one worker: the backoff sequence is ordered
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, config,
-                          nullptr, &hooks);
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), config, &hooks);
   for (const StreamItem& item : stream) {
     ASSERT_TRUE(pipeline.Push(item).ok());
   }
@@ -267,11 +260,10 @@ TEST_F(StreamPipelineTest, PermanentFailureExhaustsRetriesAndIsCounted) {
     std::lock_guard<std::mutex> lock(mu);
     sleeps.push_back(micros);
   };
-  HnswIndex index(encoder_->dim());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
   StreamConfig config = SmallConfig();
   config.max_retries = 3;
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, config,
-                          nullptr, &hooks);
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), config, &hooks);
   for (const StreamItem& item : stream) {
     ASSERT_TRUE(pipeline.Push(item).ok());
   }
@@ -281,7 +273,7 @@ TEST_F(StreamPipelineTest, PermanentFailureExhaustsRetriesAndIsCounted) {
   EXPECT_EQ(s.embed.failed, 1);  // seq 0 exhausted its retries
   EXPECT_EQ(s.embed.retried, 3);
   EXPECT_EQ(sleeps, (std::vector<int64_t>{200, 400, 800}));
-  EXPECT_FALSE(index.Contains(stream[0].id));
+  EXPECT_FALSE(index->Contains(stream[0].id));
 }
 
 TEST_F(StreamPipelineTest, StalledMatchWorkerBlocksNeitherPeersNorOrdering) {
@@ -298,12 +290,11 @@ TEST_F(StreamPipelineTest, StalledMatchWorkerBlocksNeitherPeersNorOrdering) {
     }
     return common::Status::OK();
   };
-  HnswIndex index(encoder_->dim());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
   StreamConfig config = SmallConfig();  // 2 match workers: one keeps going
   config.max_in_flight = n + 1;
   config.upsert_queue_depth = n + 1;
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, config,
-                          nullptr, &hooks);
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), config, &hooks);
   Recorder rec;
   pipeline.SetOnIngested(rec.Callback());
   for (const StreamItem& item : stream) {
@@ -318,7 +309,7 @@ TEST_F(StreamPipelineTest, StalledMatchWorkerBlocksNeitherPeersNorOrdering) {
   // ...but the in-order finalizer must not have ingested anything: nothing
   // may overtake seq 0.
   EXPECT_EQ(pipeline.stats().ingested(), 0);
-  EXPECT_TRUE(index.size() == 0);
+  EXPECT_TRUE(index->size() == 0);
   {
     std::lock_guard<std::mutex> lock(mu);
     release = true;
@@ -352,13 +343,12 @@ TEST_F(StreamPipelineTest, FullUpsertQueueShedsLoadWithBoundedDepth) {
     }
     return common::Status::OK();
   };
-  HnswIndex index(encoder_->dim());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
   StreamConfig config = SmallConfig();
   config.overflow = OverflowPolicy::kDropNewest;
   config.upsert_queue_depth = 4;  // tiny: the stall must overflow it
   config.max_in_flight = n + 1;
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, config,
-                          nullptr, &hooks);
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), config, &hooks);
   for (const StreamItem& item : stream) {
     ASSERT_TRUE(pipeline.Push(item).ok());
   }
@@ -380,16 +370,16 @@ TEST_F(StreamPipelineTest, FullUpsertQueueShedsLoadWithBoundedDepth) {
   pipeline.Flush();
   const PipelineStats s = pipeline.stats();
   ExpectAccounted(s);
-  EXPECT_EQ(index.size(), s.ingested());
+  EXPECT_EQ(index->size(), s.ingested());
   EXPECT_GT(s.ingested(), 0);  // the in-queue items still land
 }
 
 TEST_F(StreamPipelineTest, MidStreamDrainFinishesAcceptedItemsExactly) {
   const std::vector<StreamItem> stream = MakeStream(64);
-  HnswIndex index(encoder_->dim());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
   StreamConfig config = SmallConfig();
   config.match_queue_depth = 4;  // keep a real backlog at drain time
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, config);
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), config);
   Recorder rec;
   pipeline.SetOnIngested(rec.Callback());
   std::atomic<int64_t> push_ok{0};
@@ -411,9 +401,9 @@ TEST_F(StreamPipelineTest, MidStreamDrainFinishesAcceptedItemsExactly) {
   // Everything accepted before the drain was fully finished — no item is
   // half-ingested and none were silently lost.
   EXPECT_EQ(s.accepted, push_ok.load());
-  EXPECT_EQ(index.size(), s.ingested());
+  EXPECT_EQ(index->size(), s.ingested());
   EXPECT_EQ(static_cast<int64_t>(rec.ids.size()), s.ingested());
-  for (const int64_t id : rec.ids) EXPECT_TRUE(index.Contains(id));
+  for (const int64_t id : rec.ids) EXPECT_TRUE(index->Contains(id));
   // And the pipeline refuses new work from now on.
   EXPECT_EQ(pipeline.Push(stream[0]).code(),
             common::StatusCode::kFailedPrecondition);
@@ -433,15 +423,15 @@ TEST_F(StreamPipelineTest, ReplayIsBitwiseDeterministicAcrossWorkerCounts) {
   const auto run_once = [&](int match_workers, int embed_workers,
                             int service_workers, int64_t batch) {
     Run run;
-    HnswIndex index(encoder_->dim());
-    DriftMonitor drift(encoder_->dim(), drift_config);
+    auto index = std::make_shared<HnswIndex>(encoder_->dim());
+    auto drift = std::make_shared<DriftMonitor>(encoder_->dim(), drift_config);
     StreamConfig config = SmallConfig();
     config.match_workers = match_workers;
     config.embed_workers = embed_workers;
     config.service.num_workers = service_workers;
     config.service.max_batch_size = batch;
-    StreamPipeline pipeline(encoder_, world_->net.get(), &index, config,
-                            &drift);
+    StreamPipeline pipeline({encoder_, index, drift}, world_->net.get(),
+                            config);
     Recorder rec;
     pipeline.SetOnIngested(rec.Callback());
     for (const StreamItem& item : stream) {
@@ -450,8 +440,8 @@ TEST_F(StreamPipelineTest, ReplayIsBitwiseDeterministicAcrossWorkerCounts) {
     pipeline.Drain();
     run.ids = std::move(rec.ids);
     run.rows = std::move(rec.rows);
-    run.drift = drift.History();
-    run.index_size = index.size();
+    run.drift = drift->History();
+    run.index_size = index->size();
     return run;
   };
   testutil::ForEachOmpRegime([&](const char* regime) {
@@ -488,8 +478,8 @@ TEST_F(StreamPipelineTest, QueriesAndRemovesDuringIngestChurnSoak) {
   // churn thread removes already-ingested ids — the TSan soak for the whole
   // streaming plane.
   const std::vector<StreamItem> stream = MakeStream(64);
-  HnswIndex index(encoder_->dim());
-  StreamPipeline pipeline(encoder_, world_->net.get(), &index, SmallConfig());
+  auto index = std::make_shared<HnswIndex>(encoder_->dim());
+  StreamPipeline pipeline({encoder_, index}, world_->net.get(), SmallConfig());
   std::mutex ingested_mu;
   std::vector<int64_t> ingested;
   pipeline.SetOnIngested([&](int64_t id, const traj::Trajectory&,
@@ -506,13 +496,13 @@ TEST_F(StreamPipelineTest, QueriesAndRemovesDuringIngestChurnSoak) {
       while (!stop.load(std::memory_order_acquire)) {
         std::vector<float> q(static_cast<size_t>(encoder_->dim()));
         for (auto& v : q) v = static_cast<float>(rng.Normal());
-        const auto result = index.Query(q.data(), encoder_->dim(), 5);
+        const auto result = index->Query(q.data(), encoder_->dim(), 5);
         ASSERT_TRUE(result.ok());
         std::set<int64_t> seen;
         for (const auto& nb : *result) {
           EXPECT_TRUE(seen.insert(nb.id).second);
         }
-        const double dead = index.DeadFraction();
+        const double dead = index->DeadFraction();
         EXPECT_GE(dead, 0.0);
         EXPECT_LE(dead, 1.0);
       }
@@ -531,7 +521,7 @@ TEST_F(StreamPipelineTest, QueriesAndRemovesDuringIngestChurnSoak) {
         }
       }
       if (victim >= 0) {
-        EXPECT_TRUE(index.Remove(victim).ok());
+        EXPECT_TRUE(index->Remove(victim).ok());
         removed.fetch_add(1, std::memory_order_relaxed);
       } else {
         std::this_thread::yield();
@@ -547,8 +537,8 @@ TEST_F(StreamPipelineTest, QueriesAndRemovesDuringIngestChurnSoak) {
   churner.join();
   const PipelineStats s = pipeline.stats();
   ExpectAccounted(s);
-  EXPECT_EQ(index.size() + removed.load(), s.ingested());
-  EXPECT_GE(index.DeadFraction(), 0.0);
+  EXPECT_EQ(index->size() + removed.load(), s.ingested());
+  EXPECT_GE(index->DeadFraction(), 0.0);
 }
 
 TEST_F(StreamPipelineTest, HotSwapSplitsStreamAtSequenceBoundary) {
@@ -559,8 +549,7 @@ TEST_F(StreamPipelineTest, HotSwapSplitsStreamAtSequenceBoundary) {
   auto index2 = std::make_shared<HnswIndex>(encoder_->dim());
   const std::shared_ptr<const serve::FrozenEncoder> alt = MakeAltEncoder();
   StreamPipeline pipeline(
-      serve::EngineBundle{Borrow<const serve::FrozenEncoder>(encoder_),
-                          index1, nullptr},
+      serve::EngineBundle{encoder_, index1, nullptr},
       world_->net.get(), SmallConfig());
   Recorder rec;
   pipeline.SetOnIngested(rec.Callback());
@@ -615,8 +604,7 @@ TEST_F(StreamPipelineTest, SwapUnderLoadLosesNothingAndPreservesOrder) {
   auto index2 = std::make_shared<HnswIndex>(encoder_->dim());
   const std::shared_ptr<const serve::FrozenEncoder> alt = MakeAltEncoder();
   StreamPipeline pipeline(
-      serve::EngineBundle{Borrow<const serve::FrozenEncoder>(encoder_),
-                          index1, nullptr},
+      serve::EngineBundle{encoder_, index1, nullptr},
       world_->net.get(), SmallConfig());
   Recorder rec;
   pipeline.SetOnIngested(rec.Callback());
@@ -667,8 +655,7 @@ TEST_F(StreamPipelineTest, SwapRejectsInvalidBundlesAndKeepsServing) {
   const std::vector<StreamItem> stream = MakeStream(8);
   auto index1 = std::make_shared<HnswIndex>(encoder_->dim());
   StreamPipeline pipeline(
-      serve::EngineBundle{Borrow<const serve::FrozenEncoder>(encoder_),
-                          index1, nullptr},
+      serve::EngineBundle{encoder_, index1, nullptr},
       world_->net.get(), SmallConfig());
   const std::shared_ptr<const serve::FrozenEncoder> alt = MakeAltEncoder();
   // Null components.
@@ -715,8 +702,7 @@ TEST_F(StreamPipelineTest, RequireQuiescentSwapRefusesWhileItemsInFlight) {
   auto index2 = std::make_shared<HnswIndex>(encoder_->dim());
   const std::shared_ptr<const serve::FrozenEncoder> alt = MakeAltEncoder();
   StreamPipeline pipeline(
-      serve::EngineBundle{Borrow<const serve::FrozenEncoder>(encoder_),
-                          index1, nullptr},
+      serve::EngineBundle{encoder_, index1, nullptr},
       world_->net.get(), SmallConfig(), &hooks);
   for (const StreamItem& item : stream) {
     ASSERT_TRUE(pipeline.Push(item).ok());
