@@ -14,6 +14,8 @@
 //     decomposition. The two K = 1 columns price the engine's bookkeeping
 //     (batch slicing, boundary gather/scatter, tree reduce), the K = 4
 //     column the actual data-parallel scaling.
+//     Every configuration is timed over kRuns = 9 runs of kSteps = 20
+//     steps, round-robin; the gated ratios are medians over the runs.
 //  3. The determinism gate: K ∈ {2, 3, 5} must produce bitwise-identical
 //     parameters and loss values to K = 1 — the contract that makes shard
 //     count a deployment knob instead of a science decision.
@@ -28,7 +30,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -220,9 +221,9 @@ bool ParamsBitwiseEqual(const StartModel& a, const StartModel& b) {
   return true;
 }
 
-double BestOf2(const std::function<double()>& run) {
-  const double first = run();
-  return std::min(first, run());
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -246,27 +247,41 @@ int main() {
   RunSharded(w, 1, 2, &sink);
 
   // 1-2. Throughput: reference step vs the engine at its defaults and at
-  // K = 1 / 2 / 4 over the grain-4 decomposition.
-  const int64_t kSteps = 10;
-  const double legacy_s =
-      BestOf2([&] { return RunLegacy(w, kSteps, &sink); });
-  const double default_s = BestOf2([&] {
-    return RunSharded(w, 1, kSteps, &sink, nullptr, nullptr, /*grain=*/0);
-  });
-  const double shard1_s =
-      BestOf2([&] { return RunSharded(w, 1, kSteps, &sink); });
-  const double shard2_s =
-      BestOf2([&] { return RunSharded(w, 2, kSteps, &sink); });
-  const double shard4_s =
-      BestOf2([&] { return RunSharded(w, 4, kSteps, &sink); });
-  const double sps_legacy = static_cast<double>(kSteps) / legacy_s;
-  const double sps_default = static_cast<double>(kSteps) / default_s;
-  const double sps_1 = static_cast<double>(kSteps) / shard1_s;
-  const double sps_2 = static_cast<double>(kSteps) / shard2_s;
-  const double sps_4 = static_cast<double>(kSteps) / shard4_s;
-  const double overhead_ratio = sps_1 / sps_legacy;
-  const double default_ratio = sps_default / sps_legacy;
-  const double scaling_4 = sps_4 / sps_1;
+  // K = 1 / 2 / 4 over the grain-4 decomposition. Each configuration runs
+  // kRuns times, round-robin, so a slow phase of a shared host hits every
+  // configuration alike; rates are medians of the runs and each ratio is
+  // the median of its per-round ratios, so one noisy run cannot flip a
+  // gate below.
+  const int64_t kSteps = 20;
+  const int kRuns = 9;
+  std::vector<double> legacy_s, default_s, shard1_s, shard2_s, shard4_s;
+  for (int run = 0; run < kRuns; ++run) {
+    legacy_s.push_back(RunLegacy(w, kSteps, &sink));
+    default_s.push_back(RunSharded(w, 1, kSteps, &sink, nullptr, nullptr,
+                                   /*grain=*/0));
+    shard1_s.push_back(RunSharded(w, 1, kSteps, &sink));
+    shard2_s.push_back(RunSharded(w, 2, kSteps, &sink));
+    shard4_s.push_back(RunSharded(w, 4, kSteps, &sink));
+  }
+  // Median per-round ratio of two configurations' rates: a_s[r] / b_s[r].
+  const auto rate_ratio = [&](const std::vector<double>& a_s,
+                              const std::vector<double>& b_s) {
+    std::vector<double> ratios;
+    for (int run = 0; run < kRuns; ++run) {
+      ratios.push_back(a_s[static_cast<size_t>(run)] /
+                       b_s[static_cast<size_t>(run)]);
+    }
+    return Median(ratios);
+  };
+  const double steps = static_cast<double>(kSteps);
+  const double sps_legacy = steps / Median(legacy_s);
+  const double sps_default = steps / Median(default_s);
+  const double sps_1 = steps / Median(shard1_s);
+  const double sps_2 = steps / Median(shard2_s);
+  const double sps_4 = steps / Median(shard4_s);
+  const double overhead_ratio = rate_ratio(legacy_s, shard1_s);
+  const double default_ratio = rate_ratio(legacy_s, default_s);
+  const double scaling_4 = rate_ratio(shard1_s, shard4_s);
 
   // 3. Determinism gate: K ∈ {2, 3, 5} bitwise vs K = 1 over 3 steps.
   bool bitwise_ok = true;
@@ -311,6 +326,8 @@ int main() {
                "  \"hardware_threads\": %u,\n"
                "  \"batch_size\": %ld,\n"
                "  \"shard_grain\": %ld,\n"
+               "  \"timed_runs\": %d,\n"
+               "  \"steps_per_run\": %ld,\n"
                "  \"steps_per_sec\": {\"legacy\": %.3f, "
                "\"default_grain0\": %.3f, \"shards_1\": %.3f, "
                "\"shards_2\": %.3f, \"shards_4\": %.3f},\n"
@@ -320,7 +337,7 @@ int main() {
                "  \"bitwise_identical\": %.1f,\n"
                "  \"checksum\": %.6f\n"
                "}\n",
-               cores, kBatchSize, kGrain, sps_legacy, sps_default, sps_1,
+               cores, kBatchSize, kGrain, kRuns, kSteps, sps_legacy, sps_default, sps_1,
                sps_2, sps_4, default_ratio, overhead_ratio, scaling_4,
                bitwise_ok ? 1.0 : 0.0, sink);
   std::fclose(json);

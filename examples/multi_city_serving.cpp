@@ -5,7 +5,6 @@
 // per-city indexes, ANN queries, and CH-exact free-flow travel times —
 // without the two cities' data ever mixing. Runs as a CI smoke test: any
 // broken invariant exits non-zero.
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -16,8 +15,8 @@
 #include "core/checkpoint.h"
 #include "core/start_model.h"
 #include "data/dataset.h"
+#include "roadnet/csr_graph.h"
 #include "roadnet/graph_registry.h"
-#include "roadnet/shortest_path.h"
 #include "roadnet/synthetic_city.h"
 #include "serve/city_router.h"
 #include "serve/embedding_index.h"
@@ -194,25 +193,26 @@ int main() {
     }
   }
 
-  // CH travel times agree with a direct Dijkstra over the same metric.
+  // CH travel times equal a direct Dijkstra over the registry's own graph:
+  // both price the same integer Costs, so the check is exact.
   for (const auto* city : {porto.get(), beijing.get()}) {
-    const auto& net = *city->net;
-    auto weight = [&](int64_t v) { return net.FreeFlowTravelTime(v); };
-    const int64_t n = net.num_segments();
+    const roadnet::CsrGraph& graph = *registry.Get(city->name)->graph;
+    roadnet::CsrDijkstra dijkstra(&graph);
+    const int64_t n = graph.num_nodes();
     for (const int64_t dst : {n - 1, n / 2}) {
       const auto got = router.TravelTimeSeconds(city->name, 0, dst);
-      const auto want = roadnet::ShortestPath(net, 0, dst, weight);
-      if (got.ok() != want.has_value()) {
+      const roadnet::Cost want =
+          dijkstra.Distance(graph.ToNode(0), graph.ToNode(dst));
+      if (got.ok() != (want < roadnet::kInfCost)) {
         std::fprintf(stderr, "%s reachability mismatch 0->%ld\n",
                      city->name.c_str(), dst);
         return 1;
       }
-      if (!want.has_value()) continue;
-      const double tol =
-          1e-3 * static_cast<double>(want->path.size()) + 1e-9;
-      if (std::abs(got.value() - want->cost) > tol) {
+      if (!got.ok()) continue;
+      if (got.value() != graph.CostToSeconds(want)) {
         std::fprintf(stderr, "%s travel time mismatch 0->%ld: %f vs %f\n",
-                     city->name.c_str(), dst, got.value(), want->cost);
+                     city->name.c_str(), dst, got.value(),
+                     graph.CostToSeconds(want));
         return 1;
       }
       std::printf("  %s travel time 0 -> %ld: %.2f s (CH == Dijkstra)\n",

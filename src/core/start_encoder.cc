@@ -21,13 +21,6 @@ tensor::Tensor StartEncoder::EncodeBatch(
   return model_->Encode(b).cls;
 }
 
-tensor::Tensor StartEncoder::InferBatch(
-    const std::vector<const traj::Trajectory*>& batch,
-    eval::EncodeMode mode) {
-  tensor::NoGradGuard no_grad;
-  return EncodeBatch(batch, mode);
-}
-
 common::Status StartEncoder::WarmStart(const std::string& checkpoint_path,
                                        bool allow_missing,
                                        bool skip_mismatched) {

@@ -14,12 +14,13 @@ namespace start::core {
 /// departure-only for the ETA protocol) and returns the [CLS] pooled
 /// representation.
 ///
-/// In inference mode (training off, gradients off — the EmbedAll path) the
-/// stage-1 road representations are computed once and cached: they depend
-/// only on the parameters, so re-deriving the whole TPE-GAT forward per
-/// batch was pure waste. Any parameter mutation routed through this adapter
-/// (SetTraining, WarmStart) invalidates the cache; mutations done behind its
-/// back require an explicit InvalidateRoadReps().
+/// In inference mode (training off, gradients off — what the inherited
+/// InferBatch runs after SetTraining(false)) EncodeBatch computes the stage-1
+/// road representations once and caches them: they depend only on the
+/// parameters, so re-deriving the whole TPE-GAT forward per batch was pure
+/// waste. Any parameter mutation routed through this adapter (SetTraining,
+/// WarmStart) invalidates the cache; mutations done behind its back require
+/// an explicit InvalidateRoadReps().
 class StartEncoder : public eval::TrajectoryEncoder {
  public:
   /// Does not take ownership; `model` must outlive the encoder.
@@ -28,14 +29,6 @@ class StartEncoder : public eval::TrajectoryEncoder {
   int64_t dim() const override { return model_->config().d; }
 
   tensor::Tensor EncodeBatch(
-      const std::vector<const traj::Trajectory*>& batch,
-      eval::EncodeMode mode) override;
-
-  /// No-grad inference encode: always takes the cached-road-reps path (the
-  /// cache is populated on first use). The caller must have called
-  /// SetTraining(false); encoding an eval-mode model is the contract that
-  /// makes the cache sound.
-  tensor::Tensor InferBatch(
       const std::vector<const traj::Trajectory*>& batch,
       eval::EncodeMode mode) override;
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "roadnet/shortest_path.h"
 
 namespace start::data {
 namespace {
@@ -96,18 +95,21 @@ std::optional<traj::Trajectory> SpliceFirstQualifying(
 }  // namespace
 
 std::optional<traj::Trajectory> MakeDetour(const traj::TrafficModel& traffic,
+                                           const roadnet::CsrGraph& free_flow,
                                            const traj::Trajectory& t,
                                            const DetourConfig& config,
                                            common::Rng* rng) {
+  START_CHECK_EQ(free_flow.num_nodes(), traffic.network().num_segments());
   const auto sec = SelectSection(t, config, rng);
   if (!sec.has_value()) return std::nullopt;
-  const auto& net = traffic.network();
-  auto weight = [&](int64_t road) { return net.FreeFlowTravelTime(road); };
   const auto yen = roadnet::KShortestPaths(
-      net, sec->original.front(), sec->original.back(), config.top_k, weight);
+      free_flow, free_flow.ToNode(sec->original.front()),
+      free_flow.ToNode(sec->original.back()), config.top_k);
   std::vector<std::vector<int64_t>> candidates;
   candidates.reserve(yen.size());
-  for (const auto& cand : yen) candidates.push_back(cand.path);
+  for (const auto& cand : yen) {
+    candidates.push_back(free_flow.ToSegments(cand.nodes));
+  }
   return SpliceFirstQualifying(traffic, t, config, *sec, candidates);
 }
 

@@ -26,7 +26,13 @@ struct DetourConfig {
 /// whose travel time differs by more than `time_threshold`, then re-times the
 /// spliced trajectory with the congestion model. Returns nullopt when no
 /// qualifying alternative exists.
+///
+/// The Yen reference: candidates come from roadnet::KShortestPaths over
+/// `free_flow`, which must be CsrGraph::FromNetworkFreeFlow of
+/// `traffic.network()` (built once by the caller, so a call prices only the
+/// search).
 std::optional<traj::Trajectory> MakeDetour(const traj::TrafficModel& traffic,
+                                           const roadnet::CsrGraph& free_flow,
                                            const traj::Trajectory& t,
                                            const DetourConfig& config,
                                            common::Rng* rng);

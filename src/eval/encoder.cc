@@ -59,10 +59,10 @@ std::vector<float> TrajectoryEncoder::EmbedAll(
     const std::vector<traj::Trajectory>& trajs, EncodeMode mode,
     int64_t batch_size) {
   SetTraining(false);
-  // Encoding goes through InferBatch (the no-grad inference entry point),
-  // which lets encoders hoist per-artifact work out of the per-batch loop:
-  // StartEncoder caches its stage-1 road representations behind the loaded
-  // checkpoint handle instead of re-deriving them on every call.
+  // Encoding goes through InferBatch (the no-grad inference entry point):
+  // with training off and gradients off, StartEncoder::EncodeBatch reuses
+  // its cached stage-1 road representations instead of re-deriving them on
+  // every batch.
   return EmbedAllWith(dim(), trajs, batch_size,
                       [&](const std::vector<const traj::Trajectory*>& batch) {
                         return InferBatch(batch, mode);

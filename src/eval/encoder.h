@@ -44,13 +44,13 @@ class TrajectoryEncoder {
   ///
   /// This is the API every embedding *consumer* (corpus embedding, the
   /// frozen-encoder task paths, the serving plane) goes through; EncodeBatch
-  /// remains the fine-tuning surface. Callers must put the encoder in eval
-  /// mode first (SetTraining(false)) — InferBatch does not toggle it, so
-  /// encoders may hoist work that is invariant while parameters are frozen
-  /// (StartEncoder caches its stage-1 road representations across calls).
-  /// The default implementation (inherited by the baselines) wraps
-  /// EncodeBatch in a NoGradGuard. Returns [B, dim].
-  virtual tensor::Tensor InferBatch(
+  /// remains the fine-tuning surface. It is EncodeBatch under a
+  /// NoGradGuard, for every encoder. Callers must put the encoder in eval
+  /// mode first (SetTraining(false)) — InferBatch does not toggle it, so an
+  /// EncodeBatch that sees eval mode with gradients off may reuse work that
+  /// is invariant while parameters are frozen (StartEncoder caches its
+  /// stage-1 road representations across calls). Returns [B, dim].
+  tensor::Tensor InferBatch(
       const std::vector<const traj::Trajectory*>& batch, EncodeMode mode) {
     tensor::NoGradGuard no_grad;
     return EncodeBatch(batch, mode);

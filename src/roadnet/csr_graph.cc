@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
+#include <utility>
 
 #include "common/check.h"
 
@@ -53,11 +55,8 @@ CsrGraph CsrGraph::FromNetwork(const RoadNetwork& net,
   // Quantized node costs (in new numbering).
   g.node_cost_.resize(static_cast<size_t>(v));
   for (int32_t n = 0; n < g.num_nodes_; ++n) {
-    const double w = weight(g.to_segment_[static_cast<size_t>(n)]);
-    START_CHECK_MSG(w > 0.0, "non-positive segment weight " << w);
-    const Cost c = std::max<Cost>(
-        1, static_cast<Cost>(std::llround(w * options.cost_scale)));
-    g.node_cost_[static_cast<size_t>(n)] = c;
+    g.node_cost_[static_cast<size_t>(n)] =
+        g.SecondsToCost(weight(g.to_segment_[static_cast<size_t>(n)]));
   }
 
   // Out-CSR in the new numbering; heads sorted ascending per tail.
@@ -142,6 +141,12 @@ CsrGraph CsrGraph::FromNetworkFreeFlow(const RoadNetwork& net,
       net, [&net](int64_t s) { return net.FreeFlowTravelTime(s); }, options);
 }
 
+Cost CsrGraph::SecondsToCost(double seconds) const {
+  START_CHECK_MSG(seconds > 0.0, "non-positive segment weight " << seconds);
+  return std::max<Cost>(
+      1, static_cast<Cost>(std::llround(seconds * options_.cost_scale)));
+}
+
 std::vector<int64_t> CsrGraph::ToSegments(
     const std::vector<int32_t>& nodes) const {
   std::vector<int64_t> out;
@@ -175,7 +180,9 @@ void CsrDijkstra::Reset() {
   heap_.clear();
 }
 
-void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining) {
+template <typename ArcCost>
+void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining,
+                      const ArcCost& arc_cost) {
   const int64_t* offsets = graph_->out_offsets();
   const int32_t* heads = graph_->out_heads();
   const Cost* weights = graph_->out_weights();
@@ -210,7 +217,8 @@ void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining) {
     if (u == dst) return;
     for (int64_t k = offsets[u]; k < offsets[u + 1]; ++k) {
       const int32_t nb = heads[k];
-      const Cost nd = d + weights[k];
+      // A skipped arc costs kInfCost, so nd > kInfCost and never relaxes.
+      const Cost nd = d + arc_cost(u, nb, weights[k]);
       Cost& dnb = label(nb);
       if (nd < dnb) {
         dnb = nd;
@@ -223,15 +231,26 @@ void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining) {
   }
 }
 
-Cost CsrDijkstra::Distance(int32_t src, int32_t dst) {
+void CsrDijkstra::Search(int32_t src, int32_t dst, int64_t* remaining,
+                         const ArcCostFn& arc_cost) {
+  if (arc_cost) {
+    Run(src, dst, remaining, arc_cost);
+  } else {
+    Run(src, dst, remaining, [](int32_t, int32_t, Cost w) { return w; });
+  }
+}
+
+Cost CsrDijkstra::Distance(int32_t src, int32_t dst,
+                           const ArcCostFn& arc_cost) {
   Reset();
-  Run(src, dst, nullptr);
+  Search(src, dst, nullptr, arc_cost);
   if (stamp_[static_cast<size_t>(dst)] != cur_stamp_) return kInfCost;
   return dist_[static_cast<size_t>(dst)];
 }
 
-std::optional<CsrPath> CsrDijkstra::Route(int32_t src, int32_t dst) {
-  const Cost d = Distance(src, dst);
+std::optional<CsrPath> CsrDijkstra::Route(int32_t src, int32_t dst,
+                                          const ArcCostFn& arc_cost) {
+  const Cost d = Distance(src, dst, arc_cost);
   if (d >= kInfCost) return std::nullopt;
   CsrPath path;
   path.cost = d;
@@ -254,7 +273,7 @@ void CsrDijkstra::DistancesFrom(int32_t src,
       ++remaining;
     }
   }
-  Run(src, -1, &remaining);
+  Search(src, -1, &remaining, {});
   out->assign(targets.size(), kInfCost);
   for (size_t i = 0; i < targets.size(); ++i) {
     const int32_t t = targets[i];
@@ -264,6 +283,77 @@ void CsrDijkstra::DistancesFrom(int32_t src,
     }
     is_target_[static_cast<size_t>(t)] = 0;  // clear for the next call
   }
+}
+
+std::vector<CsrPath> KShortestPaths(const CsrGraph& graph, int32_t src,
+                                    int32_t dst, int64_t k) {
+  START_CHECK_GT(k, 0);
+  // (cost, lexicographic segment-id sequence): the ordering contract.
+  auto less = [&graph](const CsrPath& a, const CsrPath& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return std::lexicographical_compare(
+        a.nodes.begin(), a.nodes.end(), b.nodes.begin(), b.nodes.end(),
+        [&graph](int32_t x, int32_t y) {
+          return graph.ToSegment(x) < graph.ToSegment(y);
+        });
+  };
+  CsrDijkstra dijkstra(&graph);
+  std::vector<CsrPath> found;
+  auto first = dijkstra.Route(src, dst);
+  if (!first.has_value()) return found;
+  found.push_back(std::move(*first));
+
+  // Spur bans: the root prefix's nodes and the next arc of every found path
+  // that shares the root.
+  std::vector<uint8_t> banned_node(static_cast<size_t>(graph.num_nodes()), 0);
+  std::set<std::pair<int32_t, int32_t>> banned_arcs;
+  const ArcCostFn spur_cost = [&](int32_t tail, int32_t head, Cost w) {
+    return banned_node[static_cast<size_t>(head)] ||
+                   banned_arcs.count({tail, head}) > 0
+               ? kInfCost
+               : w;
+  };
+  std::set<CsrPath, decltype(less)> candidates(less);
+  while (static_cast<int64_t>(found.size()) < k) {
+    const std::vector<int32_t>& last = found.back().nodes;
+    // Spur from every prefix last[0..i] of the previous k-shortest path.
+    Cost root_cost = 0;  // cost of last[0..i-1]
+    for (size_t i = 0; i + 1 < last.size(); ++i) {
+      banned_arcs.clear();
+      for (const CsrPath& p : found) {
+        if (p.nodes.size() > i + 1 &&
+            std::equal(last.begin(), last.begin() + i + 1, p.nodes.begin())) {
+          banned_arcs.insert({p.nodes[i], p.nodes[i + 1]});
+        }
+      }
+      auto spur = dijkstra.Route(last[i], dst, spur_cost);
+      if (spur.has_value()) {
+        CsrPath total;
+        total.nodes.assign(last.begin(), last.begin() + i);
+        total.nodes.insert(total.nodes.end(), spur->nodes.begin(),
+                           spur->nodes.end());
+        total.cost = root_cost + spur->cost;
+        candidates.insert(std::move(total));
+      }
+      root_cost += graph.node_cost(last[i]);
+      banned_node[static_cast<size_t>(last[i])] = 1;
+    }
+    for (const int32_t v : last) banned_node[static_cast<size_t>(v)] = 0;
+    // Pop the cheapest candidate not already found.
+    bool appended = false;
+    while (!candidates.empty() && !appended) {
+      CsrPath best = std::move(candidates.extract(candidates.begin()).value());
+      appended = std::none_of(
+          found.begin(), found.end(),
+          [&](const CsrPath& p) { return p.nodes == best.nodes; });
+      if (appended) found.push_back(std::move(best));
+    }
+    if (!appended) break;
+  }
+  // Yen discovers paths in near-cost order but may emit equal-cost paths in
+  // a discovery-dependent order; the final sort makes the output canonical.
+  std::sort(found.begin(), found.end(), less);
+  return found;
 }
 
 }  // namespace start::roadnet

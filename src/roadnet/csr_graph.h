@@ -2,28 +2,34 @@
 #define START_ROADNET_CSR_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
 
 #include "roadnet/road_network.h"
-#include "roadnet/shortest_path.h"
 
 namespace start::roadnet {
 
 /// \brief Integer path cost in fixed-point "cost units" (milliseconds of
 /// travel time at the default scale; see CsrGraphOptions::cost_scale).
 ///
-/// The whole shortest-path plane runs on integer costs on purpose: integer
-/// addition is exact and associative, so a contraction-hierarchy distance —
-/// assembled from shortcut sums in an arbitrary order — is *identical* to
-/// the Dijkstra distance over the same weights, not merely close. That is
-/// what lets tests and the bench gate demand 100% exact-distance parity,
-/// and it is the same trick production routing engines use.
+/// Integer addition is exact, so a contraction-hierarchy distance is
+/// *identical* to the Dijkstra distance over the same weights. The cost
+/// model, the quantizer and the hook contract are documented once, in
+/// src/roadnet/README.md, "Why integer costs".
 using Cost = int64_t;
 
 /// Unreachable sentinel. Far below INT64_MAX so relaxations cannot overflow.
 constexpr Cost kInfCost = std::numeric_limits<int64_t>::max() / 4;
+
+/// Per-segment traversal cost in seconds. Must be positive.
+using SegmentWeightFn = std::function<double(int64_t segment)>;
+
+/// Per-call arc-cost hook for CsrDijkstra: sees the arc (tail -> head) and
+/// its stored weight and returns the Cost to relax it with (positive, from
+/// CsrGraph::SecondsToCost), or kInfCost to skip it.
+using ArcCostFn = std::function<Cost(int32_t tail, int32_t head, Cost weight)>;
 
 struct CsrGraphOptions {
   /// Fixed-point scale: a segment weight of `w` seconds becomes
@@ -31,8 +37,8 @@ struct CsrGraphOptions {
   double cost_scale = 1000.0;
 };
 
-/// A path over CSR node ids plus its total cost (source node cost included,
-/// matching the legacy ShortestPath contract).
+/// A path over CSR node ids plus its total cost (source node cost included;
+/// see src/roadnet/README.md, "Why integer costs").
 struct CsrPath {
   std::vector<int32_t> nodes;
   Cost cost = 0;
@@ -50,11 +56,9 @@ struct CsrPath {
 ///  - both out- and in-adjacency are materialized (the in-side drives
 ///    contraction and backward searches).
 ///
-/// Cost model: the legacy plane prices a path [v0..vk] as
-/// sum_i weight(v_i) — every segment paid once, source included. Lowered to
-/// arcs: arc (u -> v) carries quantized weight(v), and queries add
-/// node_cost(src) once at the start. CsrDijkstra and ChEngine both honor
-/// this, so their costs are comparable with the legacy API after scaling.
+/// Cost model: arc (u -> v) carries quantized weight(v) and queries add
+/// node_cost(src) once, so a path pays every segment once, source included
+/// (src/roadnet/README.md, "Why integer costs").
 class CsrGraph {
  public:
   /// Lowers a finalized network under the given per-segment weight
@@ -89,6 +93,9 @@ class CsrGraph {
   double CostToSeconds(Cost c) const {
     return static_cast<double>(c) / options_.cost_scale;
   }
+  /// The plane's one quantizer: llround(seconds * cost_scale), at least 1.
+  /// FromNetwork prices stored weights with it; ArcCostFn hooks must too.
+  Cost SecondsToCost(double seconds) const;
   const CsrGraphOptions& options() const { return options_; }
 
   // Raw CSR spans (hot-loop iteration; heads are sorted per tail).
@@ -135,20 +142,24 @@ class CsrGraph {
 /// workspace: timestamp-versioned distance labels mean queries after the
 /// first are allocation-free and pay only for the region actually searched.
 ///
-/// This is the reference the contraction hierarchy is tested (and gated)
-/// against, and the fallback router for metrics that cannot be
-/// preprocessed (e.g. per-driver personalized weights). Not thread-safe;
-/// one instance per thread.
+/// This is the repo's only Dijkstra: the reference the contraction
+/// hierarchy is tested (and gated) against, and — through an ArcCostFn
+/// hook — the router for metrics that cannot be preprocessed (the trip
+/// generator's per-trip weights, Yen's spur bans). Searches without a hook
+/// read the stored weights directly. Not thread-safe; one instance per
+/// thread.
 class CsrDijkstra {
  public:
   explicit CsrDijkstra(const CsrGraph* graph);
 
   /// Cost of the cheapest s->t path (node_cost(s) included), kInfCost when
-  /// unreachable.
-  Cost Distance(int32_t src, int32_t dst);
+  /// unreachable. A non-empty `arc_cost` prices every relaxed arc; the
+  /// source still pays node_cost(s).
+  Cost Distance(int32_t src, int32_t dst, const ArcCostFn& arc_cost = {});
 
   /// Cheapest path; nullopt when unreachable.
-  std::optional<CsrPath> Route(int32_t src, int32_t dst);
+  std::optional<CsrPath> Route(int32_t src, int32_t dst,
+                               const ArcCostFn& arc_cost = {});
 
   /// One-to-many: distances from src to every target (kInfCost when
   /// unreachable). Stops as soon as all targets are settled.
@@ -158,9 +169,15 @@ class CsrDijkstra {
   const CsrGraph& graph() const { return *graph_; }
 
  private:
-  /// Runs Dijkstra from src until `until` (or exhaustion when until < 0,
-  /// or `remaining` targets are settled when remaining != nullptr).
-  void Run(int32_t src, int32_t dst, int64_t* remaining);
+  /// Runs Dijkstra from src until dst is settled (or exhaustion when
+  /// dst < 0, or `remaining` targets are settled when remaining != nullptr),
+  /// pricing arcs with `arc_cost(tail, head, stored weight)`.
+  template <typename ArcCost>
+  void Run(int32_t src, int32_t dst, int64_t* remaining,
+           const ArcCost& arc_cost);
+  /// Run() with the hook, or with the stored weights when it is empty.
+  void Search(int32_t src, int32_t dst, int64_t* remaining,
+              const ArcCostFn& arc_cost);
   void Reset();
   bool Settled(int32_t v) const {
     return stamp_[static_cast<size_t>(v)] == cur_stamp_ &&
@@ -178,6 +195,16 @@ class CsrDijkstra {
   // Binary heap of (dist, node); lazily deleted stale entries.
   std::vector<std::pair<Cost, int32_t>> heap_;
 };
+
+/// \brief Yen's k shortest loopless paths [30] from src to dst (CSR node
+/// ids): the reference detour search of Sec. IV-D4. Spur searches run on
+/// one CsrDijkstra whose hook prices banned arcs and root nodes at kInfCost.
+///
+/// Ordering contract: sorted by (cost, lexicographic *segment-id* sequence),
+/// so equal-cost paths come out in the same order on any platform and
+/// under any CSR renumbering. The first entry is a shortest path.
+std::vector<CsrPath> KShortestPaths(const CsrGraph& graph, int32_t src,
+                                    int32_t dst, int64_t k);
 
 }  // namespace start::roadnet
 

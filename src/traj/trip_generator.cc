@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "roadnet/shortest_path.h"
 
 namespace start::traj {
 
@@ -35,7 +34,8 @@ TripGenerator::TripGenerator(const TrafficModel* traffic, const Config& config)
       net_(&traffic->network()),
       config_(config),
       rng_(config.seed),
-      router_(&traffic->network()) {
+      graph_(roadnet::CsrGraph::FromNetworkFreeFlow(traffic->network())),
+      router_(&graph_) {
   START_CHECK(traffic != nullptr);
   START_CHECK_GT(config.num_drivers, 0);
   const int64_t v = net_->num_segments();
@@ -118,24 +118,27 @@ int64_t TripGenerator::SampleDepartureTime(int64_t day, common::Rng* rng,
 Trajectory TripGenerator::GenerateTrip(int64_t driver, int64_t src,
                                        int64_t dst, int64_t depart) {
   START_CHECK(driver >= 0 && driver < config_.num_drivers);
+  START_CHECK(src >= 0 && src < net_->num_segments());
+  START_CHECK(dst >= 0 && dst < net_->num_segments());
   Trajectory t;
   if (src == dst) return t;
   const uint64_t seed = driver_seed_[static_cast<size_t>(driver)];
   // Per-trip multiplicative jitter on top of the driver preference.
   common::Rng trip_rng(rng_.Next());
   const uint64_t trip_seed = trip_rng.Next();
-  auto weight = [&](int64_t road) {
+  auto arc_cost = [&](int32_t, int32_t head, roadnet::Cost) {
+    const int64_t road = graph_.ToSegment(head);
     const double base = net_->FreeFlowTravelTime(road);
     const double pref =
         PreferenceMultiplier(seed, road, config_.driver_preference);
     const double noise =
         PreferenceMultiplier(trip_seed, road, config_.trip_noise);
-    return base * pref * noise;
+    return graph_.SecondsToCost(base * pref * noise);
   };
-  auto route = router_.Route(src, dst, weight);
-  if (!route.has_value() || route->path.size() < 2) return t;
+  auto route = router_.Route(graph_.ToNode(src), graph_.ToNode(dst), arc_cost);
+  if (!route.has_value() || route->nodes.size() < 2) return t;
   // Realise timestamps through the congestion model.
-  t.roads = route->path;
+  t.roads = graph_.ToSegments(route->nodes);
   t.timestamps.resize(t.roads.size());
   double clock = static_cast<double>(depart);
   for (size_t i = 0; i < t.roads.size(); ++i) {

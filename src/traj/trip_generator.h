@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "roadnet/csr_graph.h"
 #include "roadnet/road_network.h"
-#include "roadnet/shortest_path.h"
 #include "traj/traffic_model.h"
 #include "traj/trajectory.h"
 
@@ -38,6 +38,8 @@ class TripGenerator {
   };
 
   TripGenerator(const TrafficModel* traffic, const Config& config);
+  TripGenerator(const TripGenerator&) = delete;  // router_ points at graph_
+  TripGenerator& operator=(const TripGenerator&) = delete;
 
   /// Generates the full corpus (chronologically ordered by departure time).
   std::vector<Trajectory> Generate();
@@ -65,10 +67,13 @@ class TripGenerator {
   std::vector<int64_t> home_anchor_;
   std::vector<int64_t> work_anchor_;
   std::vector<uint64_t> driver_seed_;
-  /// Reusable Dijkstra workspace: per-driver weights rule out contraction
-  /// hierarchies, but the O(|V|) label arrays need not be reallocated per
-  /// trip. Routes are bitwise-identical to roadnet::ShortestPath.
-  roadnet::DijkstraRouter router_;
+  /// Free-flow lowering of the network and one reusable Dijkstra over it.
+  /// Per-trip weights rule out contraction hierarchies, so each trip runs
+  /// router_ with a hook that prices arcs at the driver-preference and noise
+  /// weights, quantized by graph_.SecondsToCost (src/roadnet/README.md,
+  /// "Why integer costs").
+  roadnet::CsrGraph graph_;
+  roadnet::CsrDijkstra router_;
   /// anchor segment -> segments within zone_radius_m (SampleNear scans the
   /// network once per distinct anchor instead of once per call).
   mutable std::map<int64_t, std::vector<int64_t>> zone_cache_;

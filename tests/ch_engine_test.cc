@@ -8,7 +8,6 @@
 #include <set>
 
 #include "roadnet/csr_graph.h"
-#include "roadnet/shortest_path.h"
 #include "roadnet/synthetic_city.h"
 #include "testing.h"
 
@@ -75,7 +74,7 @@ TEST(CsrGraphTest, FingerprintTracksMetric) {
   EXPECT_NE(a.Fingerprint(), c.Fingerprint());
 }
 
-TEST(CsrDijkstraTest, MatchesLegacyShortestPathCost) {
+TEST(CsrDijkstraTest, MatchesBruteForceSecondsWithinRounding) {
   const RoadNetwork net = MakeCity(6, 19);
   const CsrGraph g = CsrGraph::FromNetworkFreeFlow(net);
   CsrDijkstra dij(&g);
@@ -84,18 +83,21 @@ TEST(CsrDijkstraTest, MatchesLegacyShortestPathCost) {
   for (int trial = 0; trial < 25; ++trial) {
     const int64_t src = rng.UniformInt(0, net.num_segments() - 1);
     const int64_t dst = rng.UniformInt(0, net.num_segments() - 1);
-    const auto legacy = ShortestPath(net, src, dst, weight);
-    const Cost c = dij.Distance(g.ToNode(src), g.ToNode(dst));
-    if (!legacy.has_value()) {
-      EXPECT_EQ(c, kInfCost);
+    const auto oracle = testutil::BellmanFord(net, src, weight);
+    const auto& want = oracle[static_cast<size_t>(dst)];
+    const auto route = dij.Route(g.ToNode(src), g.ToNode(dst));
+    if (want.segments == 0) {
+      EXPECT_FALSE(route.has_value());
       continue;
     }
-    ASSERT_LT(c, kInfCost);
-    // Quantization error is bounded by half a cost unit per path segment.
-    const double seconds = g.CostToSeconds(c);
-    const double tolerance =
-        static_cast<double>(legacy->path.size()) / 1000.0;
-    EXPECT_NEAR(seconds, legacy->cost, tolerance + 1e-9);
+    ASSERT_TRUE(route.has_value());
+    // Rounding moves each segment's cost by at most half a cost unit, so
+    // the two optima differ by at most half a unit per segment of the
+    // longer of the two optimal paths.
+    const double segments = static_cast<double>(std::max<int64_t>(
+        want.segments, static_cast<int64_t>(route->nodes.size())));
+    const double tolerance = 0.5 * segments / g.options().cost_scale;
+    EXPECT_NEAR(g.CostToSeconds(route->cost), want.cost, tolerance + 1e-9);
   }
 }
 

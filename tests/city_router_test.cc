@@ -2,7 +2,7 @@
 // wired through serve::CityRouter — per-city streaming ingestion stays
 // isolated (each lane map-matches against its own network and upserts into
 // its own index), travel-time estimates come from each city's contraction
-// hierarchy and agree with a direct Dijkstra over the same metric, and the
+// hierarchy and equal a direct Dijkstra over the same graph, and the
 // error paths (unknown city, double open, null deps) return typed statuses.
 #include "serve/city_router.h"
 
@@ -17,8 +17,8 @@
 #include "common/rng.h"
 #include "core/checkpoint.h"
 #include "core/start_model.h"
+#include "roadnet/csr_graph.h"
 #include "roadnet/graph_registry.h"
-#include "roadnet/shortest_path.h"
 #include "serve/embedding_index.h"
 #include "serve/frozen_encoder.h"
 #include "testing.h"
@@ -174,23 +174,24 @@ TEST_F(CityRouterTest, TravelTimeMatchesDirectDijkstraPerCity) {
   serve::CityRouter router(registry_);
   ASSERT_TRUE(router.OpenCity("porto", ConfigFor(*porto_)).ok());
   ASSERT_TRUE(router.OpenCity("beijing", ConfigFor(*beijing_)).ok());
-  for (const auto* city : {porto_, beijing_}) {
-    const std::string name =
-        city == porto_ ? "porto" : "beijing";
-    const auto& net = *city->net;
-    auto weight = [&](int64_t v) { return net.FreeFlowTravelTime(v); };
-    const int64_t n = net.num_segments();
+  for (const std::string name : {"porto", "beijing"}) {
+    // The oracle runs on the registry's own CsrGraph, so CH and Dijkstra
+    // price identical integer Costs: equality, not a tolerance.
+    const auto snapshot = registry_->Get(name);
+    ASSERT_NE(snapshot, nullptr);
+    const roadnet::CsrGraph& graph = *snapshot->graph;
+    roadnet::CsrDijkstra dijkstra(&graph);
+    const int64_t n = graph.num_nodes();
     for (const auto [src, dst] : {std::pair<int64_t, int64_t>{0, n - 1},
                                   {n / 2, n / 3}, {1, n - 2}}) {
       const auto got = router.TravelTimeSeconds(name, src, dst);
-      const auto want = roadnet::ShortestPath(net, src, dst, weight);
-      ASSERT_EQ(got.ok(), want.has_value()) << name << " " << src << "->"
-                                            << dst;
-      if (!want.has_value()) continue;
-      // CH costs are quantized to cost_scale (1 ms): agreement is exact up
-      // to one quantum per path hop.
-      EXPECT_NEAR(got.value(), want->cost,
-                  1e-3 * static_cast<double>(want->path.size()) + 1e-9);
+      const roadnet::Cost want =
+          dijkstra.Distance(graph.ToNode(src), graph.ToNode(dst));
+      ASSERT_EQ(got.ok(), want < roadnet::kInfCost)
+          << name << " " << src << "->" << dst;
+      if (!got.ok()) continue;
+      EXPECT_EQ(got.value(), graph.CostToSeconds(want))
+          << name << " " << src << "->" << dst;
     }
   }
 }

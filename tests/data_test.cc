@@ -201,10 +201,11 @@ TEST_F(DataTest, DatasetFiltersAndSplitsChronologically) {
 
 TEST_F(DataTest, DetourChangesRouteKeepsEndpointsConnected) {
   common::Rng rng(7);
+  const auto free_flow = roadnet::CsrGraph::FromNetworkFreeFlow(net_);
   int64_t made = 0;
   for (uint64_t s = 0; s < 5 && made < 2; ++s) {
     const traj::Trajectory t = MakeTrip(s);
-    const auto detour = MakeDetour(traffic_, t, {}, &rng);
+    const auto detour = MakeDetour(traffic_, free_flow, t, {}, &rng);
     if (!detour.has_value()) continue;
     ++made;
     EXPECT_NE(detour->roads, t.roads);

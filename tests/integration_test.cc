@@ -132,9 +132,12 @@ TEST_F(IntegrationTest, FrozenEmbeddingsRetrieveDetours) {
   std::vector<traj::Trajectory> queries, database;
   std::vector<int64_t> gt;
   common::Rng detour_rng(4);
+  const auto free_flow =
+      roadnet::CsrGraph::FromNetworkFreeFlow(traffic_->network());
   for (const auto& t : dataset_->test()) {
     if (queries.size() >= 12) break;
-    const auto detour = data::MakeDetour(*traffic_, t, {}, &detour_rng);
+    const auto detour =
+        data::MakeDetour(*traffic_, free_flow, t, {}, &detour_rng);
     if (!detour.has_value()) continue;
     gt.push_back(static_cast<int64_t>(database.size()));
     queries.push_back(t);

@@ -14,7 +14,7 @@
 #include "data/batch.h"
 #include "data/span_mask.h"
 #include "eval/metrics.h"
-#include "roadnet/shortest_path.h"
+#include "roadnet/csr_graph.h"
 #include "roadnet/synthetic_city.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -154,15 +154,16 @@ TEST(KspPropertyTest, MatchesExhaustiveEnumeration) {
       {0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}, {1, 4}};
   for (const auto& [a, b] : edges) net.AddEdge(a, b);
   net.Finalize();
-  auto weight = [](int64_t v) { return static_cast<double>(v) + 1.0; };
-  // Exhaustive DFS enumeration of simple paths.
-  std::vector<std::pair<double, std::vector<int64_t>>> all_paths;
+  const auto graph = roadnet::CsrGraph::FromNetwork(
+      net, [](int64_t v) { return static_cast<double>(v) + 1.0; });
+  // Exhaustive DFS enumeration of simple paths, priced in integer Costs.
+  std::vector<std::pair<roadnet::Cost, std::vector<int64_t>>> all_paths;
   std::vector<int64_t> stack{0};
   std::function<void()> dfs = [&] {
     const int64_t cur = stack.back();
     if (cur == 4) {
-      double cost = 0;
-      for (const int64_t v : stack) cost += weight(v);
+      roadnet::Cost cost = 0;
+      for (const int64_t v : stack) cost += graph.node_cost(graph.ToNode(v));
       all_paths.emplace_back(cost, stack);
       return;
     }
@@ -174,11 +175,15 @@ TEST(KspPropertyTest, MatchesExhaustiveEnumeration) {
     }
   };
   dfs();
+  // (cost, segment sequence) is also Yen's ordering contract.
   std::sort(all_paths.begin(), all_paths.end());
-  const auto yen = roadnet::KShortestPaths(net, 0, 4, 100, weight);
+  const auto yen = roadnet::KShortestPaths(graph, graph.ToNode(0),
+                                           graph.ToNode(4), 100);
   ASSERT_EQ(yen.size(), all_paths.size());
   for (size_t i = 0; i < yen.size(); ++i) {
-    EXPECT_NEAR(yen[i].cost, all_paths[i].first, 1e-9) << "rank " << i;
+    EXPECT_EQ(yen[i].cost, all_paths[i].first) << "rank " << i;
+    EXPECT_EQ(graph.ToSegments(yen[i].nodes), all_paths[i].second)
+        << "rank " << i;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "data/dataset.h"
 #include "roadnet/synthetic_city.h"
@@ -77,6 +78,32 @@ roadnet::TransferProbability EdgePairTransfer(
     sequences.push_back({net.edge_sources()[e], net.edge_targets()[e]});
   }
   return roadnet::TransferProbability::FromTrajectories(net, sequences);
+}
+
+std::vector<OracleLabel> BellmanFord(const roadnet::RoadNetwork& net,
+                                     int64_t src,
+                                     const roadnet::SegmentWeightFn& weight) {
+  const int64_t n = net.num_segments();
+  std::vector<OracleLabel> labels(
+      static_cast<size_t>(n),
+      {std::numeric_limits<double>::infinity(), 0});
+  labels[static_cast<size_t>(src)] = {weight(src), 1};
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int64_t u = 0; u < n; ++u) {
+      const OracleLabel lu = labels[static_cast<size_t>(u)];
+      if (lu.segments == 0) continue;
+      for (const int64_t v : net.OutNeighbors(u)) {
+        OracleLabel& lv = labels[static_cast<size_t>(v)];
+        const double cost = lu.cost + weight(v);
+        if (cost < lv.cost) {
+          lv = {cost, lu.segments + 1};
+          changed = true;
+        }
+      }
+    }
+  }
+  return labels;
 }
 
 void ExpectAllClose(const tensor::Tensor& a, const tensor::Tensor& b,

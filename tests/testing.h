@@ -33,6 +33,7 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "nn/module.h"
+#include "roadnet/csr_graph.h"
 #include "roadnet/road_network.h"
 #include "tensor/tensor.h"
 #include "traj/traffic_model.h"
@@ -80,6 +81,21 @@ core::StartConfig TinyStartConfig();
 /// (every edge gets nonzero mass) — the standard stand-in for tests that
 /// need a valid TransferProbability but no trajectory corpus.
 roadnet::TransferProbability EdgePairTransfer(const roadnet::RoadNetwork& net);
+
+/// One label of the brute-force routing oracle: the cheapest cost of
+/// reaching a segment (every segment paid once, source included; infinity
+/// when unreachable) and the segment count of one such cheapest path.
+struct OracleLabel {
+  double cost;
+  int64_t segments;
+};
+
+/// Bellman-Ford from `src` over `net` under per-segment `weight` — the
+/// brute-force oracle CsrDijkstra and Yen are checked against. Integer
+/// weights (e.g. a CsrGraph's node costs) give exact sums.
+std::vector<OracleLabel> BellmanFord(const roadnet::RoadNetwork& net,
+                                     int64_t src,
+                                     const roadnet::SegmentWeightFn& weight);
 
 // ---------------------------------------------------------------------------
 // Comparators.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <set>
 
+#include "roadnet/ch_engine.h"
+#include "roadnet/csr_graph.h"
 #include "roadnet/synthetic_city.h"
 #include "traj/stats.h"
 
@@ -115,6 +117,29 @@ TEST_F(TripGeneratorTest, DriverPreferenceDiversifiesRoutes) {
     if (t.size() > 0) routes.insert(t.roads);
   }
   EXPECT_GT(routes.size(), 1u);
+}
+
+TEST_F(TripGeneratorTest, UnbiasedRoutesAreFreeFlowShortestPaths) {
+  // With no driver preference and no trip noise every hooked arc cost is
+  // the stored free-flow cost, so each route is a shortest path: its cost
+  // equals the contraction hierarchy's exact distance, integer for integer.
+  TripGenerator::Config config = SmallConfig();
+  config.driver_preference = 0.0;
+  config.trip_noise = 0.0;
+  TripGenerator gen(&traffic_, config);
+  const auto corpus = gen.Generate();
+  ASSERT_GT(corpus.size(), 50u);
+  const auto graph = roadnet::CsrGraph::FromNetworkFreeFlow(net_);
+  const auto ch = roadnet::ChEngine::Build(&graph);
+  auto ctx = ch.MakeContext();
+  for (const auto& t : corpus) {
+    roadnet::Cost cost = 0;
+    for (const int64_t road : t.roads) {
+      cost += graph.node_cost(graph.ToNode(road));
+    }
+    EXPECT_EQ(cost, ch.Distance(graph.ToNode(t.roads.front()),
+                                graph.ToNode(t.roads.back()), &ctx));
+  }
 }
 
 TEST_F(TripGeneratorTest, StatsCoverFields) {

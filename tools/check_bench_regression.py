@@ -29,13 +29,11 @@ import sys
 HEADLINE_METRICS = {
     "BENCH_tensor.json": [
         # Fused-kernel speedup over the seed scalar loop, per benchmark.
-        # Entries without a scalar reference (speedup == 0) are skipped.
         (
             "tensor kernel speedups",
             lambda doc: {
                 f"benchmarks[{b['name']}].speedup": b["speedup"]
                 for b in doc["benchmarks"]
-                if b.get("speedup", 0) > 0
             },
         ),
     ],
