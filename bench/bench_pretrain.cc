@@ -20,10 +20,6 @@
 //     parameters and loss values to K = 1 — the contract that makes shard
 //     count a deployment knob instead of a science decision.
 //
-// OpenMP is pinned to 1 thread for the whole run: the engine's worker
-// threads are the parallelism under test, and nested OpenMP teams inside
-// them would only add scheduling noise.
-//
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_pretrain
 //   ./build/bench_pretrain
@@ -34,10 +30,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -229,9 +221,6 @@ double Median(std::vector<double> v) {
 }  // namespace
 
 int main() {
-#ifdef _OPENMP
-  omp_set_num_threads(1);  // the shard workers ARE the parallelism measured
-#endif
   World w = BuildWorld();
   {
     std::vector<std::vector<int64_t>> seqs;

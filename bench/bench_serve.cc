@@ -11,9 +11,9 @@
 //     precomputed at load, length-bucketed batches).
 //  2. Multi-client service throughput: N synchronous clients round-tripping
 //     requests through one EmbeddingService. The 1 -> 4 client gain comes
-//     from micro-batch coalescing (concurrent requests share one deadline
-//     wait and one batch's fixed work) plus, on multi-core hosts, worker
-//     parallelism.
+//     from worker parallelism (a request that finds a worker idle is
+//     encoded at once, on its own core) plus micro-batch coalescing once
+//     every worker is busy.
 //  3. Batch-coalescing efficiency of a burst: mean requests per engine call
 //     and padding efficiency of the coalesced batches.
 //  4. Single-request latency (EncodeSync round trip), reported raw.
@@ -29,10 +29,6 @@
 //     the AVX2 qgemm backend (never slower anywhere), mean cosine
 //     >= 0.999, snapshot at most half the checkpoint.
 //
-// OpenMP is pinned to 1 thread so every number isolates the serving-plane
-// mechanics (worker threads, coalescing, frozen-path savings) instead of
-// kernel-internal parallelism.
-//
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_serve
 //   ./build/bench_serve
@@ -44,10 +40,6 @@
 #include <memory>
 #include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -438,9 +430,6 @@ QuantResults MeasureQuantized(const World& w) {
 }  // namespace
 
 int main() {
-#ifdef _OPENMP
-  omp_set_num_threads(1);  // isolate serving-plane mechanics (see header)
-#endif
   const World w = BuildWorld();
   std::printf("corpus: %zu trajectories over %ld road segments\n",
               w.corpus.size(), w.net->num_segments());
@@ -684,16 +673,20 @@ int main() {
                  frozen_speedup);
     return 1;
   }
-  // 3. Always: 1 -> 4 clients must gain >= 1.5x. Two stacked mechanisms
-  //    deliver it, and only one needs hardware parallelism: concurrent
-  //    clients amortise the coalescing deadline + per-batch fixed work
-  //    across a micro-batch (a single synchronous client pays the full
-  //    deadline per request — that is the latency/throughput trade the
-  //    knob encodes), and on multi-core hosts the encode workers also run
-  //    batches in parallel. The committed single-core baseline clears the
-  //    floor on coalescing alone, so the gate holds everywhere.
+  // 3. Always: 1 -> 4 clients must gain >= 1.5x, and >= 2x on hosts with
+  //    >= 4 hardware threads. Kernels are serial, so the gain comes from
+  //    request-level parallelism: a single synchronous client always finds
+  //    a worker idle and never pays the coalescing deadline, while four
+  //    clients keep up to four workers encoding at once. On a single core
+  //    only coalescing is left, and it does not reach the 1.5x floor.
   if (scaling < 1.5) {
     std::fprintf(stderr, "FAIL: 4-client scaling %.2fx < 1.5x\n", scaling);
+    return 1;
+  }
+  if (std::thread::hardware_concurrency() >= 4 && scaling < 2.0) {
+    std::fprintf(stderr,
+                 "FAIL: 4-client scaling %.2fx < 2x on a %u-thread host\n",
+                 scaling, std::thread::hardware_concurrency());
     return 1;
   }
   // 4. Always: HNSW must beat the exact scan >= 10x on query throughput.

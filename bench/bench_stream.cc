@@ -17,10 +17,6 @@
 //     the pipeline's accounting identity (hard gate: every accepted item
 //     accounted ingested/failed/dropped).
 //
-// OpenMP is pinned to 1 thread so the numbers isolate the pipeline
-// mechanics (stage workers, queues, coalescing) instead of kernel-internal
-// parallelism.
-//
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_stream
 //   ./build/bench_stream
@@ -30,10 +26,6 @@
 #include <memory>
 #include <thread>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -122,9 +114,6 @@ double Percentile(std::vector<double> ms, double p) {
 }  // namespace
 
 int main() {
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
   std::printf("=== bench_stream: streaming ingestion pipeline ===\n");
   const World w = BuildWorld();
   std::printf("corpus: %zu trips over %lld road segments\n", w.corpus.size(),

@@ -80,9 +80,8 @@ class Rng {
 
 /// \brief Process-wide RNG used by components that need randomness but take no
 /// explicit Rng parameter (e.g. dropout inside autograd ops). Seed it once at
-/// program start for reproducibility. Not thread-safe by design: training loops
-/// in this library are single-threaded at the op-graph level (OpenMP is only
-/// used inside individual kernels).
+/// program start for reproducibility. Not thread-safe by design: code that runs
+/// ops from several threads passes each thread its own explicit Rng.
 Rng& GlobalRng();
 
 /// Seeds GlobalRng().

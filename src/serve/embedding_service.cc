@@ -19,7 +19,7 @@ constexpr int64_t kBurstBatches = 4;
 
 EmbeddingService::EmbeddingService(const FrozenEncoder* encoder,
                                    const ServiceConfig& config)
-    : encoder_(encoder), config_(config) {
+    : encoder_(encoder), config_(config), idle_workers_(config.num_workers) {
   START_CHECK(encoder_ != nullptr);
   START_CHECK_GT(config_.max_batch_size, 0);
   START_CHECK_GT(config_.max_queue_depth, 0);
@@ -84,9 +84,11 @@ void EmbeddingService::WorkerLoop() {
   for (;;) {
     cv_arrival_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return;  // stopping, and everything is drained
-    // Deadline coalescing: once work exists, give concurrent clients a
-    // short window to join this burst instead of encoding a batch of one.
-    if (config_.batch_deadline_us > 0 && !stopping_) {
+    --idle_workers_;
+    // Deadline coalescing, only as the last free worker: while another worker
+    // is idle it can serve the next arrival at once, so waiting only adds
+    // latency; once all are busy, arrivals join this burst instead.
+    if (config_.batch_deadline_us > 0 && !stopping_ && idle_workers_ == 0) {
       const auto deadline =
           std::chrono::steady_clock::now() +
           std::chrono::microseconds(config_.batch_deadline_us);
@@ -109,6 +111,7 @@ void EmbeddingService::WorkerLoop() {
     lock.unlock();
     EncodeBurst(&burst);
     lock.lock();
+    ++idle_workers_;
   }
 }
 

@@ -47,9 +47,10 @@ struct ServiceConfig {
   int64_t max_batch_size = 32;
   /// Backpressure bound: Encode blocks while this many requests are queued.
   int64_t max_queue_depth = 1024;
-  /// How long a dispatcher waits for more requests to coalesce once the
-  /// queue is non-empty, before encoding a partial batch. 0 = never wait
-  /// (lowest latency, no coalescing beyond what is already queued).
+  /// How long the last free worker waits for more requests to coalesce
+  /// once the queue is non-empty, before encoding a partial batch (a worker
+  /// that wakes while another is idle never waits). 0 = never wait (lowest
+  /// latency, no coalescing beyond what is already queued).
   int64_t batch_deadline_us = 200;
   /// Encode worker threads (each drains and encodes whole bursts).
   int num_workers = 1;
@@ -85,11 +86,15 @@ struct ServiceStats {
 /// micro-batches, and worker threads run the frozen engine.
 ///
 /// Dataflow: Encode() validates the request, copies the trajectory into the
-/// queue, and returns a future. A worker drains the queue (waiting up to
-/// `batch_deadline_us` for more arrivals, or until `max_batch_size` are
-/// pending), splits the burst into length-homogeneous batches via
-/// data::BucketBatchPlan, encodes each through FrozenEncoder::EncodeBatch,
-/// and fulfils every promise with a zero-copy row of the batch result.
+/// queue, and returns a future. A worker drains the queue, splits the burst
+/// into length-homogeneous batches via data::BucketBatchPlan, encodes each
+/// through FrozenEncoder::EncodeBatch, and fulfils every promise with a
+/// zero-copy row of the batch result.
+///
+/// Requests are the only parallelism on this path (kernels are serial), so
+/// no worker waits for company while another is idle: only the last free
+/// worker waits, up to `batch_deadline_us` or until `max_batch_size` are
+/// pending. Under load the queue fills while every worker encodes.
 ///
 /// Thread-safety contract:
 ///  - Encode() and stats() may be called from any number of threads.
@@ -152,6 +157,7 @@ class EmbeddingService {
   std::condition_variable cv_space_;    ///< Queue has room again.
   std::deque<Request> queue_;
   bool stopping_ = false;
+  int idle_workers_;  ///< Workers not holding a burst (waiting for work).
   ServiceStats stats_;
 
   std::unique_ptr<common::ThreadPool> pool_;  ///< Runs the worker loops.

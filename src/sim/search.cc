@@ -15,7 +15,6 @@ namespace {
 /// resolve exactly as in the scalar path.
 void DistanceRow(const float* query, const float* database,
                  int64_t database_size, int64_t dim, double* row) {
-#pragma omp parallel for if (database_size * dim > (1 << 15))
   for (int64_t i = 0; i < database_size; ++i) {
     row[i] = EmbeddingDistance(query, database + i * dim, dim);
   }

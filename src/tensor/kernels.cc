@@ -62,7 +62,6 @@ ElementwisePlan MakeUnaryPlan(const TensorImpl& a) {
 void GemmNN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n) {
   // ikj ordering: innermost loop is contiguous over both B and C rows.
-#pragma omp parallel for if (m * n * k > (1 << 16))
   for (int64_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
     const float* arow = a + i * lda;
@@ -77,7 +76,6 @@ void GemmNN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
 
 void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n) {
-#pragma omp parallel for if (m * n * k > (1 << 16))
   for (int64_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
     const float* arow = a + i * lda;
@@ -92,8 +90,6 @@ void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
 
 void GemmTN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n) {
-  // Serial over k; row updates of C are parallelised by chunking rows of C.
-#pragma omp parallel for if (m * n * k > (1 << 16))
   for (int64_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
     for (int64_t p = 0; p < k; ++p) {

@@ -11,7 +11,7 @@
 ///
 /// Every elementwise op is expressed as a functor instantiated into one of
 /// the kernels below (marian-style). The engine specialises a contiguous
-/// same-shape fast path (single flat loop, OpenMP + SIMD) and otherwise runs
+/// same-shape fast path (single flat SIMD loop) and otherwise runs
 /// a fixed 4-deep loop nest whose stride arithmetic is hoisted out of the
 /// inner loop — no per-element div/mod index decomposition.
 ///
@@ -23,9 +23,6 @@
 namespace start::tensor::internal {
 
 constexpr int kMaxDims = 4;
-
-/// Minimum elements before a kernel goes parallel (OpenMP fork overhead).
-constexpr int64_t kParallelGrain = 1 << 14;
 
 /// Iteration plan for an elementwise kernel: right-aligned output dims padded
 /// with leading 1s, per-operand data strides (0 on broadcast dims) and dense
@@ -57,11 +54,10 @@ inline void BinaryForward(const ElementwisePlan& p, const float* pa,
   const auto& d = p.dims;
   if (p.fast) {
     const int64_t n = p.numel;
-#pragma omp parallel for simd if (n > kParallelGrain)
+#pragma omp simd
     for (int64_t i = 0; i < n; ++i) out[i] = f(pa[i], pb[i]);
     return;
   }
-#pragma omp parallel for collapse(2) if (p.numel > kParallelGrain)
   for (int64_t i0 = 0; i0 < d[0]; ++i0) {
     for (int64_t i1 = 0; i1 < d[1]; ++i1) {
       const float* a1 = pa + i0 * p.a[0] + i1 * p.a[1];
@@ -90,16 +86,16 @@ inline void BinaryBackward(const ElementwisePlan& p, const float* pa,
   if (p.fast) {
     const int64_t n = p.numel;
     if (ga != nullptr && gb != nullptr) {
-#pragma omp parallel for simd if (n > kParallelGrain)
+#pragma omp simd
       for (int64_t i = 0; i < n; ++i) {
         ga[i] += g[i] * da(pa[i], pb[i]);
         gb[i] += g[i] * db(pa[i], pb[i]);
       }
     } else if (ga != nullptr) {
-#pragma omp parallel for simd if (n > kParallelGrain)
+#pragma omp simd
       for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * da(pa[i], pb[i]);
     } else if (gb != nullptr) {
-#pragma omp parallel for simd if (n > kParallelGrain)
+#pragma omp simd
       for (int64_t i = 0; i < n; ++i) gb[i] += g[i] * db(pa[i], pb[i]);
     }
     return;
@@ -137,11 +133,10 @@ inline void UnaryForward(const ElementwisePlan& p, const float* pa, float* out,
   const auto& d = p.dims;
   if (p.fast) {
     const int64_t n = p.numel;
-#pragma omp parallel for simd if (n > kParallelGrain)
+#pragma omp simd
     for (int64_t i = 0; i < n; ++i) out[i] = f(pa[i]);
     return;
   }
-#pragma omp parallel for collapse(2) if (p.numel > kParallelGrain)
   for (int64_t i0 = 0; i0 < d[0]; ++i0) {
     for (int64_t i1 = 0; i1 < d[1]; ++i1) {
       const float* a1 = pa + i0 * p.a[0] + i1 * p.a[1];
@@ -162,7 +157,7 @@ inline void UnaryBackward(const ElementwisePlan& p, const float* g,
   const auto& d = p.dims;
   if (p.fast) {
     const int64_t n = p.numel;
-#pragma omp parallel for simd if (n > kParallelGrain)
+#pragma omp simd
     for (int64_t i = 0; i < n; ++i) ga[i] += g[i] * dfn(x[i], y[i]);
     return;
   }

@@ -70,7 +70,7 @@ Tensor GatherRows(const Tensor& a, const std::vector<int64_t>& indices);
 // Linear algebra.
 // ---------------------------------------------------------------------------
 
-/// 2-D matrix product [M,K]x[K,N] -> [M,N] (OpenMP-parallel over rows).
+/// 2-D matrix product [M,K]x[K,N] -> [M,N].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// Batched matmul: [B,M,K]x[B,K,N] -> [B,M,N]. When transpose_b is true, b is
 /// [B,N,K] and used as its transpose.

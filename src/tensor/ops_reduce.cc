@@ -56,7 +56,6 @@ Tensor SoftmaxLastDim(const Tensor& a) {
   const int64_t rows = ac.numel() / d;
   auto out = AcquireBuffer(ac.numel());
   const float* pa = ac.data();
-#pragma omp parallel for if (rows * d > (1 << 14))
   for (int64_t r = 0; r < rows; ++r) {
     const float* x = pa + r * d;
     float* y = out->data() + r * d;

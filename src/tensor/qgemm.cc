@@ -207,7 +207,6 @@ void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
   const int64_t panels = b.rows_padded / kRowsPerPanel;
   const float* b_scales = b.scales.data();
   const int8_t* b_data = b.data.data();
-#pragma omp parallel for if (m * b.rows * b.cols_padded > (int64_t{1} << 16))
   for (int64_t i = 0; i < m; ++i) {
     const int8_t* pa = aq + i * b.cols_padded;
     const float sa = a_scales[i];

@@ -17,9 +17,8 @@
 ///  - The dot products accumulate in exact i32 arithmetic and dequantize once
 ///    per output element: C[i,j] += float(acc) * (sa_i * sb_j). Because the
 ///    integer part is exact and the float epilogue is shared between
-///    backends, results are bitwise identical across the scalar reference,
-///    the AVX2 microkernel, and any OpenMP thread count (rows are
-///    independent).
+///    backends, results are bitwise identical between the scalar reference
+///    and the AVX2 microkernel.
 ///
 /// Packing layout (cache-blocked panels): rows are grouped into panels of
 /// kRowsPerPanel output channels; within a panel the K dimension is split
@@ -90,8 +89,8 @@ void QuantizeActivations(const float* a, int64_t lda, int64_t m,
 /// quantized codes, then += float(acc) * (a_scales[i] * b.scales[j]).
 ///
 /// `aq` is the QuantizeActivations output (leading dimension b.cols_padded).
-/// Columns [b.rows, ldc) of C are never touched. Parallelises over rows;
-/// bitwise invariant in thread count and backend.
+/// Columns [b.rows, ldc) of C are never touched. Bitwise invariant in
+/// backend.
 void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
           const PackedMatrix& b, float* c, int64_t ldc, Backend backend);
 void Gemm(const int8_t* aq, const float* a_scales, int64_t m,

@@ -5,10 +5,6 @@
 #include <gtest/gtest.h>
 #include <set>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/start_model.h"
 #include "data/augmentation.h"
 #include "data/batch.h"
@@ -24,8 +20,6 @@
 
 namespace start {
 namespace {
-
-using testutil::ForEachOmpRegime;
 
 // ---------------------------------------------------------------------------
 // Augmentation invariants over random seeds (Sec. III-C2).
@@ -292,10 +286,7 @@ TEST(EncoderPropertyTest, TrainingDropoutDiversifiesViews) {
 // ---------------------------------------------------------------------------
 // Strided kernel engine: GemmNN/NT/TN and broadcast elementwise ops against
 // naive scalar references, over randomized shapes / leading dimensions /
-// transposes, under both OpenMP regimes (see ForEachOmpRegime). The GEMMs
-// must also be bitwise-stable across thread counts: they parallelise over
-// independent output rows while each dot product stays a fixed serial fold —
-// the property the sharded trainer's determinism contract leans on.
+// transposes.
 // ---------------------------------------------------------------------------
 
 class StridedGemmPropertyTest : public ::testing::TestWithParam<int> {};
@@ -377,35 +368,24 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
 
   for (const auto& variant : variants) {
     SCOPED_TRACE(variant.name);
-    std::vector<std::vector<float>> results;
-    ForEachOmpRegime([&](const char* regime) {
-      SCOPED_TRACE(regime);
-      std::vector<float> c = c_init;
-      variant.run(&c);
-      // Numeric correctness vs the double-precision scalar reference.
-      for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          const double expected =
-              c_init[static_cast<size_t>(i * ldc + j)] +
-              variant.reference(i, j);
-          EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], expected,
-                      1e-4 * (1.0 + std::fabs(expected)))
-              << "at (" << i << ", " << j << ")";
-        }
+    std::vector<float> c = c_init;
+    variant.run(&c);
+    // Numeric correctness vs the double-precision scalar reference.
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) {
+        const double expected =
+            c_init[static_cast<size_t>(i * ldc + j)] + variant.reference(i, j);
+        EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], expected,
+                    1e-4 * (1.0 + std::fabs(expected)))
+            << "at (" << i << ", " << j << ")";
       }
-      // Padding tails (columns [n, ldc)) must be untouched.
-      for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = n; j < ldc; ++j) {
-          EXPECT_EQ(c[static_cast<size_t>(i * ldc + j)],
-                    c_init[static_cast<size_t>(i * ldc + j)]);
-        }
+    }
+    // Padding tails (columns [n, ldc)) must be untouched.
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = n; j < ldc; ++j) {
+        EXPECT_EQ(c[static_cast<size_t>(i * ldc + j)],
+                  c_init[static_cast<size_t>(i * ldc + j)]);
       }
-      results.push_back(std::move(c));
-    });
-    // Bitwise identical across thread regimes.
-    for (size_t r = 1; r < results.size(); ++r) {
-      testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                         "thread-count invariance");
     }
   }
 }
@@ -464,30 +444,19 @@ TEST_P(BroadcastElementwisePropertyTest, MatchesNaiveReference) {
 
   for (const auto& op : ops) {
     SCOPED_TRACE(op.name);
-    std::vector<std::vector<float>> results;
-    ForEachOmpRegime([&](const char* regime) {
-      SCOPED_TRACE(regime);
-      const tensor::Tensor out = op.apply(a, b);
-      ASSERT_EQ(out.shape(), tensor::Shape({d0, d1}));
-      std::vector<float> flat(static_cast<size_t>(out.numel()));
-      for (int64_t i = 0; i < d0; ++i) {
-        for (int64_t j = 0; j < d1; ++j) {
-          const auto pick = [&](const tensor::Tensor& t) {
-            return static_cast<double>(
-                t.at({t.dim(0) == 1 ? 0 : i, t.dim(1) == 1 ? 0 : j}));
-          };
-          const float got = out.at({i, j});
-          const double expected = op.reference(pick(a), pick(b));
-          EXPECT_NEAR(got, expected, 1e-5 * (1.0 + std::fabs(expected)))
-              << "at (" << i << ", " << j << ")";
-          flat[static_cast<size_t>(i * d1 + j)] = got;
-        }
+    const tensor::Tensor out = op.apply(a, b);
+    ASSERT_EQ(out.shape(), tensor::Shape({d0, d1}));
+    for (int64_t i = 0; i < d0; ++i) {
+      for (int64_t j = 0; j < d1; ++j) {
+        const auto pick = [&](const tensor::Tensor& t) {
+          return static_cast<double>(
+              t.at({t.dim(0) == 1 ? 0 : i, t.dim(1) == 1 ? 0 : j}));
+        };
+        const double expected = op.reference(pick(a), pick(b));
+        EXPECT_NEAR(out.at({i, j}), expected,
+                    1e-5 * (1.0 + std::fabs(expected)))
+            << "at (" << i << ", " << j << ")";
       }
-      results.push_back(std::move(flat));
-    });
-    for (size_t r = 1; r < results.size(); ++r) {
-      testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                         "thread-count invariance");
     }
   }
 }
@@ -544,7 +513,7 @@ namespace qg = tensor::qgemm;
 ///  - Gemm output within the analytic per-row-scale error bound of a
 ///    double-precision GEMM over the original floats;
 ///  - C padding tail (columns [n, ldc)) untouched;
-///  - bitwise invariance across OpenMP regimes and across backends.
+///  - bitwise invariance across backends.
 void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
                         int64_t lda, int64_t ldc) {
   SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -621,19 +590,14 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
           : std::vector<qg::Backend>{qg::Backend::kScalar};
   std::vector<std::vector<float>> results;
   for (const qg::Backend backend : backends) {
-    SCOPED_TRACE(qg::BackendName(backend));
-    ForEachOmpRegime([&](const char* regime) {
-      SCOPED_TRACE(regime);
-      std::vector<float> c = c_init;
-      qg::Gemm(aq.data(), ascales.data(), m, packed, c.data(), ldc, backend);
-      results.push_back(std::move(c));
-    });
+    std::vector<float> c = c_init;
+    qg::Gemm(aq.data(), ascales.data(), m, packed, c.data(), ldc, backend);
+    results.push_back(std::move(c));
   }
-  // Backend- and thread-count-invariance, bitwise, and exactness vs the
-  // integer reference.
-  for (size_t r = 0; r < results.size(); ++r) {
+  // Backend invariance, bitwise, and exactness vs the integer reference.
+  for (size_t r = 1; r < results.size(); ++r) {
     testutil::ExpectFloatsBitwiseEqual(results[0], results[r],
-                                       "backend/thread-count invariance");
+                                       "backend invariance");
   }
   testutil::ExpectFloatsBitwiseEqual(results[0], expected,
                                      "exact integer reference");

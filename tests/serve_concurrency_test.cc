@@ -5,6 +5,7 @@
 // drain cleanly through backpressure and shutdown.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <thread>
@@ -218,6 +219,24 @@ TEST_F(ServeConcurrencyTest, ShutdownDrainsPendingRequests) {
     const serve::EmbeddingRow row = f.get();  // must be fulfilled, not broken
     EXPECT_TRUE(row.defined());
   }
+}
+
+TEST_F(ServeConcurrencyTest, IdleWorkerSkipsCoalescingWait) {
+  // A worker waits for company only when it is the last free one. With a
+  // second worker idle, one request must be encoded at once, not after the
+  // 10 s coalescing window.
+  serve::ServiceConfig sc;
+  sc.num_workers = 2;
+  sc.batch_deadline_us = 10'000'000;
+  serve::EmbeddingService service(frozen_, sc);
+  const auto start = std::chrono::steady_clock::now();
+  auto result = service.EncodeSync((*corpus_)[0]);
+  const int64_t elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_LT(elapsed_ms, 5000);
 }
 
 TEST_F(ServeConcurrencyTest, MixedModesNeverShareABatch) {

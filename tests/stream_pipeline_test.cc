@@ -10,7 +10,7 @@
 //    half-ingested;
 //  - deterministic replay: the same stream produces bitwise-identical
 //    embeddings, index contents, and drift windows for every worker-count
-//    configuration, swept across OpenMP regimes;
+//    configuration;
 //  - a queries-during-ingest churn soak against the HNSW backend;
 //  - engine hot-swap: SwapEngine splits the stream exactly at a sequence
 //    boundary (items before/after run every stage against their own
@@ -444,33 +444,31 @@ TEST_F(StreamPipelineTest, ReplayIsBitwiseDeterministicAcrossWorkerCounts) {
     run.index_size = index->size();
     return run;
   };
-  testutil::ForEachOmpRegime([&](const char* regime) {
-    const Run base = run_once(1, 1, 1, 1);
-    ASSERT_GT(base.ids.size(), 0u) << regime;
-    const Run wide = run_once(3, 2, 2, 8);
-    EXPECT_EQ(base.ids, wide.ids) << regime;
-    EXPECT_EQ(base.index_size, wide.index_size) << regime;
-    ASSERT_EQ(base.rows.size(), wide.rows.size()) << regime;
-    for (size_t i = 0; i < base.rows.size(); ++i) {
-      ASSERT_EQ(base.rows[i].size(), wide.rows[i].size());
-      EXPECT_EQ(std::memcmp(base.rows[i].data(), wide.rows[i].data(),
-                            base.rows[i].size() * sizeof(float)),
-                0)
-          << "embedding " << i << " diverged under " << regime;
-    }
-    ASSERT_EQ(base.drift.size(), wide.drift.size()) << regime;
-    for (size_t w = 0; w < base.drift.size(); ++w) {
-      EXPECT_EQ(std::memcmp(&base.drift[w].mean_norm,
-                            &wide.drift[w].mean_norm, sizeof(double)),
-                0);
-      EXPECT_EQ(std::memcmp(&base.drift[w].cosine_shift,
-                            &wide.drift[w].cosine_shift, sizeof(double)),
-                0);
-      EXPECT_EQ(std::memcmp(&base.drift[w].norm_shift,
-                            &wide.drift[w].norm_shift, sizeof(double)),
-                0);
-    }
-  });
+  const Run base = run_once(1, 1, 1, 1);
+  ASSERT_GT(base.ids.size(), 0u);
+  const Run wide = run_once(3, 2, 2, 8);
+  EXPECT_EQ(base.ids, wide.ids);
+  EXPECT_EQ(base.index_size, wide.index_size);
+  ASSERT_EQ(base.rows.size(), wide.rows.size());
+  for (size_t i = 0; i < base.rows.size(); ++i) {
+    ASSERT_EQ(base.rows[i].size(), wide.rows[i].size());
+    EXPECT_EQ(std::memcmp(base.rows[i].data(), wide.rows[i].data(),
+                          base.rows[i].size() * sizeof(float)),
+              0)
+        << "embedding " << i << " diverged";
+  }
+  ASSERT_EQ(base.drift.size(), wide.drift.size());
+  for (size_t w = 0; w < base.drift.size(); ++w) {
+    EXPECT_EQ(std::memcmp(&base.drift[w].mean_norm, &wide.drift[w].mean_norm,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&base.drift[w].cosine_shift,
+                          &wide.drift[w].cosine_shift, sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(&base.drift[w].norm_shift,
+                          &wide.drift[w].norm_shift, sizeof(double)),
+              0);
+  }
 }
 
 TEST_F(StreamPipelineTest, QueriesAndRemovesDuringIngestChurnSoak) {

@@ -22,10 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,29 +157,6 @@ uint64_t TestSeed(uint64_t salt = 0);
 /// Generator seeded with TestSeed(salt): per-test stable, cross-test
 /// distinct streams without hand-numbered seeds.
 common::Rng TestRng(uint64_t salt = 0);
-
-// ---------------------------------------------------------------------------
-// Thread-regime sweeps.
-// ---------------------------------------------------------------------------
-
-/// Runs `fn(regime_label)` under every OpenMP thread-count regime the build
-/// supports (1 thread and the ambient default) — for asserting that a
-/// result holds, bitwise, regardless of how many threads the kernels fork.
-/// In OpenMP-less builds (e.g. the TSan CI job) this is a single serial
-/// run. The ambient thread count is restored afterwards.
-template <typename Fn>
-void ForEachOmpRegime(Fn fn) {
-#ifdef _OPENMP
-  const int ambient = omp_get_max_threads();
-  omp_set_num_threads(1);
-  fn("omp_threads=1");
-  omp_set_num_threads(ambient > 1 ? ambient : 2);
-  fn("omp_threads=default");
-  omp_set_num_threads(ambient);
-#else
-  fn("openmp_off");
-#endif
-}
 
 }  // namespace start::testutil
 
