@@ -11,9 +11,8 @@
 //     precomputed at load, length-bucketed batches).
 //  2. Multi-client service throughput: N synchronous clients round-tripping
 //     requests through one EmbeddingService. The 1 -> 4 client gain comes
-//     from worker parallelism (a request that finds a worker idle is
-//     encoded at once, on its own core) plus micro-batch coalescing once
-//     every worker is busy.
+//     from worker parallelism on several CPUs and from micro-batch
+//     coalescing on one (see gate 3).
 //  3. Batch-coalescing efficiency of a burst: mean requests per engine call
 //     and padding efficiency of the coalesced batches.
 //  4. Single-request latency (EncodeSync round trip), reported raw.
@@ -43,6 +42,7 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/start_encoder.h"
 #include "core/start_model.h"
@@ -548,7 +548,9 @@ int main() {
                           start::tensor::qgemm::Backend::kAvx2;
 
   const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("host                    : %u hardware threads\n", cores);
+  const int usable_cpus = start::common::UsableCpuCount();
+  std::printf("host                    : %u hardware threads, %d usable\n",
+              cores, usable_cpus);
   std::printf("corpus embed trajs/sec  : seed grad path %.1f | frozen %.1f "
               "(%.2fx)\n",
               embed_seed, embed_frozen, frozen_speedup);
@@ -673,20 +675,22 @@ int main() {
                  frozen_speedup);
     return 1;
   }
-  // 3. Always: 1 -> 4 clients must gain >= 1.5x, and >= 2x on hosts with
-  //    >= 4 hardware threads. Kernels are serial, so the gain comes from
-  //    request-level parallelism: a single synchronous client always finds
-  //    a worker idle and never pays the coalescing deadline, while four
-  //    clients keep up to four workers encoding at once. On a single core
-  //    only coalescing is left, and it does not reach the 1.5x floor.
+  // 3. Always: 1 -> 4 clients must gain >= 1.5x, and >= 2x when the
+  //    process may run on >= 4 CPUs. Kernels are serial, so the gain comes
+  //    from requests. With several CPUs a single synchronous client finds a
+  //    worker and a CPU free and never pays the coalescing deadline, while
+  //    four clients keep several workers encoding at once. On one CPU
+  //    (`taskset -c 0`) every batch waits the deadline, and four clients
+  //    share each wait and each batch's fixed work, which alone clears the
+  //    1.5x floor.
   if (scaling < 1.5) {
     std::fprintf(stderr, "FAIL: 4-client scaling %.2fx < 1.5x\n", scaling);
     return 1;
   }
-  if (std::thread::hardware_concurrency() >= 4 && scaling < 2.0) {
+  if (usable_cpus >= 4 && scaling < 2.0) {
     std::fprintf(stderr,
-                 "FAIL: 4-client scaling %.2fx < 2x on a %u-thread host\n",
-                 scaling, std::thread::hardware_concurrency());
+                 "FAIL: 4-client scaling %.2fx < 2x on %d usable CPUs\n",
+                 scaling, usable_cpus);
     return 1;
   }
   // 4. Always: HNSW must beat the exact scan >= 10x on query throughput.

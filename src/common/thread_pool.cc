@@ -1,10 +1,25 @@
 #include "common/thread_pool.h"
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
 
 namespace start::common {
+
+int UsableCpuCount() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max(1, CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 ThreadPool::ThreadPool(int num_threads) {
   START_CHECK_GE(num_threads, 1);

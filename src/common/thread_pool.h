@@ -45,6 +45,11 @@ class Latch {
   int remaining_;
 };
 
+/// CPUs this process may run on: the calling thread's affinity mask where
+/// the OS exposes one (so `taskset` and cgroup cpusets count), else
+/// std::thread::hardware_concurrency(); at least 1.
+int UsableCpuCount();
+
 /// \brief Fixed-size worker pool with a FIFO task queue.
 ///
 /// Shared infrastructure for everything that needs background threads: the

@@ -19,7 +19,9 @@ constexpr int64_t kBurstBatches = 4;
 
 EmbeddingService::EmbeddingService(const FrozenEncoder* encoder,
                                    const ServiceConfig& config)
-    : encoder_(encoder), config_(config), idle_workers_(config.num_workers) {
+    : encoder_(encoder),
+      config_(config),
+      parallelism_(std::min(config.num_workers, common::UsableCpuCount())) {
   START_CHECK(encoder_ != nullptr);
   START_CHECK_GT(config_.max_batch_size, 0);
   START_CHECK_GT(config_.max_queue_depth, 0);
@@ -38,6 +40,7 @@ EmbeddingService::~EmbeddingService() {
     stopping_ = true;
   }
   cv_arrival_.notify_all();
+  cv_coalesce_.notify_all();
   cv_space_.notify_all();
   // Workers drain every queued request before exiting, so no promise is
   // left broken; the pool destructor joins them.
@@ -62,8 +65,14 @@ common::Result<std::future<EmbeddingRow>> EmbeddingService::Encode(
           "EmbeddingService is shutting down");
     }
     queue_.push_back(std::move(request));
+    // While a worker coalesces, the queue is its to gather: wake it once the
+    // batch is full, and leave the idle workers asleep.
+    if (!coalescing_) {
+      cv_arrival_.notify_one();
+    } else if (static_cast<int64_t>(queue_.size()) >= config_.max_batch_size) {
+      cv_coalesce_.notify_one();
+    }
   }
-  cv_arrival_.notify_one();
   return future;
 }
 
@@ -80,23 +89,23 @@ ServiceStats EmbeddingService::stats() const {
 }
 
 void EmbeddingService::WorkerLoop() {
+  // The coalescing rule is documented at ServiceConfig::batch_deadline_us.
+  const auto must_coalesce = [this] { return encoding_ + 1 >= parallelism_; };
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_arrival_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
+    cv_arrival_.wait(lock, [&] {
+      return stopping_ || (!queue_.empty() && !coalescing_);
+    });
     if (queue_.empty()) return;  // stopping, and everything is drained
-    --idle_workers_;
-    // Deadline coalescing, only as the last free worker: while another worker
-    // is idle it can serve the next arrival at once, so waiting only adds
-    // latency; once all are busy, arrivals join this burst instead.
-    if (config_.batch_deadline_us > 0 && !stopping_ && idle_workers_ == 0) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.batch_deadline_us);
-      while (!stopping_ &&
-             static_cast<int64_t>(queue_.size()) < config_.max_batch_size &&
-             cv_arrival_.wait_until(lock, deadline) !=
-                 std::cv_status::timeout) {
-      }
+    if (config_.batch_deadline_us > 0 && !stopping_ && must_coalesce()) {
+      coalescing_ = true;
+      cv_coalesce_.wait_for(
+          lock, std::chrono::microseconds(config_.batch_deadline_us), [&] {
+            return stopping_ || !must_coalesce() ||
+                   static_cast<int64_t>(queue_.size()) >=
+                       config_.max_batch_size;
+          });
+      coalescing_ = false;
     }
     const int64_t take =
         std::min<int64_t>(static_cast<int64_t>(queue_.size()),
@@ -107,11 +116,16 @@ void EmbeddingService::WorkerLoop() {
       burst.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    ++encoding_;
+    // Requests left over, or queued while this worker coalesced, go to the
+    // next idle worker.
+    if (!queue_.empty()) cv_arrival_.notify_one();
     cv_space_.notify_all();
     lock.unlock();
     EncodeBurst(&burst);
     lock.lock();
-    ++idle_workers_;
+    --encoding_;
+    if (coalescing_) cv_coalesce_.notify_one();
   }
 }
 

@@ -48,9 +48,20 @@ struct ServiceConfig {
   /// Backpressure bound: Encode blocks while this many requests are queued.
   int64_t max_queue_depth = 1024;
   /// How long the last free worker waits for more requests to coalesce
-  /// once the queue is non-empty, before encoding a partial batch (a worker
-  /// that wakes while another is idle never waits). 0 = never wait (lowest
-  /// latency, no coalescing beyond what is already queued).
+  /// once the queue is non-empty, before encoding a partial batch.
+  ///
+  /// Requests are the only parallelism on the serving path (kernels are
+  /// serial), so a worker waits only when the next request could not start
+  /// at once anyway. Let P = min(num_workers, common::UsableCpuCount()),
+  /// measured at construction. A worker that wakes to work encodes what is
+  /// queued now if, counting itself, fewer than P workers are then encoding:
+  /// another worker and another CPU remain for the next arrival. Otherwise
+  /// it becomes the one coalescing worker and waits until this deadline
+  /// passes, `max_batch_size` requests are pending, or an encoding worker
+  /// finishes and the condition holds again; meanwhile the other workers
+  /// leave the queue to it. With P = 1 (one worker, or one CPU) every batch
+  /// waits the full deadline. 0 = never wait (lowest latency, no coalescing
+  /// beyond what is already queued).
   int64_t batch_deadline_us = 200;
   /// Encode worker threads (each drains and encodes whole bursts).
   int num_workers = 1;
@@ -91,10 +102,8 @@ struct ServiceStats {
 /// through FrozenEncoder::EncodeBatch, and fulfils every promise with a
 /// zero-copy row of the batch result.
 ///
-/// Requests are the only parallelism on this path (kernels are serial), so
-/// no worker waits for company while another is idle: only the last free
-/// worker waits, up to `batch_deadline_us` or until `max_batch_size` are
-/// pending. Under load the queue fills while every worker encodes.
+/// When a worker waits for company is documented at
+/// ServiceConfig::batch_deadline_us.
 ///
 /// Thread-safety contract:
 ///  - Encode() and stats() may be called from any number of threads.
@@ -154,10 +163,14 @@ class EmbeddingService {
 
   mutable std::mutex mu_;
   std::condition_variable cv_arrival_;  ///< Queue gained a request / stopping.
+  std::condition_variable cv_coalesce_;  ///< Wakes the coalescing worker.
   std::condition_variable cv_space_;    ///< Queue has room again.
   std::deque<Request> queue_;
   bool stopping_ = false;
-  int idle_workers_;  ///< Workers not holding a burst (waiting for work).
+  /// Workers that may encode at once: min(num_workers, usable CPUs).
+  const int parallelism_;
+  int encoding_ = 0;         ///< Workers holding a burst.
+  bool coalescing_ = false;  ///< A worker is waiting out the deadline.
   ServiceStats stats_;
 
   std::unique_ptr<common::ThreadPool> pool_;  ///< Runs the worker loops.

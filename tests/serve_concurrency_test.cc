@@ -5,13 +5,19 @@
 // drain cleanly through backpressure and shutdown.
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/start_model.h"
 #include "data/dataset.h"
@@ -222,22 +228,86 @@ TEST_F(ServeConcurrencyTest, ShutdownDrainsPendingRequests) {
 }
 
 TEST_F(ServeConcurrencyTest, IdleWorkerSkipsCoalescingWait) {
-  // A worker waits for company only when it is the last free one. With a
-  // second worker idle, one request must be encoded at once, not after the
-  // 10 s coalescing window.
+  // A worker waits for company only when it is the last free one
+  // (ServiceConfig::batch_deadline_us). With a second worker and a second
+  // CPU free, requests must be encoded at once, not after the 10 s window.
+  if (common::UsableCpuCount() < 2) GTEST_SKIP() << "needs 2 usable CPUs";
   serve::ServiceConfig sc;
   sc.num_workers = 2;
   sc.batch_deadline_us = 10'000'000;
   serve::EmbeddingService service(frozen_, sc);
-  const auto start = std::chrono::steady_clock::now();
+  auto start = std::chrono::steady_clock::now();
+  const auto elapsed_ms = [&] {
+    return std::chrono::duration_cast<std::chrono::milliseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
   auto result = service.EncodeSync((*corpus_)[0]);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_LT(elapsed_ms(), 5000);
+
+  // Bursts of requests keep both workers busy: whichever worker coalesces
+  // is released as soon as the other finishes encoding, and a worker that
+  // finishes does not start a second deadline wait of its own. No
+  // interleaving may wait out the window; the rounds give a wrong wait more
+  // chances to show.
+  start = std::chrono::steady_clock::now();
+  for (int round = 0; round < 10; ++round) {
+    std::vector<std::future<serve::EmbeddingRow>> futures;
+    for (size_t i = 0; i < 4; ++i) {
+      auto submitted = service.Encode((*corpus_)[i % corpus_->size()]);
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(submitted).value());
+    }
+    for (auto& f : futures) f.get();
+  }
+  EXPECT_LT(elapsed_ms(), 5000);
+}
+
+#ifdef __linux__
+TEST_F(ServeConcurrencyTest, OneCpuServiceCoalescesUnderDeadline) {
+  // On one CPU a second worker could only contend for the core, so every
+  // batch waits out the coalescing window, and requests queued meanwhile
+  // share it. Workers inherit the affinity of the thread that starts them.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  serve::ServiceConfig sc;
+  sc.num_workers = 2;
+  sc.batch_deadline_us = 300'000;
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned_cpus = common::UsableCpuCount();
+  auto service = std::make_unique<serve::EmbeddingService>(frozen_, sc);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  ASSERT_EQ(pinned_cpus, 1);
+
+  const auto start = std::chrono::steady_clock::now();
+  auto result = service->EncodeSync((*corpus_)[0]);
   const int64_t elapsed_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)
           .count();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_LT(elapsed_ms, 5000);
+  EXPECT_GE(elapsed_ms, 300);
+
+  // Four copies of one trajectory (one length bucket) queued within the
+  // window come out of a single engine call.
+  std::vector<std::future<serve::EmbeddingRow>> futures;
+  for (int i = 0; i < 4; ++i) {
+    auto submitted = service->Encode((*corpus_)[1]);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+  }
+  for (auto& f : futures) f.get();
+  const serve::ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.requests, 5);
+  EXPECT_EQ(stats.batches, 2);
 }
+#endif  // __linux__
 
 TEST_F(ServeConcurrencyTest, MixedModesNeverShareABatch) {
   serve::ServiceConfig sc;
