@@ -11,11 +11,12 @@
 //     so agreement is bitwise equality, not a tolerance.
 //  3. Many-to-many: a |S| x |T| table via the bucket algorithm vs |S|*|T|
 //     pairwise CH queries.
-//  4. Serialization round-trip (Save + Load) wall-clock.
+//  4. Serialization round-trip (Save + Load) wall-clock and artifact size.
 //
 // Acceptance gates (hard CI failures):
 //  - the city has >= 100,000 arcs;
 //  - CH answers == Dijkstra answers on 100% of the sampled pairs;
+//  - the Save -> Load round trip answers those pairs with the same costs;
 //  - CH point-to-point throughput >= 10x Dijkstra's.
 //
 // Build & run:
@@ -23,6 +24,7 @@
 //   ./build/bench_graph
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
@@ -159,11 +161,14 @@ int main() {
               kManyToManySide, kManyToManySide, m2m_s * 1e3, pairwise_s * 1e3,
               m2m_speedup, m2m_mismatch);
 
-  // 4. Serialization round trip.
+  // 4. Serialization round trip: the loaded hierarchy must answer the
+  // sampled pairs with the very integers the built one did.
   const std::string artifact = "BENCH_graph_ch.bin";
   watch.Restart();
   const auto save = ch.Save(artifact);
   const double save_s = watch.ElapsedSeconds();
+  std::error_code size_error;
+  const auto artifact_bytes = std::filesystem::file_size(artifact, size_error);
   watch.Restart();
   auto loaded = ChEngine::Load(artifact, &graph);
   const double load_s = watch.ElapsedSeconds();
@@ -172,8 +177,19 @@ int main() {
     std::fprintf(stderr, "FAIL: CH serialization round trip failed\n");
     return 1;
   }
-  std::printf("serialization       : save %.2f s, load %.2f s\n", save_s,
-              load_s);
+  auto loaded_ctx = loaded->MakeContext();
+  int64_t loaded_mismatch = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (loaded->Distance(pairs[i].first, pairs[i].second, &loaded_ctx) !=
+        ch_costs[i]) {
+      ++loaded_mismatch;
+    }
+  }
+  std::printf("serialization       : save %.2f s, load %.2f s, %.2f MB, "
+              "%ld/%ld loaded answers differ\n",
+              save_s, load_s,
+              size_error ? 0.0 : static_cast<double>(artifact_bytes) / 1e6,
+              loaded_mismatch, kQueryPairs);
 
   std::FILE* json = std::fopen("BENCH_graph.json", "w");
   if (json == nullptr) {
@@ -209,6 +225,13 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: CH not exact (p2p %.4f, m2m mismatches %ld)\n",
                  exactness, m2m_mismatch);
+    return 1;
+  }
+  if (loaded_mismatch != 0) {
+    std::fprintf(stderr,
+                 "FAIL: loaded CH differs from the built one on %ld/%ld "
+                 "pairs\n",
+                 loaded_mismatch, kQueryPairs);
     return 1;
   }
   if (speedup < 10.0) {

@@ -8,9 +8,8 @@ namespace start::common {
 
 /// \brief CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `n` bytes.
 ///
-/// The one integrity checksum every serialized artifact in the repo uses:
-/// the tensor/checkpoint container (tensor::Crc32 delegates here) and the
-/// contraction-hierarchy artifacts of the graph plane. `seed` chains calls:
+/// The per-record checksum of the STTN container (tensor/serialize.h), the
+/// one format every serialized artifact in the repo uses. `seed` chains calls:
 /// Crc32(b, n2, Crc32(a, n1)) == Crc32(concat(a, b), n1 + n2).
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 

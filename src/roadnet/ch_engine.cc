@@ -1,14 +1,12 @@
 #include "roadnet/ch_engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <memory>
+#include <limits>
 #include <queue>
 #include <tuple>
 
 #include "common/check.h"
-#include "common/crc32.h"
+#include "tensor/serialize.h"
 
 namespace start::roadnet {
 
@@ -34,7 +32,9 @@ struct OverlayArc {
 /// plus the capped witness-search workspace. Lives only inside Build().
 class Contractor {
  public:
-  Contractor(const CsrGraph& g, const ChOptions& options,
+  /// Builds the overlay from the arena, which holds exactly the original
+  /// arcs (see ChEngine::AddOriginalArcs).
+  Contractor(int32_t n, const ChOptions& options,
              std::vector<int32_t>* arc_tail, std::vector<int32_t>* arc_head,
              std::vector<Cost>* arc_weight, std::vector<int32_t>* arc_skip1,
              std::vector<int32_t>* arc_skip2)
@@ -44,7 +44,6 @@ class Contractor {
         arc_weight_(arc_weight),
         arc_skip1_(arc_skip1),
         arc_skip2_(arc_skip2) {
-    const int32_t n = g.num_nodes();
     out_.resize(static_cast<size_t>(n));
     in_.resize(static_cast<size_t>(n));
     contracted_.assign(static_cast<size_t>(n), 0);
@@ -52,22 +51,12 @@ class Contractor {
     depth_.assign(static_cast<size_t>(n), 0);
     wdist_.assign(static_cast<size_t>(n), kInfCost);
     wstamp_.assign(static_cast<size_t>(n), 0);
-    const int64_t* offsets = g.out_offsets();
-    const int32_t* heads = g.out_heads();
-    const Cost* weights = g.out_weights();
-    for (int32_t v = 0; v < n; ++v) {
-      for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k) {
-        const int32_t h = heads[k];
-        if (h == v) continue;  // self-loops never lie on a cheapest path
-        const int32_t a = static_cast<int32_t>(arc_tail_->size());
-        arc_tail_->push_back(v);
-        arc_head_->push_back(h);
-        arc_weight_->push_back(weights[k]);
-        arc_skip1_->push_back(-1);
-        arc_skip2_->push_back(-1);
-        out_[static_cast<size_t>(v)].push_back({h, weights[k], a});
-        in_[static_cast<size_t>(h)].push_back({v, weights[k], a});
-      }
+    for (size_t a = 0; a < arc_tail_->size(); ++a) {
+      const int32_t t = (*arc_tail_)[a];
+      const int32_t h = (*arc_head_)[a];
+      const Cost w = (*arc_weight_)[a];
+      out_[static_cast<size_t>(t)].push_back({h, w, static_cast<int32_t>(a)});
+      in_[static_cast<size_t>(h)].push_back({t, w, static_cast<int32_t>(a)});
     }
   }
 
@@ -272,9 +261,9 @@ ChEngine ChEngine::Build(const CsrGraph* graph, const ChOptions& options) {
   const int32_t n = e.num_nodes_;
   e.rank_.assign(static_cast<size_t>(n), -1);
 
-  Contractor c(*graph, options, &e.arc_tail_, &e.arc_head_, &e.arc_weight_,
+  e.AddOriginalArcs();
+  Contractor c(n, options, &e.arc_tail_, &e.arc_head_, &e.arc_weight_,
                &e.arc_skip1_, &e.arc_skip2_);
-  e.num_original_arcs_ = static_cast<int64_t>(e.arc_tail_.size());
 
   // Lazy min-heap over (priority, seeded hash, node). The hash term makes
   // the order deterministic for a given seed yet uncorrelated with node ids.
@@ -303,6 +292,23 @@ ChEngine ChEngine::Build(const CsrGraph* graph, const ChOptions& options) {
   START_CHECK_EQ(rank, n);
   e.BuildSearchGraphs();
   return e;
+}
+
+void ChEngine::AddOriginalArcs() {
+  const int64_t* offsets = graph_->out_offsets();
+  const int32_t* heads = graph_->out_heads();
+  const Cost* weights = graph_->out_weights();
+  for (int32_t v = 0; v < num_nodes_; ++v) {
+    for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      if (heads[k] == v) continue;  // self-loops never lie on a cheapest path
+      arc_tail_.push_back(v);
+      arc_head_.push_back(heads[k]);
+      arc_weight_.push_back(weights[k]);
+      arc_skip1_.push_back(-1);
+      arc_skip2_.push_back(-1);
+    }
+  }
+  num_original_arcs_ = static_cast<int64_t>(arc_tail_.size());
 }
 
 void ChEngine::BuildSearchGraphs() {
@@ -795,166 +801,103 @@ std::vector<CsrPath> ChEngine::AlternativeRoutes(int32_t src, int32_t dst,
 // ---------------------------------------------------------------------------
 
 namespace {
-
-constexpr uint64_t kChMagic = 0x3130484354535453ULL;  // "STSTCH01" (LE)
-
-template <typename T>
-void AppendPod(std::vector<uint8_t>* buf, const T& value) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&value);
-  buf->insert(buf->end(), p, p + sizeof(T));
-}
-
-template <typename T>
-void AppendVec(std::vector<uint8_t>* buf, const std::vector<T>& v) {
-  AppendPod(buf, static_cast<uint64_t>(v.size()));
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(v.data());
-  buf->insert(buf->end(), p, p + v.size() * sizeof(T));
-}
-
-class Cursor {
- public:
-  Cursor(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-
-  template <typename T>
-  bool ReadPod(T* out) {
-    if (size_ - at_ < sizeof(T)) return false;
-    std::memcpy(out, data_ + at_, sizeof(T));
-    at_ += sizeof(T);
-    return true;
-  }
-
-  template <typename T>
-  bool ReadVec(std::vector<T>* out, uint64_t max_count) {
-    uint64_t count = 0;
-    if (!ReadPod(&count) || count > max_count ||
-        size_ - at_ < count * sizeof(T)) {
-      return false;
-    }
-    out->resize(static_cast<size_t>(count));
-    std::memcpy(out->data(), data_ + at_, count * sizeof(T));
-    at_ += count * sizeof(T);
-    return true;
-  }
-
-  size_t at() const { return at_; }
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t at_ = 0;
-};
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-
+/// Container meta_tag marking a contraction-hierarchy artifact, so an HNSW
+/// index or model checkpoint handed to Load is rejected by tag.
+constexpr uint64_t kChMetaTag = 0x5354434832ULL;  // "STCH2"
 }  // namespace
 
 common::Status ChEngine::Save(const std::string& path) const {
-  std::vector<uint8_t> buf;
-  AppendPod(&buf, kChMagic);
-  AppendPod(&buf, graph_->Fingerprint());
-  AppendPod(&buf, options_.seed);
-  AppendPod(&buf, options_.witness_settle_limit);
-  AppendPod(&buf, num_nodes_);
-  AppendPod(&buf, num_original_arcs_);
-  AppendVec(&buf, rank_);
-  AppendVec(&buf, arc_tail_);
-  AppendVec(&buf, arc_head_);
-  AppendVec(&buf, arc_weight_);
-  AppendVec(&buf, arc_skip1_);
-  AppendVec(&buf, arc_skip2_);
-  const uint32_t crc = common::Crc32(buf.data(), buf.size());
-  AppendPod(&buf, crc);
-
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "wb"));
-  if (f == nullptr) {
-    return common::Status::IOError("cannot open for write: " + path);
-  }
-  if (std::fwrite(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
-    return common::Status::IOError("short write: " + path);
-  }
-  return common::Status::OK();
+  tensor::RecordBundle bundle;
+  bundle.uints["header"] = {graph_->Fingerprint(), options_.seed,
+                            static_cast<uint64_t>(
+                                options_.witness_settle_limit)};
+  bundle.ints32["rank"] = rank_;
+  bundle.ints32["skip1"].assign(arc_skip1_.begin() + num_original_arcs_,
+                                arc_skip1_.end());
+  bundle.ints32["skip2"].assign(arc_skip2_.begin() + num_original_arcs_,
+                                arc_skip2_.end());
+  return tensor::SaveBundle(path, kChMetaTag, bundle);
 }
 
 common::Result<ChEngine> ChEngine::Load(const std::string& path,
                                         const CsrGraph* graph) {
   START_CHECK(graph != nullptr);
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return common::Status::IOError("cannot open: " + path);
+  START_ASSIGN_OR_RETURN(tensor::LoadedBundle loaded,
+                         tensor::LoadBundle(path));
+  if (loaded.meta_tag != kChMetaTag) {
+    return common::Status::InvalidArgument(
+        path + " is not a contraction-hierarchy artifact (meta tag mismatch)");
   }
-  std::fseek(f.get(), 0, SEEK_END);
-  const long size = std::ftell(f.get());
-  std::fseek(f.get(), 0, SEEK_SET);
-  if (size < static_cast<long>(sizeof(uint64_t) + sizeof(uint32_t))) {
-    return common::Status::InvalidArgument("truncated CH artifact: " + path);
+  tensor::RecordBundle& rec = loaded.records;
+  const auto bad = [&path](const std::string& what) {
+    return common::Status::InvalidArgument("corrupt CH artifact " + path +
+                                           ": " + what);
+  };
+  const auto header_it = rec.uints.find("header");
+  const auto rank_it = rec.ints32.find("rank");
+  const auto skip1_it = rec.ints32.find("skip1");
+  const auto skip2_it = rec.ints32.find("skip2");
+  if (header_it == rec.uints.end() || header_it->second.size() != 3 ||
+      rank_it == rec.ints32.end() || skip1_it == rec.ints32.end() ||
+      skip2_it == rec.ints32.end()) {
+    return bad("missing records");
   }
-  std::vector<uint8_t> buf(static_cast<size_t>(size));
-  if (std::fread(buf.data(), 1, buf.size(), f.get()) != buf.size()) {
-    return common::Status::IOError("short read: " + path);
-  }
-  const size_t payload = buf.size() - sizeof(uint32_t);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, buf.data() + payload, sizeof(stored_crc));
-  if (common::Crc32(buf.data(), payload) != stored_crc) {
-    return common::Status::InvalidArgument("CRC mismatch in CH artifact: " +
-                                           path);
-  }
-
-  Cursor cur(buf.data(), payload);
-  uint64_t magic = 0, fingerprint = 0;
-  ChEngine e;
-  e.graph_ = graph;
-  if (!cur.ReadPod(&magic) || magic != kChMagic) {
-    return common::Status::InvalidArgument("bad magic in CH artifact: " + path);
-  }
-  if (!cur.ReadPod(&fingerprint)) {
-    return common::Status::InvalidArgument("truncated CH artifact: " + path);
-  }
-  if (fingerprint != graph->Fingerprint()) {
+  const std::vector<uint64_t>& header = header_it->second;
+  if (header[0] != graph->Fingerprint()) {
     return common::Status::FailedPrecondition(
         "CH artifact was built from a different graph/metric: " + path);
   }
-  const uint64_t max_arcs = uint64_t{1} << 31;
-  if (!cur.ReadPod(&e.options_.seed) ||
-      !cur.ReadPod(&e.options_.witness_settle_limit) ||
-      !cur.ReadPod(&e.num_nodes_) || e.num_nodes_ != graph->num_nodes() ||
-      !cur.ReadPod(&e.num_original_arcs_) ||
-      !cur.ReadVec(&e.rank_, static_cast<uint64_t>(e.num_nodes_)) ||
-      e.rank_.size() != static_cast<size_t>(e.num_nodes_) ||
-      !cur.ReadVec(&e.arc_tail_, max_arcs) ||
-      !cur.ReadVec(&e.arc_head_, max_arcs) ||
-      !cur.ReadVec(&e.arc_weight_, max_arcs) ||
-      !cur.ReadVec(&e.arc_skip1_, max_arcs) ||
-      !cur.ReadVec(&e.arc_skip2_, max_arcs) || cur.at() != payload) {
-    return common::Status::InvalidArgument("malformed CH artifact: " + path);
+  ChEngine e;
+  e.graph_ = graph;
+  e.options_.seed = header[1];
+  e.options_.witness_settle_limit = static_cast<int64_t>(header[2]);
+  e.num_nodes_ = graph->num_nodes();
+  e.rank_ = std::move(rank_it->second);
+  if (e.rank_.size() != static_cast<size_t>(e.num_nodes_)) {
+    return bad("rank length disagrees with the graph");
   }
-  const int64_t m = static_cast<int64_t>(e.arc_tail_.size());
-  if (static_cast<int64_t>(e.arc_head_.size()) != m ||
-      static_cast<int64_t>(e.arc_weight_.size()) != m ||
-      static_cast<int64_t>(e.arc_skip1_.size()) != m ||
-      static_cast<int64_t>(e.arc_skip2_.size()) != m ||
-      e.num_original_arcs_ < 0 || e.num_original_arcs_ > m) {
-    return common::Status::InvalidArgument("malformed CH artifact: " + path);
-  }
-  for (int64_t a = 0; a < m; ++a) {
-    const int32_t t = e.arc_tail_[static_cast<size_t>(a)];
-    const int32_t h = e.arc_head_[static_cast<size_t>(a)];
-    const int32_t s1 = e.arc_skip1_[static_cast<size_t>(a)];
-    const int32_t s2 = e.arc_skip2_[static_cast<size_t>(a)];
-    if (t < 0 || t >= e.num_nodes_ || h < 0 || h >= e.num_nodes_ ||
-        e.arc_weight_[static_cast<size_t>(a)] < 0 || (s1 < 0) != (s2 < 0) ||
-        s1 >= a || s2 >= a) {
-      return common::Status::InvalidArgument("malformed CH artifact: " + path);
-    }
-  }
+  std::vector<uint8_t> taken(e.rank_.size(), 0);
   for (const int32_t r : e.rank_) {
-    if (r < 0 || r >= e.num_nodes_) {
-      return common::Status::InvalidArgument("malformed CH artifact: " + path);
+    if (r < 0 || r >= e.num_nodes_ || taken[static_cast<size_t>(r)]) {
+      return bad("rank is not a permutation");
     }
+    taken[static_cast<size_t>(r)] = 1;
+  }
+  const std::vector<int32_t>& skip1 = skip1_it->second;
+  const std::vector<int32_t>& skip2 = skip2_it->second;
+  if (skip1.size() != skip2.size()) return bad("skip1/skip2 lengths differ");
+
+  // Original arcs are re-derived from the graph; each shortcut's endpoints
+  // and weight from its two halves, which must already be in the arena.
+  e.AddOriginalArcs();
+  if (e.num_original_arcs_ + static_cast<int64_t>(skip1.size()) >
+      std::numeric_limits<int32_t>::max()) {
+    return bad("implausible shortcut count");
+  }
+  for (size_t i = 0; i < skip1.size(); ++i) {
+    const int64_t a = static_cast<int64_t>(e.arc_tail_.size());
+    const int32_t s1 = skip1[i];
+    const int32_t s2 = skip2[i];
+    if (s1 < 0 || s1 >= a || s2 < 0 || s2 >= a) {
+      return bad("shortcut half out of range");
+    }
+    const int32_t tail = e.arc_tail_[static_cast<size_t>(s1)];
+    const int32_t head = e.arc_head_[static_cast<size_t>(s2)];
+    if (e.arc_head_[static_cast<size_t>(s1)] !=
+        e.arc_tail_[static_cast<size_t>(s2)]) {
+      return bad("shortcut halves do not chain");
+    }
+    if (tail == head) return bad("loop shortcut");
+    // Both halves are below kInfCost = INT64_MAX / 4, so the sum cannot
+    // overflow; refusing it here bounds the next sum the same way.
+    const Cost weight = e.arc_weight_[static_cast<size_t>(s1)] +
+                        e.arc_weight_[static_cast<size_t>(s2)];
+    if (weight >= kInfCost) return bad("shortcut weight overflows");
+    e.arc_tail_.push_back(tail);
+    e.arc_head_.push_back(head);
+    e.arc_weight_.push_back(weight);
+    e.arc_skip1_.push_back(s1);
+    e.arc_skip2_.push_back(s2);
   }
   e.BuildSearchGraphs();
   return e;

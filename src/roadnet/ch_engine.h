@@ -109,18 +109,27 @@ class ChEngine {
   const CsrGraph& graph() const { return *graph_; }
   const ChOptions& options() const { return options_; }
 
-  /// \brief Serializes the hierarchy (ranks + arc arena + up/down CSR) with a
-  /// CRC32 trailer and the source graph's Fingerprint() baked in.
+  /// \brief Writes what contraction decided as an STTN record bundle
+  /// (tensor::SaveBundle): a `header` of {graph Fingerprint(), seed,
+  /// witness_settle_limit}, the `rank` order, and each shortcut's two
+  /// halves (`skip1`/`skip2`). Everything else is re-derived by Load.
   common::Status Save(const std::string& path) const;
 
   /// \brief Loads a hierarchy previously Save()d. Refuses artifacts whose
-  /// stored fingerprint does not match `graph` (the hierarchy is only valid
-  /// for the exact graph + metric it was built from).
+  /// stored fingerprint does not match `graph` (FailedPrecondition: the
+  /// hierarchy is only valid for the exact graph + metric it was built
+  /// from), and any rank that is not a permutation or shortcut whose halves
+  /// are not earlier, chaining, non-loop arcs of finite total weight
+  /// (InvalidArgument).
   static common::Result<ChEngine> Load(const std::string& path,
                                        const CsrGraph* graph);
 
  private:
   ChEngine() = default;
+
+  /// Seeds the arena with the graph's arcs in CSR order, self-loops skipped
+  /// (shared by Build and Load).
+  void AddOriginalArcs();
 
   /// Rebuilds up_/down_ CSR from rank_ + the arc arena (shared by Build and
   /// Load).

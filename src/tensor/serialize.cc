@@ -66,7 +66,7 @@ void AppendValue(std::vector<uint8_t>* buf, T value) {
 /// `f` followed by its CRC.
 common::Status WriteRecord(std::FILE* f, std::vector<uint8_t>* buf,
                            const std::string& name) {
-  const uint32_t crc = Crc32(buf->data(), buf->size());
+  const uint32_t crc = common::Crc32(buf->data(), buf->size());
   if (!WriteBytes(f, buf->data(), buf->size()) ||
       !WriteBytes(f, &crc, sizeof(crc))) {
     return common::Status::IOError("write record failed: " + name);
@@ -223,10 +223,6 @@ float F16ToF32(uint16_t h) {
   float out = 0.0f;
   std::memcpy(&out, &bits, sizeof(out));
   return out;
-}
-
-uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  return common::Crc32(data, n, seed);
 }
 
 common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
@@ -578,7 +574,7 @@ common::Result<LoadedBundle> LoadBundle(const std::string& path) {
     if (!ReadBytes(f.get(), &stored_crc, sizeof(stored_crc))) {
       return common::Status::IOError("truncated CRC for " + name);
     }
-    const uint32_t actual_crc = Crc32(buf.data(), buf.size());
+    const uint32_t actual_crc = common::Crc32(buf.data(), buf.size());
     if (stored_crc != actual_crc) {
       return common::Status::InvalidArgument(
           "CRC mismatch for record '" + name + "' in " + path +

@@ -81,10 +81,6 @@ common::Status SaveTensors(const std::string& path,
 common::Result<std::map<std::string, Tensor>> LoadTensors(
     const std::string& path);
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) used for per-record integrity;
-/// exposed so tests can craft corrupt files with valid structure.
-uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
-
 /// IEEE binary16 conversions (round-to-nearest-even on narrowing; subnormals
 /// and inf/NaN handled). Exposed for the f16 record kind and its tests.
 uint16_t F32ToF16(float x);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <limits>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "tensor/tensor.h"
 #include "testing.h"
@@ -178,7 +179,7 @@ std::string WriteCraftedInt8File(const char* filename, int64_t rows,
   const std::vector<uint8_t> zeros(std::max(scale_bytes, code_bytes), 0);
   append(zeros.data(), scale_bytes);
   append(zeros.data(), code_bytes);
-  const uint32_t crc = Crc32(rec.data(), rec.size());
+  const uint32_t crc = common::Crc32(rec.data(), rec.size());
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   EXPECT_NE(f, nullptr);
