@@ -103,8 +103,9 @@ World BuildWorld() {
 /// The seed consumer contract for corpus embedding: fixed-size batches in
 /// corpus order, EncodeBatch with gradient recording live — every batch
 /// captures an autograd graph and re-derives the stage-1 road
-/// representations. (eval::EmbedAll has since moved to InferBatch; this
-/// reproduces the pre-serving path as the baseline.)
+/// representations. This reproduces the pre-serving path as the baseline;
+/// today's inference contract is eval::TrajectoryEncoder::EmbedAll
+/// (src/eval/encoder.h).
 double SeedGradEmbedAll(start::core::StartEncoder* encoder,
                         const std::vector<start::traj::Trajectory>& corpus,
                         std::vector<float>* out) {

@@ -1,24 +1,28 @@
 #include "core/start_encoder.h"
 
 #include "core/checkpoint.h"
-#include "data/batch.h"
 
 namespace start::core {
 
 tensor::Tensor StartEncoder::EncodeBatch(
     const std::vector<const traj::Trajectory*>& batch,
     eval::EncodeMode mode) {
-  const data::Batch b = eval::MakeModeBatch(batch, mode);
-  // The cache is only sound when nothing will differentiate through the road
-  // representations and the parameters cannot change between batches: pure
-  // inference. Fine-tuning (training mode / grad mode) takes the full path.
-  if (!model_->training() && !tensor::GradModeEnabled()) {
-    if (!cached_road_reps_.defined()) {
-      cached_road_reps_ = model_->ComputeRoadReps().Detach();
-    }
-    return model_->Encode(b, cached_road_reps_).cls;
-  }
-  return model_->Encode(b).cls;
+  return model_->Encode(eval::MakeModeBatch(batch, mode)).cls;
+}
+
+std::vector<float> StartEncoder::EmbedAll(
+    const std::vector<traj::Trajectory>& trajs, eval::EncodeMode mode,
+    int64_t batch_size) {
+  SetTraining(false);
+  tensor::NoGradGuard no_grad;
+  const tensor::Tensor ext =
+      model_->BuildExtendedTable(model_->ComputeRoadReps());
+  return eval::EmbedAllWith(
+      dim(), trajs, batch_size,
+      [&](const std::vector<const traj::Trajectory*>& batch) {
+        return model_->EncodeWithTable(eval::MakeModeBatch(batch, mode), ext)
+            .cls;
+      });
 }
 
 common::Status StartEncoder::WarmStart(const std::string& checkpoint_path,
@@ -27,10 +31,8 @@ common::Status StartEncoder::WarmStart(const std::string& checkpoint_path,
   LoadOptions options;
   options.allow_missing = allow_missing;
   options.skip_mismatched = skip_mismatched;
-  START_RETURN_IF_ERROR(LoadModelCheckpoint(
-      checkpoint_path, model_, HashStartConfig(model_->config()), options));
-  InvalidateRoadReps();
-  return common::Status::OK();
+  return LoadModelCheckpoint(checkpoint_path, model_,
+                             HashStartConfig(model_->config()), options);
 }
 
 }  // namespace start::core

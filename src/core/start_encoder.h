@@ -13,14 +13,6 @@ namespace start::core {
 /// data views per encode mode (full timestamps for pre-training/similarity;
 /// departure-only for the ETA protocol) and returns the [CLS] pooled
 /// representation.
-///
-/// In inference mode (training off, gradients off — what the inherited
-/// InferBatch runs after SetTraining(false)) EncodeBatch computes the stage-1
-/// road representations once and caches them: they depend only on the
-/// parameters, so re-deriving the whole TPE-GAT forward per batch was pure
-/// waste. Any parameter mutation routed through this adapter (SetTraining,
-/// WarmStart) invalidates the cache; mutations done behind its back require
-/// an explicit InvalidateRoadReps().
 class StartEncoder : public eval::TrajectoryEncoder {
  public:
   /// Does not take ownership; `model` must outlive the encoder.
@@ -36,10 +28,7 @@ class StartEncoder : public eval::TrajectoryEncoder {
     return model_->Parameters();
   }
 
-  void SetTraining(bool training) override {
-    model_->SetTraining(training);
-    InvalidateRoadReps();
-  }
+  void SetTraining(bool training) override { model_->SetTraining(training); }
 
   void SetDropoutRng(common::Rng* rng) override {
     model_->SetDropoutRng(rng);
@@ -51,15 +40,18 @@ class StartEncoder : public eval::TrajectoryEncoder {
                            bool allow_missing = false,
                            bool skip_mismatched = false) override;
 
-  /// Drops the cached road representations; the next inference-mode encode
-  /// recomputes them from the current parameters.
-  void InvalidateRoadReps() { cached_road_reps_ = tensor::Tensor(); }
+  /// The inference contract of eval::TrajectoryEncoder::EmbedAll. Stage 1
+  /// and the extended token table are evaluated once per call, then each
+  /// batch runs stage 2 only (StartModel::EncodeWithTable), the calls
+  /// serve::FrozenEncoder makes.
+  std::vector<float> EmbedAll(const std::vector<traj::Trajectory>& trajs,
+                              eval::EncodeMode mode,
+                              int64_t batch_size = 64) override;
 
   StartModel* model() { return model_; }
 
  private:
   StartModel* model_;
-  tensor::Tensor cached_road_reps_;  ///< Detached; inference mode only.
 };
 
 }  // namespace start::core

@@ -18,6 +18,18 @@ namespace {
 constexpr int64_t kEmbedBucketWidth = 4;
 }  // namespace
 
+data::Batch MakeModeBatch(const std::vector<const traj::Trajectory*>& batch,
+                          EncodeMode mode) {
+  START_CHECK(!batch.empty());
+  std::vector<data::View> views;
+  views.reserve(batch.size());
+  for (const auto* t : batch) {
+    views.push_back(mode == EncodeMode::kDepartureOnly ? data::MakeEtaView(*t)
+                                                       : data::MakeView(*t));
+  }
+  return data::MakeBatch(views);
+}
+
 std::vector<float> EmbedAllWith(
     int64_t dim, const std::vector<traj::Trajectory>& trajs,
     int64_t batch_size,
@@ -59,13 +71,10 @@ std::vector<float> TrajectoryEncoder::EmbedAll(
     const std::vector<traj::Trajectory>& trajs, EncodeMode mode,
     int64_t batch_size) {
   SetTraining(false);
-  // Encoding goes through InferBatch (the no-grad inference entry point):
-  // with training off and gradients off, StartEncoder::EncodeBatch reuses
-  // its cached stage-1 road representations instead of re-deriving them on
-  // every batch.
+  tensor::NoGradGuard no_grad;
   return EmbedAllWith(dim(), trajs, batch_size,
                       [&](const std::vector<const traj::Trajectory*>& batch) {
-                        return InferBatch(batch, mode);
+                        return EncodeBatch(batch, mode);
                       });
 }
 

@@ -6,10 +6,9 @@
 #include <string>
 #include <vector>
 
-#include "common/check.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "data/batch.h"
-#include "data/view.h"
 #include "tensor/tensor.h"
 #include "traj/trajectory.h"
 
@@ -35,26 +34,10 @@ class TrajectoryEncoder {
   /// Representation dimensionality.
   virtual int64_t dim() const = 0;
 
-  /// Encodes a batch with gradients (for fine-tuning). Returns [B, dim].
+  /// Encodes a batch with gradients: the fine-tuning surface. Inference
+  /// goes through EmbedAll. Returns [B, dim].
   virtual tensor::Tensor EncodeBatch(
       const std::vector<const traj::Trajectory*>& batch, EncodeMode mode) = 0;
-
-  /// \brief Inference entry point: encodes a batch without recording
-  /// autograd state, so no graph nodes or gradient buffers are allocated.
-  ///
-  /// This is the API every embedding *consumer* (corpus embedding, the
-  /// frozen-encoder task paths, the serving plane) goes through; EncodeBatch
-  /// remains the fine-tuning surface. It is EncodeBatch under a
-  /// NoGradGuard, for every encoder. Callers must put the encoder in eval
-  /// mode first (SetTraining(false)) — InferBatch does not toggle it, so an
-  /// EncodeBatch that sees eval mode with gradients off may reuse work that
-  /// is invariant while parameters are frozen (StartEncoder caches its
-  /// stage-1 road representations across calls). Returns [B, dim].
-  tensor::Tensor InferBatch(
-      const std::vector<const traj::Trajectory*>& batch, EncodeMode mode) {
-    tensor::NoGradGuard no_grad;
-    return EncodeBatch(batch, mode);
-  }
 
   /// Parameters updated during fine-tuning.
   virtual std::vector<tensor::Tensor> TrainableParameters() = 0;
@@ -73,9 +56,7 @@ class TrajectoryEncoder {
   /// training from scratch (see core/checkpoint.h). `allow_missing` /
   /// `skip_mismatched` mirror Module::Load: a fine-tuning model may add a
   /// head the checkpoint lacks, and |V|-bound tensors cannot move between
-  /// road networks. Default: not supported by this encoder. (Defined inline
-  /// so this interface keeps no out-of-line virtuals — core implements
-  /// adapters against it and must not need eval's objects at link time.)
+  /// road networks. Default: not supported by this encoder.
   virtual common::Status WarmStart(const std::string& checkpoint_path,
                                    bool allow_missing = false,
                                    bool skip_mismatched = false) {
@@ -85,28 +66,32 @@ class TrajectoryEncoder {
         "this encoder cannot load checkpoints (" + checkpoint_path + ")");
   }
 
-  /// Convenience: embeds a corpus without gradients; row-major [n, dim].
-  std::vector<float> EmbedAll(const std::vector<traj::Trajectory>& trajs,
-                              EncodeMode mode, int64_t batch_size = 64);
+  /// \brief The inference contract: embeds a corpus without recording
+  /// autograd state; returns row-major [n, dim] rows in corpus order.
+  ///
+  /// The one no-grad entry point. Every embedding consumer goes through it:
+  /// the similarity protocols, the frozen-encoder (`finetune_encoder =
+  /// false`) train split and the test split of every task in eval/tasks.h.
+  /// It puts the encoder in eval mode (SetTraining(false)) and encodes the
+  /// deterministic length-bucketed batches of EmbedAllWith. A row is a
+  /// function of its trajectory and the parameters alone: it equals that
+  /// trajectory encoded alone, whatever else shares its batch. The default
+  /// runs EncodeBatch under a NoGradGuard. An override may evaluate
+  /// parameter-only work once per call (StartEncoder: stage 1 and the token
+  /// table), but caches nothing across calls, so a parameter change is seen
+  /// by the next call. serve::FrozenEncoder::EmbedAll is the serving
+  /// plane's counterpart over the same loop.
+  virtual std::vector<float> EmbedAll(
+      const std::vector<traj::Trajectory>& trajs, EncodeMode mode,
+      int64_t batch_size = 64);
 };
 
 /// Pads a pointer batch into the model-facing data::Batch for an encode
 /// mode (full views vs. the departure-only ETA protocol). The single place
 /// the mode -> view translation lives; shared by StartEncoder and the
-/// serving plane's FrozenEncoder. (Defined inline for the same reason this
-/// interface keeps no out-of-line virtuals: core implements adapters
-/// against eval and must not need eval's objects at link time.)
-inline data::Batch MakeModeBatch(
-    const std::vector<const traj::Trajectory*>& batch, EncodeMode mode) {
-  START_CHECK(!batch.empty());
-  std::vector<data::View> views;
-  views.reserve(batch.size());
-  for (const auto* t : batch) {
-    views.push_back(mode == EncodeMode::kDepartureOnly ? data::MakeEtaView(*t)
-                                                       : data::MakeView(*t));
-  }
-  return data::MakeBatch(views);
-}
+/// serving plane's FrozenEncoder.
+data::Batch MakeModeBatch(const std::vector<const traj::Trajectory*>& batch,
+                          EncodeMode mode);
 
 /// \brief The shared corpus-embedding loop behind every EmbedAll.
 ///

@@ -131,6 +131,9 @@ double RecallAtK(const std::vector<int64_t>& labels,
   START_CHECK_GT(k, 0);
   int64_t hits = 0;
   for (size_t i = 0; i < labels.size(); ++i) {
+    START_CHECK_MSG(labels[i] >= 0 && labels[i] < num_classes,
+                    "label " << labels[i] << " outside [0, " << num_classes
+                             << ")");
     const double* row = scores.data() + i * static_cast<size_t>(num_classes);
     const double label_score = row[labels[i]];
     int64_t better = 0;

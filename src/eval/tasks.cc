@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -18,32 +19,20 @@ using tensor::Tensor;
 
 namespace {
 
-std::vector<const traj::Trajectory*> MakeBatchPtrs(
-    const std::vector<traj::Trajectory>& trajs,
-    const std::vector<int64_t>& order, int64_t begin, int64_t end) {
-  std::vector<const traj::Trajectory*> out;
-  out.reserve(static_cast<size_t>(end - begin));
-  for (int64_t i = begin; i < end; ++i) {
-    out.push_back(&trajs[static_cast<size_t>(order[static_cast<size_t>(i)])]);
-  }
-  return out;
-}
-
-/// Assembles a [B, dim] batch from pre-embedded rows ([n, dim] row-major),
-/// following `order[begin, end)`. Frozen-encoder (linear-probe) training
-/// embeds the split once and gathers per epoch: the frozen path is
-/// deterministic and batch-composition invariant, so the gathered rows are
-/// bitwise what InferBatch would have produced for the shuffled batch.
-Tensor GatherEmbeddedRows(const std::vector<float>& rows, int64_t dim,
-                          const std::vector<int64_t>& order, int64_t begin,
-                          int64_t end) {
-  std::vector<float> out(static_cast<size_t>((end - begin) * dim));
-  for (int64_t i = begin; i < end; ++i) {
-    std::memcpy(out.data() + (i - begin) * dim,
-                rows.data() + order[static_cast<size_t>(i)] * dim,
+/// Assembles a [rows.size(), dim] batch from pre-embedded rows ([n, dim]
+/// row-major). Frozen-encoder (linear-probe) training embeds the split once
+/// and gathers per epoch: EmbedAll rows do not depend on batch composition,
+/// so the gathered rows are bitwise what encoding the shuffled batch gives.
+Tensor GatherRows(const std::vector<float>& embedded, int64_t dim,
+                  const std::vector<int64_t>& rows) {
+  const int64_t b = static_cast<int64_t>(rows.size());
+  std::vector<float> out(static_cast<size_t>(b * dim));
+  for (int64_t i = 0; i < b; ++i) {
+    std::memcpy(out.data() + i * dim,
+                embedded.data() + rows[static_cast<size_t>(i)] * dim,
                 static_cast<size_t>(dim) * sizeof(float));
   }
-  return Tensor::FromVector(Shape({end - begin, dim}), std::move(out));
+  return Tensor::FromVector(Shape({b, dim}), std::move(out));
 }
 
 /// Warm-starts the encoder from the configured checkpoint before any
@@ -57,12 +46,38 @@ void MaybeWarmStart(TrajectoryEncoder* encoder, const TaskConfig& config) {
   START_CHECK_MSG(st.ok(), "encoder warm-start failed: " << st.ToString());
 }
 
-}  // namespace
+/// Labels of a split, each checked to lie in [0, num_classes).
+std::vector<int64_t> Labels(const std::vector<traj::Trajectory>& trajs,
+                            const LabelFn& label_fn, int64_t num_classes) {
+  std::vector<int64_t> labels;
+  labels.reserve(trajs.size());
+  for (size_t i = 0; i < trajs.size(); ++i) {
+    const int64_t y = label_fn(trajs[i]);
+    START_CHECK_MSG(y >= 0 && y < num_classes,
+                    "label " << y << " of trajectory " << i << " outside [0, "
+                             << num_classes << ")");
+    labels.push_back(y);
+  }
+  return labels;
+}
 
-EtaResult FinetuneEta(TrajectoryEncoder* encoder,
-                      const std::vector<traj::Trajectory>& train,
-                      const std::vector<traj::Trajectory>& test,
-                      const TaskConfig& config) {
+/// What distinguishes one downstream task's head from another's.
+struct HeadTask {
+  EncodeMode mode;
+  int64_t out_dim;
+  /// Loss of one train batch: head outputs [B, out_dim] and the batch's
+  /// indices into the train split.
+  std::function<Tensor(const Tensor&, const std::vector<int64_t>&)> loss;
+  const char* log_prefix;  ///< Verbose per-epoch log, e.g. "eta epoch".
+};
+
+/// The head loop every task shares: fits a linear head on `train` (with the
+/// encoder too when config.finetune_encoder), then returns the head's
+/// outputs on `test` as [test.size(), out_dim], in corpus order.
+Tensor FitHead(TrajectoryEncoder* encoder,
+               const std::vector<traj::Trajectory>& train,
+               const std::vector<traj::Trajectory>& test, const HeadTask& task,
+               const TaskConfig& config) {
   START_CHECK(encoder != nullptr);
   START_CHECK(!train.empty());
   START_CHECK(!test.empty());
@@ -73,43 +88,27 @@ EtaResult FinetuneEta(TrajectoryEncoder* encoder,
   // a pure function of (encoder state, data, config.seed).
   common::Rng dropout_rng = rng.Fork();
   encoder->SetDropoutRng(&dropout_rng);
-  nn::Linear head(encoder->dim(), 1, &head_rng);
-
-  // Standardise the target (minutes) over the training split.
-  double mean = 0.0;
-  for (const auto& t : train) {
-    mean += static_cast<double>(t.TravelTimeSeconds()) / 60.0;
-  }
-  mean /= static_cast<double>(train.size());
-  double var = 0.0;
-  for (const auto& t : train) {
-    const double y = static_cast<double>(t.TravelTimeSeconds()) / 60.0 - mean;
-    var += y * y;
-  }
-  const double stddev =
-      std::sqrt(std::max(1e-8, var / static_cast<double>(train.size())));
+  const int64_t dim = encoder->dim();
+  nn::Linear head(dim, task.out_dim, &head_rng);
 
   std::vector<Tensor> params = head.Parameters();
   if (config.finetune_encoder) {
     for (auto& p : encoder->TrainableParameters()) params.push_back(p);
   }
   nn::AdamW opt(params, config.lr);
-  // A frozen encoder (linear probe) stays in eval mode and is driven through
-  // the no-grad inference surface: no encoder dropout, no autograd graph
-  // below the head. Frozen embeddings are deterministic and
-  // batch-composition invariant, so the train split is embedded ONCE
-  // (EmbedAll = bucketed InferBatch) and every epoch gathers cached rows
-  // instead of re-running the encoder forward.
+  // A frozen encoder (linear probe) is driven through the inference
+  // contract: the train split is embedded ONCE with EmbedAll and every
+  // epoch gathers those rows, so no encoder dropout and no autograd graph
+  // below the head.
   encoder->SetTraining(config.finetune_encoder);
   head.SetTraining(true);
   std::vector<float> frozen_rows;  // [n, dim] when the encoder is frozen
   if (!config.finetune_encoder) {
-    frozen_rows = encoder->EmbedAll(train, EncodeMode::kDepartureOnly,
-                                    config.batch_size);
+    frozen_rows = encoder->EmbedAll(train, task.mode, config.batch_size);
   }
 
   std::vector<int64_t> order(train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
+  std::iota(order.begin(), order.end(), 0);
   const int64_t n = static_cast<int64_t>(train.size());
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     rng.Shuffle(&order);
@@ -117,21 +116,19 @@ EtaResult FinetuneEta(TrajectoryEncoder* encoder,
     int64_t batches = 0;
     for (int64_t begin = 0; begin + 1 < n; begin += config.batch_size) {
       const int64_t end = std::min(n, begin + config.batch_size);
-      const auto batch = MakeBatchPtrs(train, order, begin, end);
-      std::vector<float> targets;
-      targets.reserve(batch.size());
-      for (const auto* t : batch) {
-        targets.push_back(static_cast<float>(
-            (static_cast<double>(t->TravelTimeSeconds()) / 60.0 - mean) /
-            stddev));
+      const std::vector<int64_t> rows(order.begin() + begin,
+                                      order.begin() + end);
+      Tensor reps;
+      if (config.finetune_encoder) {
+        std::vector<const traj::Trajectory*> batch;
+        for (const int64_t i : rows) {
+          batch.push_back(&train[static_cast<size_t>(i)]);
+        }
+        reps = encoder->EncodeBatch(batch, task.mode);
+      } else {
+        reps = GatherRows(frozen_rows, dim, rows);
       }
-      const Tensor reps =
-          config.finetune_encoder
-              ? encoder->EncodeBatch(batch, EncodeMode::kDepartureOnly)
-              : GatherEmbeddedRows(frozen_rows, encoder->dim(), order, begin,
-                                   end);
-      const Tensor pred = head.Forward(reps);  // [B, 1]
-      Tensor loss = tensor::MseLoss(pred, targets);
+      Tensor loss = task.loss(head.Forward(reps), rows);
       opt.ZeroGrad();
       loss.Backward();
       nn::ClipGradNorm(params, config.grad_clip);
@@ -140,40 +137,77 @@ EtaResult FinetuneEta(TrajectoryEncoder* encoder,
       ++batches;
     }
     if (config.verbose) {
-      START_LOG(Info) << "eta epoch " << epoch << " mse "
+      START_LOG(Info) << task.log_prefix << " " << epoch << " loss "
                       << epoch_loss / std::max<int64_t>(1, batches);
     }
   }
 
-  // Evaluate on the test split: always the frozen-encoder path (InferBatch),
-  // under an outer NoGradGuard so the head forward is graph-free too.
-  EtaResult result;
-  encoder->SetTraining(false);
+  // Test split: embedded once through EmbedAll; the head reads the rows in
+  // batch_size chunks in corpus order, under a NoGradGuard.
   head.SetTraining(false);
+  const std::vector<float> test_rows =
+      encoder->EmbedAll(test, task.mode, config.batch_size);
   tensor::NoGradGuard no_grad;
   const int64_t tn = static_cast<int64_t>(test.size());
-  std::vector<int64_t> id_order(test.size());
-  for (size_t i = 0; i < id_order.size(); ++i) {
-    id_order[i] = static_cast<int64_t>(i);
-  }
+  std::vector<float> out(static_cast<size_t>(tn * task.out_dim));
   for (int64_t begin = 0; begin < tn; begin += config.batch_size) {
     const int64_t end = std::min(tn, begin + config.batch_size);
-    const auto batch = MakeBatchPtrs(test, id_order, begin, end);
-    const Tensor reps =
-        encoder->InferBatch(batch, EncodeMode::kDepartureOnly);
-    const Tensor pred = head.Forward(reps);
-    for (int64_t i = 0; i < end - begin; ++i) {
-      result.pred_minutes.push_back(
-          static_cast<double>(pred.data()[i]) * stddev + mean);
-      result.true_minutes.push_back(
-          static_cast<double>(batch[static_cast<size_t>(i)]
-                                  ->TravelTimeSeconds()) /
-          60.0);
-    }
+    const Tensor reps = Tensor::FromVector(
+        Shape({end - begin, dim}),
+        std::vector<float>(test_rows.begin() + begin * dim,
+                           test_rows.begin() + end * dim));
+    const Tensor pred = head.Forward(reps).Contiguous();
+    std::memcpy(out.data() + begin * task.out_dim, pred.data(),
+                static_cast<size_t>(pred.numel()) * sizeof(float));
+  }
+  encoder->SetDropoutRng(nullptr);  // the run-private stream goes away now
+  return Tensor::FromVector(Shape({tn, task.out_dim}), std::move(out));
+}
+
+double Minutes(const traj::Trajectory& t) {
+  return static_cast<double>(t.TravelTimeSeconds()) / 60.0;
+}
+
+}  // namespace
+
+EtaResult FinetuneEta(TrajectoryEncoder* encoder,
+                      const std::vector<traj::Trajectory>& train,
+                      const std::vector<traj::Trajectory>& test,
+                      const TaskConfig& config) {
+  // Standardise the target (minutes) over the training split.
+  double mean = 0.0;
+  for (const auto& t : train) mean += Minutes(t);
+  mean /= static_cast<double>(train.size());
+  double var = 0.0;
+  for (const auto& t : train) {
+    const double y = Minutes(t) - mean;
+    var += y * y;
+  }
+  const double stddev =
+      std::sqrt(std::max(1e-8, var / static_cast<double>(train.size())));
+
+  const HeadTask task{
+      EncodeMode::kDepartureOnly, 1,
+      [&](const Tensor& pred, const std::vector<int64_t>& rows) {
+        std::vector<float> targets;
+        targets.reserve(rows.size());
+        for (const int64_t i : rows) {
+          targets.push_back(static_cast<float>(
+              (Minutes(train[static_cast<size_t>(i)]) - mean) / stddev));
+        }
+        return tensor::MseLoss(pred, targets);
+      },
+      "eta epoch"};
+  const Tensor pred = FitHead(encoder, train, test, task, config);
+
+  EtaResult result;
+  for (size_t i = 0; i < test.size(); ++i) {
+    result.pred_minutes.push_back(
+        static_cast<double>(pred.data()[i]) * stddev + mean);
+    result.true_minutes.push_back(Minutes(test[i]));
   }
   result.metrics =
       ComputeRegressionMetrics(result.true_minutes, result.pred_minutes);
-  encoder->SetDropoutRng(nullptr);  // the run-private stream goes away now
   return result;
 }
 
@@ -181,97 +215,36 @@ ClassificationResult FinetuneClassification(
     TrajectoryEncoder* encoder, const std::vector<traj::Trajectory>& train,
     const std::vector<traj::Trajectory>& test, const LabelFn& label_fn,
     int64_t num_classes, int64_t recall_k, const TaskConfig& config) {
-  START_CHECK(encoder != nullptr);
   START_CHECK_GT(num_classes, 1);
-  MaybeWarmStart(encoder, config);
-  common::Rng rng(config.seed);
-  common::Rng head_rng = rng.Fork();
-  // See FinetuneEta: run-private dropout stream for reproducibility.
-  common::Rng dropout_rng = rng.Fork();
-  encoder->SetDropoutRng(&dropout_rng);
-  nn::Linear head(encoder->dim(), num_classes, &head_rng);
-
-  std::vector<Tensor> params = head.Parameters();
-  if (config.finetune_encoder) {
-    for (auto& p : encoder->TrainableParameters()) params.push_back(p);
-  }
-  nn::AdamW opt(params, config.lr);
-  // See FinetuneEta: a frozen encoder embeds the split once and the epochs
-  // train the head on gathered cached rows.
-  encoder->SetTraining(config.finetune_encoder);
-  head.SetTraining(true);
-  std::vector<float> frozen_rows;  // [n, dim] when the encoder is frozen
-  if (!config.finetune_encoder) {
-    frozen_rows = encoder->EmbedAll(train, EncodeMode::kFull,
-                                    config.batch_size);
-  }
-
-  std::vector<int64_t> order(train.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(train.size());
-  for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += config.batch_size) {
-      const int64_t end = std::min(n, begin + config.batch_size);
-      const auto batch = MakeBatchPtrs(train, order, begin, end);
-      std::vector<int64_t> labels;
-      labels.reserve(batch.size());
-      for (const auto* t : batch) {
-        const int64_t y = label_fn(*t);
-        START_CHECK(y >= 0 && y < num_classes);
-        labels.push_back(y);
-      }
-      const Tensor reps =
-          config.finetune_encoder
-              ? encoder->EncodeBatch(batch, EncodeMode::kFull)
-              : GatherEmbeddedRows(frozen_rows, encoder->dim(), order, begin,
-                                   end);
-      const Tensor logits = head.Forward(reps);
-      Tensor loss = tensor::CrossEntropyWithLogits(logits, labels);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(params, config.grad_clip);
-      opt.Step();
-      epoch_loss += loss.item();
-      ++batches;
-    }
-    if (config.verbose) {
-      START_LOG(Info) << "cls epoch " << epoch << " ce "
-                      << epoch_loss / std::max<int64_t>(1, batches);
-    }
-  }
-
+  const std::vector<int64_t> train_labels =
+      Labels(train, label_fn, num_classes);
   ClassificationResult result;
-  encoder->SetTraining(false);
-  head.SetTraining(false);
-  tensor::NoGradGuard no_grad;
-  std::vector<double> pos_scores;       // binary AUC
-  std::vector<double> all_scores;       // Recall@k
-  const int64_t tn = static_cast<int64_t>(test.size());
-  std::vector<int64_t> id_order(test.size());
-  for (size_t i = 0; i < id_order.size(); ++i) {
-    id_order[i] = static_cast<int64_t>(i);
-  }
-  for (int64_t begin = 0; begin < tn; begin += config.batch_size) {
-    const int64_t end = std::min(tn, begin + config.batch_size);
-    const auto batch = MakeBatchPtrs(test, id_order, begin, end);
-    const Tensor reps = encoder->InferBatch(batch, EncodeMode::kFull);
-    const Tensor probs = tensor::SoftmaxLastDim(head.Forward(reps));
-    for (int64_t i = 0; i < end - begin; ++i) {
-      const float* row = probs.data() + i * num_classes;
-      int64_t argmax = 0;
-      for (int64_t c = 1; c < num_classes; ++c) {
-        if (row[c] > row[argmax]) argmax = c;
-      }
-      result.predictions.push_back(argmax);
-      result.labels.push_back(label_fn(*batch[static_cast<size_t>(i)]));
-      if (num_classes == 2) pos_scores.push_back(row[1]);
-      for (int64_t c = 0; c < num_classes; ++c) {
-        all_scores.push_back(row[c]);
-      }
+  result.labels = Labels(test, label_fn, num_classes);
+  const HeadTask task{
+      EncodeMode::kFull, num_classes,
+      [&](const Tensor& logits, const std::vector<int64_t>& rows) {
+        std::vector<int64_t> labels;
+        labels.reserve(rows.size());
+        for (const int64_t i : rows) {
+          labels.push_back(train_labels[static_cast<size_t>(i)]);
+        }
+        return tensor::CrossEntropyWithLogits(logits, labels);
+      },
+      "cls epoch"};
+  const Tensor probs =
+      tensor::SoftmaxLastDim(FitHead(encoder, train, test, task, config));
+
+  std::vector<double> pos_scores;  // binary AUC
+  std::vector<double> all_scores;  // Recall@k
+  for (size_t i = 0; i < test.size(); ++i) {
+    const float* row = probs.data() + static_cast<int64_t>(i) * num_classes;
+    int64_t argmax = 0;
+    for (int64_t c = 1; c < num_classes; ++c) {
+      if (row[c] > row[argmax]) argmax = c;
     }
+    result.predictions.push_back(argmax);
+    if (num_classes == 2) pos_scores.push_back(row[1]);
+    for (int64_t c = 0; c < num_classes; ++c) all_scores.push_back(row[c]);
   }
   result.accuracy = Accuracy(result.labels, result.predictions);
   result.micro_f1 = MicroF1(result.labels, result.predictions);
@@ -282,7 +255,6 @@ ClassificationResult FinetuneClassification(
     result.f1 = BinaryF1(result.labels, result.predictions);
     result.auc = BinaryAuc(result.labels, pos_scores);
   }
-  encoder->SetDropoutRng(nullptr);  // the run-private stream goes away now
   return result;
 }
 

@@ -20,10 +20,9 @@ struct TaskConfig {
   uint64_t seed = 11;
   bool verbose = false;
   /// When false, the encoder is frozen and only the head is trained (used by
-  /// linear-probe style experiments). The frozen path drives the encoder in
-  /// eval mode through TrajectoryEncoder::InferBatch, so head training runs
-  /// grad-free below the head (no encoder dropout, no graph through the
-  /// encoder).
+  /// linear-probe style experiments): the train split goes through the
+  /// inference contract, TrajectoryEncoder::EmbedAll (eval/encoder.h), once.
+  /// The test split always does.
   bool finetune_encoder = true;
   /// When non-empty, the encoder is warm-started from this checkpoint (a
   /// core::Pretrain artifact) before fine-tuning, instead of whatever state

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "baselines/node2vec.h"
@@ -58,6 +59,22 @@ class BaselinesTest : public ::testing::Test {
     }
     EXPECT_GT(var, 1e-8);
     for (const float v : emb) EXPECT_TRUE(std::isfinite(v));
+    // The inference contract (eval/encoder.h): each EmbedAll row equals that
+    // trajectory encoded alone, bitwise, whatever shares its bucketed batch.
+    const int64_t d = model->dim();
+    for (const auto mode :
+         {eval::EncodeMode::kFull, eval::EncodeMode::kDepartureOnly}) {
+      const auto rows = model->EmbedAll(corpus_, mode);
+      tensor::NoGradGuard no_grad;
+      for (size_t i = 0; i < corpus_.size(); ++i) {
+        const tensor::Tensor alone =
+            model->EncodeBatch({&corpus_[i]}, mode).Contiguous();
+        EXPECT_EQ(std::memcmp(rows.data() + i * d, alone.data(),
+                              static_cast<size_t>(d) * sizeof(float)),
+                  0)
+            << "row " << i << " differs from its solo encode";
+      }
+    }
   }
 
   roadnet::RoadNetwork net_;

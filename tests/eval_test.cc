@@ -79,5 +79,11 @@ TEST(ClassificationMetricsTest, RecallAtKBoundaries) {
   EXPECT_DOUBLE_EQ(RecallAtK(y, scores, 3, 2), 1.0);
 }
 
+TEST(ClassificationMetricsTest, RecallAtKRejectsOutOfRangeLabels) {
+  const std::vector<double> scores = {0.9, 0.05, 0.05};
+  EXPECT_DEATH(RecallAtK({3}, scores, 3, 1), "outside");
+  EXPECT_DEATH(RecallAtK({-1}, scores, 3, 1), "outside");
+}
+
 }  // namespace
 }  // namespace start::eval

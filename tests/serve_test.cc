@@ -154,13 +154,17 @@ std::string* ServeTest::checkpoint_path_ = nullptr;
 TEST_F(ServeTest, FrozenEncoderMatchesEvalEncoderBitwise) {
   const auto frozen = LoadFrozen();
   core::StartEncoder eval_encoder(model_);
-  const auto expected =
-      eval_encoder.EmbedAll(*corpus_, eval::EncodeMode::kFull);
-  const auto got = frozen->EmbedAll(*corpus_, eval::EncodeMode::kFull);
-  ASSERT_EQ(expected.size(), got.size());
-  EXPECT_EQ(std::memcmp(expected.data(), got.data(),
-                        expected.size() * sizeof(float)),
-            0);
+  // kDepartureOnly is the mode the ETA task embeds with.
+  for (const auto mode :
+       {eval::EncodeMode::kFull, eval::EncodeMode::kDepartureOnly}) {
+    const auto expected = eval_encoder.EmbedAll(*corpus_, mode);
+    const auto got = frozen->EmbedAll(*corpus_, mode);
+    ASSERT_EQ(expected.size(), got.size());
+    EXPECT_EQ(std::memcmp(expected.data(), got.data(),
+                          expected.size() * sizeof(float)),
+              0)
+        << "mode " << static_cast<int>(mode);
+  }
 }
 
 TEST_F(ServeTest, FrozenEncoderHasNoGradState) {
@@ -373,6 +377,35 @@ TEST_F(ServeTest, LinearProbeLeavesEncoderFrozen) {
               0)
         << "parameter " << i << " mutated by the linear probe";
   }
+}
+
+TEST_F(ServeTest, TasksShareTheirPreconditions) {
+  // Both tasks refuse an empty split, and classification refuses a test
+  // label outside [0, num_classes) before any training step runs.
+  core::StartEncoder encoder(model_);
+  const std::vector<traj::Trajectory> train(corpus_->begin(),
+                                            corpus_->begin() + 4);
+  const std::vector<traj::Trajectory> test(corpus_->begin() + 4,
+                                           corpus_->begin() + 6);
+  const std::vector<traj::Trajectory> none;
+  const eval::TaskConfig task;
+  const eval::LabelFn zero = [](const traj::Trajectory&) -> int64_t {
+    return 0;
+  };
+  EXPECT_DEATH(eval::FinetuneEta(&encoder, none, test, task), "!train.empty");
+  EXPECT_DEATH(eval::FinetuneEta(&encoder, train, none, task), "!test.empty");
+  EXPECT_DEATH(eval::FinetuneClassification(&encoder, none, test, zero, 2, 1,
+                                            task),
+               "!train.empty");
+  EXPECT_DEATH(eval::FinetuneClassification(&encoder, train, none, zero, 2, 1,
+                                            task),
+               "!test.empty");
+  const eval::LabelFn two_on_test = [&](const traj::Trajectory& t) {
+    return &t == &test[1] ? int64_t{2} : int64_t{0};
+  };
+  EXPECT_DEATH(eval::FinetuneClassification(&encoder, train, test,
+                                            two_on_test, 2, 1, task),
+               "label 2 of trajectory 1 outside");
 }
 
 // ---------------------------------------------------------------------------
