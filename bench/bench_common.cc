@@ -77,7 +77,8 @@ CityWorld MakePortoWorld() {
   city.diagonal_fraction = 0.12;
   city.seed = 21;
   traj::TripGenerator::Config trips;
-  trips.num_drivers = Scaled(16);
+  // Driver-ID classification needs at least two classes at any scale.
+  trips.num_drivers = std::max<int64_t>(2, Scaled(16));
   trips.num_days = 12;
   trips.trips_per_driver_day = 5.0;
   trips.vacant_fraction = 0.3;

@@ -21,6 +21,8 @@
 #include "tensor/ops.h"
 #include "traj/trip_generator.h"
 
+#include "run_dir.h"
+
 namespace {
 
 /// Embeds a split through the service (departure-time-only view) into a
@@ -81,7 +83,7 @@ int main() {
   pretrain.epochs = 8;
   pretrain.batch_size = 16;
   pretrain.lr = 2e-3;
-  pretrain.checkpoint_path = "/tmp/start_eta_model.sttn";
+  pretrain.checkpoint_path = examples::RunFile("start_eta_model.sttn");
   core::Pretrain(&model, dataset.train(), &traffic, pretrain);
 
   // Freeze the artifact into the serving engine and put the concurrent

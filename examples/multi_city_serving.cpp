@@ -24,6 +24,8 @@
 #include "traj/map_matching.h"
 #include "traj/trip_generator.h"
 
+#include "run_dir.h"
+
 namespace {
 
 using namespace start;
@@ -72,7 +74,8 @@ std::unique_ptr<City> MakeCity(const std::string& name,
   // artifact for meaningful embeddings (see examples/quickstart.cpp).
   common::Rng rng(seed);
   core::StartModel model(config, city->net.get(), city->transfer.get(), &rng);
-  const std::string path = "/tmp/start_multi_city_" + name + ".sttn";
+  const std::string path =
+      examples::RunFile("start_multi_city_" + name + ".sttn");
   auto save = core::SaveModelCheckpoint(path, model,
                                         core::HashStartConfig(config));
   if (!save.ok()) {

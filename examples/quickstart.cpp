@@ -18,6 +18,8 @@
 #include "sim/similarity.h"
 #include "traj/trip_generator.h"
 
+#include "run_dir.h"
+
 int main() {
   using namespace start;
 
@@ -67,7 +69,8 @@ int main() {
   //    full training checkpoint: re-running this binary after an
   //    interruption would resume mid-plan (set pretrain_config.resume).
   std::printf("[4/5] self-supervised pre-training...\n");
-  const std::string checkpoint = "/tmp/start_quickstart.sttn";
+  const std::string checkpoint =
+      examples::RunFile("start_quickstart.sttn");
   core::PretrainConfig pretrain_config;
   pretrain_config.epochs = 6;
   pretrain_config.batch_size = 16;

@@ -33,6 +33,8 @@
 #include "sim/similarity.h"
 #include "traj/trip_generator.h"
 
+#include "run_dir.h"
+
 int main(int argc, char** argv) {
   using namespace start;
   bool use_exact = true, use_hnsw = true;
@@ -83,7 +85,8 @@ int main(int argc, char** argv) {
   pretrain.epochs = 8;
   pretrain.batch_size = 16;
   pretrain.lr = 2e-3;
-  pretrain.checkpoint_path = "/tmp/start_similarity_model.sttn";
+  pretrain.checkpoint_path =
+      examples::RunFile("start_similarity_model.sttn");
   core::Pretrain(&model, dataset.train(), &traffic, pretrain);
 
   // The serving engine: the checkpoint artifact loaded as an immutable

@@ -33,6 +33,8 @@
 #include "traj/map_matching.h"
 #include "traj/trip_generator.h"
 
+#include "run_dir.h"
+
 namespace {
 
 /// Streams noisy GPS replays of `trips` into the controller, ids starting at
@@ -110,14 +112,15 @@ int main() {
   pretrain.epochs = 4;
   pretrain.batch_size = 16;
   pretrain.lr = 2e-3;
-  pretrain.checkpoint_path = "/tmp/start_streaming_gen_0.sttn";
+  pretrain.checkpoint_path =
+      examples::RunFile("start_streaming_gen_0.sttn");
   core::Pretrain(&model, dataset.train(), &traffic, pretrain);
 
   // The controller owns the whole serving stack: frozen engine, HNSW index,
   // drift monitor, ingestion pipeline, and the background adaptation worker.
   serve::AdaptationConfig adapt;
   adapt.model = config;
-  adapt.artifact_dir = "/tmp";
+  adapt.artifact_dir = examples::RunDir();
   adapt.base_checkpoint = pretrain.checkpoint_path;
   adapt.finetune.epochs = 1;
   adapt.finetune.batch_size = 16;

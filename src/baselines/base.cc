@@ -29,6 +29,32 @@ PaddedRoads PadRoadBatch(const std::vector<const traj::Trajectory*>& batch,
   return out;
 }
 
+double SequenceBaseline::Pretrain(
+    const std::vector<traj::Trajectory>& corpus,
+    const PretrainOptions& options) {
+  common::Rng rng(options.seed);
+  // Dropout masks come from a run-private stream rather than the process-
+  // global one, so pre-training is a pure function of (model, corpus,
+  // options). It is split off a second generator on the same seed, which
+  // leaves `rng`'s draws (shuffles and task sampling) untouched.
+  common::Rng dropout_rng = common::Rng(options.seed).Fork();
+  SetDropoutRng(&dropout_rng);
+  nn::AdamW opt(Parameters(), options.lr);
+  SetTraining(true);
+  const double loss = nn::TrainEpochs(
+      static_cast<int64_t>(corpus.size()), options.epochs, options.batch_size,
+      &rng, [&](const std::vector<int64_t>& rows) {
+        std::vector<const traj::Trajectory*> batch;
+        batch.reserve(rows.size());
+        for (const int64_t i : rows) {
+          batch.push_back(&corpus[static_cast<size_t>(i)]);
+        }
+        return TrainBatch(batch, &opt, &rng);
+      });
+  SetDropoutRng(nullptr);  // the run-private stream goes away now
+  return loss;
+}
+
 tensor::Tensor MeanPoolValid(const tensor::Tensor& seq,
                              const std::vector<int64_t>& lengths) {
   START_CHECK_EQ(seq.ndim(), 3);

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "eval/encoder.h"
 #include "nn/module.h"
+#include "nn/optimizer.h"
 #include "roadnet/road_network.h"
 #include "traj/trajectory.h"
 
@@ -17,9 +18,7 @@ struct PretrainOptions {
   int64_t epochs = 3;
   int64_t batch_size = 16;
   double lr = 1e-3;
-  double grad_clip = 5.0;
   uint64_t seed = 5;
-  bool verbose = false;
 };
 
 /// \brief Padded batch of raw road-id sequences.
@@ -48,10 +47,23 @@ class SequenceBaseline : public nn::Module, public eval::TrajectoryEncoder {
     return Parameters();
   }
 
-  /// Runs the baseline's own self-supervised task over `corpus`. Returns the
-  /// mean loss of the final epoch (for smoke tests / logging).
-  virtual double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                          const PretrainOptions& options) = 0;
+  /// Runs the baseline's own self-supervised task over `corpus` (at least
+  /// two trajectories): AdamW over Parameters() at `options.lr`, training
+  /// mode on, and nn::TrainEpochs (nn/optimizer.h, the loop contract) over
+  /// the corpus with one Rng seeded by `options.seed`, which both shuffles
+  /// and feeds TrainBatch; dropout draws from a run-private stream derived
+  /// from the same seed. A baseline overrides only TrainBatch. Returns the
+  /// last epoch's mean TrainBatch loss.
+  double Pretrain(const std::vector<traj::Trajectory>& corpus,
+                  const PretrainOptions& options);
+
+ protected:
+  /// The one thing a baseline overrides: its self-supervised task on one
+  /// batch. Computes the task loss, updates through nn::TrainStep(opt, ...)
+  /// (once per loss, e.g. twice for a two-task baseline), draws any task
+  /// randomness from `rng`, and returns the summed step losses.
+  virtual double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                            nn::Optimizer* opt, common::Rng* rng) = 0;
 };
 
 /// Mean over valid (non-padded) positions of a [B, L, d] tensor -> [B, d].

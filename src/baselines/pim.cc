@@ -3,31 +3,13 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "nn/losses.h"
-#include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace start::baselines {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-namespace {
-
-std::vector<const traj::Trajectory*> SliceBatch(
-    const std::vector<traj::Trajectory>& corpus,
-    const std::vector<int64_t>& order, int64_t begin, int64_t end) {
-  std::vector<const traj::Trajectory*> out;
-  out.reserve(static_cast<size_t>(end - begin));
-  for (int64_t i = begin; i < end; ++i) {
-    out.push_back(
-        &corpus[static_cast<size_t>(order[static_cast<size_t>(i)])]);
-  }
-  return out;
-}
-
-}  // namespace
 
 Pim::Pim(const PimConfig& config, const roadnet::RoadNetwork* net,
          common::Rng* rng)
@@ -55,45 +37,18 @@ Tensor Pim::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
   return lstm_->Forward(emb, padded.lengths).last_hidden;
 }
 
-double Pim::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                     const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      const auto batch = SliceBatch(corpus, order, begin, end);
-      const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
-      const Tensor emb = tensor::Reshape(
-          embedding_->Forward(padded.ids),
-          Shape({padded.batch_size, padded.max_len, d_}));
-      const nn::Lstm::Output out = lstm_->Forward(emb, padded.lengths);
-      // Mutual information maximisation: global (last hidden) vs local step
-      // outputs, in-batch negatives (Sec. IV-B / [18]).
-      Tensor loss =
-          nn::InfoNceLoss(out.last_hidden, out.outputs, padded.lengths);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "pim epoch " << epoch << " infonce " << last;
-    }
-  }
-  return last;
+double Pim::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                       nn::Optimizer* opt, common::Rng* rng) {
+  (void)rng;  // In-batch negatives: nothing to sample.
+  const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
+  const Tensor emb =
+      tensor::Reshape(embedding_->Forward(padded.ids),
+                      Shape({padded.batch_size, padded.max_len, d_}));
+  const nn::Lstm::Output out = lstm_->Forward(emb, padded.lengths);
+  // Mutual information maximisation: global (last hidden) vs local step
+  // outputs, in-batch negatives (Sec. IV-B / [18]).
+  return nn::TrainStep(
+      opt, nn::InfoNceLoss(out.last_hidden, out.outputs, padded.lengths));
 }
 
 PimTf::PimTf(const PimConfig& config, const roadnet::RoadNetwork* net,
@@ -118,41 +73,14 @@ Tensor PimTf::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
   return MeanPoolValid(seq, padded.lengths);
 }
 
-double PimTf::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                       const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      const auto batch = SliceBatch(corpus, order, begin, end);
-      const PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
-      const Tensor seq = backbone_->Forward(padded.ids, padded.lengths,
-                                            padded.batch_size, padded.max_len);
-      const Tensor global = MeanPoolValid(seq, padded.lengths);
-      Tensor loss = nn::InfoNceLoss(global, seq, padded.lengths);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "pim-tf epoch " << epoch << " infonce " << last;
-    }
-  }
-  return last;
+double PimTf::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                         nn::Optimizer* opt, common::Rng* rng) {
+  (void)rng;  // In-batch negatives: nothing to sample.
+  const PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
+  const Tensor seq = backbone_->Forward(padded.ids, padded.lengths,
+                                        padded.batch_size, padded.max_len);
+  const Tensor global = MeanPoolValid(seq, padded.lengths);
+  return nn::TrainStep(opt, nn::InfoNceLoss(global, seq, padded.lengths));
 }
 
 }  // namespace start::baselines

@@ -30,13 +30,13 @@ class Pim : public SequenceBaseline {
   Pim(const PimConfig& config, const roadnet::RoadNetwork* net,
       common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
   int64_t dim() const override { return d_; }
   tensor::Tensor EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                              eval::EncodeMode mode) override;
 
  private:
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
   int64_t d_;
   const roadnet::RoadNetwork* net_;
   int64_t pad_id_;
@@ -51,13 +51,13 @@ class PimTf : public SequenceBaseline {
   PimTf(const PimConfig& config, const roadnet::RoadNetwork* net,
         common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
   int64_t dim() const override { return backbone_->d(); }
   tensor::Tensor EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                              eval::EncodeMode mode) override;
 
  private:
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
   std::unique_ptr<TokenTransformer> backbone_;
 };
 

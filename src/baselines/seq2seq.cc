@@ -3,30 +3,12 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/logging.h"
-#include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace start::baselines {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-namespace {
-
-std::vector<const traj::Trajectory*> SliceBatch(
-    const std::vector<traj::Trajectory>& corpus,
-    const std::vector<int64_t>& order, int64_t begin, int64_t end) {
-  std::vector<const traj::Trajectory*> out;
-  out.reserve(static_cast<size_t>(end - begin));
-  for (int64_t i = begin; i < end; ++i) {
-    out.push_back(
-        &corpus[static_cast<size_t>(order[static_cast<size_t>(i)])]);
-  }
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Traj2Vec
@@ -87,66 +69,35 @@ Tensor Traj2Vec::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
   return encoder_->Forward(features, lengths).last_hidden;
 }
 
-double Traj2Vec::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                          const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last_epoch_loss = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      const auto batch = SliceBatch(corpus, order, begin, end);
-      std::vector<int64_t> lengths;
-      const Tensor features =
-          BuildFeatures(batch, eval::EncodeMode::kFull, &lengths);
-      const Tensor rep = encoder_->Forward(features, lengths).last_hidden;
-      // Decoder consumes the repeated representation at every step.
-      const int64_t bs = features.dim(0), l = features.dim(1);
-      std::vector<Tensor> repeated(static_cast<size_t>(l),
-                                   tensor::Reshape(rep, Shape({bs, 1, d_})));
-      const Tensor dec_in = tensor::Concat(repeated, 1);
-      const Tensor dec_out = decoder_->Forward(dec_in, lengths).outputs;
-      const Tensor recon = reconstruct_->Forward(dec_out);
-      // MSE only over valid positions: zero both sides on padding.
-      std::vector<float> mask(
-          static_cast<size_t>(bs * l * feature_dim_), 0.0f);
-      std::vector<float> target(
-          static_cast<size_t>(bs * l * feature_dim_), 0.0f);
-      for (int64_t s = 0; s < bs; ++s) {
-        for (int64_t i = 0; i < lengths[static_cast<size_t>(s)]; ++i) {
-          for (int64_t f = 0; f < feature_dim_; ++f) {
-            const size_t idx =
-                static_cast<size_t>((s * l + i) * feature_dim_ + f);
-            mask[idx] = 1.0f;
-            target[idx] = features.data()[idx];
-          }
-        }
+double Traj2Vec::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                           nn::Optimizer* opt, common::Rng* rng) {
+  (void)rng;  // The reconstruction task draws nothing.
+  std::vector<int64_t> lengths;
+  const Tensor features =
+      BuildFeatures(batch, eval::EncodeMode::kFull, &lengths);
+  const Tensor rep = encoder_->Forward(features, lengths).last_hidden;
+  // Decoder consumes the repeated representation at every step.
+  const int64_t bs = features.dim(0), l = features.dim(1);
+  std::vector<Tensor> repeated(static_cast<size_t>(l),
+                               tensor::Reshape(rep, Shape({bs, 1, d_})));
+  const Tensor dec_in = tensor::Concat(repeated, 1);
+  const Tensor dec_out = decoder_->Forward(dec_in, lengths).outputs;
+  const Tensor recon = reconstruct_->Forward(dec_out);
+  // MSE only over valid positions: zero both sides on padding.
+  std::vector<float> mask(static_cast<size_t>(bs * l * feature_dim_), 0.0f);
+  std::vector<float> target(static_cast<size_t>(bs * l * feature_dim_), 0.0f);
+  for (int64_t s = 0; s < bs; ++s) {
+    for (int64_t i = 0; i < lengths[static_cast<size_t>(s)]; ++i) {
+      for (int64_t f = 0; f < feature_dim_; ++f) {
+        const size_t idx = static_cast<size_t>((s * l + i) * feature_dim_ + f);
+        mask[idx] = 1.0f;
+        target[idx] = features.data()[idx];
       }
-      const Tensor masked = tensor::Mul(
-          recon, Tensor::FromVector(features.shape(), std::move(mask)));
-      Tensor loss = tensor::MseLoss(masked, target);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last_epoch_loss = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "traj2vec epoch " << epoch << " mse "
-                      << last_epoch_loss;
     }
   }
-  return last_epoch_loss;
+  const Tensor masked = tensor::Mul(
+      recon, Tensor::FromVector(features.shape(), std::move(mask)));
+  return nn::TrainStep(opt, tensor::MseLoss(masked, target));
 }
 
 // ---------------------------------------------------------------------------
@@ -184,78 +135,60 @@ Tensor T2Vec::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
   return encoder_->Forward(EmbedRoads(padded), padded.lengths).last_hidden;
 }
 
-double T2Vec::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                       const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last_epoch_loss = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      const auto batch = SliceBatch(corpus, order, begin, end);
-      const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
-      const Tensor rep =
-          encoder_->Forward(EmbedRoads(padded), padded.lengths).last_hidden;
-      // Teacher forcing: decoder input is the shifted target sequence, with
-      // the trajectory representation injected as step-0 input.
-      PaddedRoads shifted = padded;
-      for (int64_t s = 0; s < padded.batch_size; ++s) {
-        for (int64_t i = padded.max_len - 1; i > 0; --i) {
-          shifted.ids[static_cast<size_t>(s * padded.max_len + i)] =
-              padded.ids[static_cast<size_t>(s * padded.max_len + i - 1)];
-        }
-        shifted.ids[static_cast<size_t>(s * padded.max_len)] = pad_id_;
+Tensor T2Vec::Decode(const PaddedRoads& padded) const {
+  const Tensor rep =
+      encoder_->Forward(EmbedRoads(padded), padded.lengths).last_hidden;
+  // Teacher forcing: decoder input is the shifted target sequence, with
+  // the trajectory representation injected as step-0 input.
+  PaddedRoads shifted = padded;
+  for (int64_t s = 0; s < padded.batch_size; ++s) {
+    for (int64_t i = padded.max_len - 1; i > 0; --i) {
+      shifted.ids[static_cast<size_t>(s * padded.max_len + i)] =
+          padded.ids[static_cast<size_t>(s * padded.max_len + i - 1)];
+    }
+    shifted.ids[static_cast<size_t>(s * padded.max_len)] = pad_id_;
+  }
+  Tensor dec_in = EmbedRoads(shifted);
+  // Add the representation to every step (conditioning).
+  dec_in = tensor::Add(
+      dec_in, tensor::Reshape(rep, Shape({padded.batch_size, 1, d_})));
+  return decoder_->Forward(dec_in, padded.lengths).outputs;
+}
+
+Tensor T2Vec::TokenLogits(const PaddedRoads& padded,
+                          const Tensor& dec_out) const {
+  return tensor::Reshape(
+      token_head_->Forward(dec_out),
+      Shape({padded.batch_size * padded.max_len, net_->num_segments()}));
+}
+
+double T2Vec::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                         nn::Optimizer* opt, common::Rng* rng) {
+  const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
+  const Tensor logits = TokenLogits(padded, Decode(padded));
+  // Hard targets (pad -> ignore) plus a spatially-smoothed target where
+  // each position also predicts a sampled graph neighbour (the
+  // spatial-proximity aware loss of t2vec).
+  std::vector<int64_t> hard(padded.ids.size(), -1);
+  std::vector<int64_t> soft(padded.ids.size(), -1);
+  for (int64_t s = 0; s < padded.batch_size; ++s) {
+    for (int64_t i = 0; i < padded.lengths[static_cast<size_t>(s)]; ++i) {
+      const size_t idx = static_cast<size_t>(s * padded.max_len + i);
+      const int64_t road = padded.ids[idx];
+      hard[idx] = road;
+      const auto neighbors = net_->OutSpan(road);
+      if (!neighbors.empty()) {
+        soft[idx] = neighbors[rng->UniformInt(neighbors.size())];
       }
-      Tensor dec_in = EmbedRoads(shifted);
-      // Add the representation to every step (conditioning).
-      dec_in = tensor::Add(
-          dec_in, tensor::Reshape(rep, Shape({padded.batch_size, 1, d_})));
-      const Tensor dec_out = decoder_->Forward(dec_in, padded.lengths).outputs;
-      const Tensor logits = tensor::Reshape(
-          token_head_->Forward(dec_out),
-          Shape({padded.batch_size * padded.max_len, net_->num_segments()}));
-      // Hard targets (pad -> ignore) plus a spatially-smoothed target where
-      // each position also predicts a sampled graph neighbour (the
-      // spatial-proximity aware loss of t2vec).
-      std::vector<int64_t> hard(padded.ids.size(), -1);
-      std::vector<int64_t> soft(padded.ids.size(), -1);
-      for (int64_t s = 0; s < padded.batch_size; ++s) {
-        for (int64_t i = 0; i < padded.lengths[static_cast<size_t>(s)]; ++i) {
-          const size_t idx = static_cast<size_t>(s * padded.max_len + i);
-          const int64_t road = padded.ids[idx];
-          hard[idx] = road;
-          const auto neighbors = net_->OutSpan(road);
-          if (!neighbors.empty()) {
-            soft[idx] = neighbors[rng.UniformInt(neighbors.size())];
-          }
-        }
-      }
-      Tensor loss = tensor::Add(
+    }
+  }
+  return nn::TrainStep(
+      opt,
+      tensor::Add(
           tensor::Scale(tensor::CrossEntropyWithLogits(logits, hard, -1),
                         0.8f),
           tensor::Scale(tensor::CrossEntropyWithLogits(logits, soft, -1),
-                        0.2f));
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last_epoch_loss = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "t2vec epoch " << epoch << " ce " << last_epoch_loss;
-    }
-  }
-  return last_epoch_loss;
+                        0.2f)));
 }
 
 // ---------------------------------------------------------------------------
@@ -269,88 +202,45 @@ Trembr::Trembr(const Seq2SeqConfig& config, const roadnet::RoadNetwork* net,
   RegisterModule("time_head", time_head_.get());
 }
 
-double Trembr::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                        const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last_epoch_loss = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      const auto batch = SliceBatch(corpus, order, begin, end);
-      const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
-      const Tensor rep =
-          encoder_->Forward(EmbedRoads(padded), padded.lengths).last_hidden;
-      PaddedRoads shifted = padded;
-      for (int64_t s = 0; s < padded.batch_size; ++s) {
-        for (int64_t i = padded.max_len - 1; i > 0; --i) {
-          shifted.ids[static_cast<size_t>(s * padded.max_len + i)] =
-              padded.ids[static_cast<size_t>(s * padded.max_len + i - 1)];
-        }
-        shifted.ids[static_cast<size_t>(s * padded.max_len)] = pad_id_;
-      }
-      Tensor dec_in = EmbedRoads(shifted);
-      dec_in = tensor::Add(
-          dec_in, tensor::Reshape(rep, Shape({padded.batch_size, 1, d_})));
-      const Tensor dec_out = decoder_->Forward(dec_in, padded.lengths).outputs;
-      // Road-token loss.
-      const Tensor logits = tensor::Reshape(
-          token_head_->Forward(dec_out),
-          Shape({padded.batch_size * padded.max_len, net_->num_segments()}));
-      std::vector<int64_t> hard(padded.ids.size(), -1);
-      for (int64_t s = 0; s < padded.batch_size; ++s) {
-        for (int64_t i = 0; i < padded.lengths[static_cast<size_t>(s)]; ++i) {
-          const size_t idx = static_cast<size_t>(s * padded.max_len + i);
-          hard[idx] = padded.ids[idx];
-        }
-      }
-      const Tensor token_loss =
-          tensor::CrossEntropyWithLogits(logits, hard, -1);
-      // Timestamp reconstruction: per-step travel time (minutes), masked MSE.
-      const Tensor pred_time = time_head_->Forward(dec_out);  // [B, L, 1]
-      std::vector<float> mask(
-          static_cast<size_t>(padded.batch_size * padded.max_len), 0.0f);
-      std::vector<float> target(mask.size(), 0.0f);
-      for (int64_t s = 0; s < padded.batch_size; ++s) {
-        const auto* t = batch[static_cast<size_t>(s)];
-        for (int64_t i = 0; i < t->size(); ++i) {
-          const size_t idx = static_cast<size_t>(s * padded.max_len + i);
-          const int64_t t_in = t->timestamps[static_cast<size_t>(i)];
-          const int64_t t_out =
-              i + 1 < t->size() ? t->timestamps[static_cast<size_t>(i + 1)]
-                                : t->end_time;
-          mask[idx] = 1.0f;
-          target[idx] = static_cast<float>(t_out - t_in) / 60.0f;
-        }
-      }
-      const Shape flat_shape({padded.batch_size * padded.max_len, 1});
-      const Tensor masked_pred = tensor::Mul(
-          tensor::Reshape(pred_time, flat_shape),
-          Tensor::FromVector(flat_shape, std::move(mask)));
-      const Tensor time_loss = tensor::MseLoss(masked_pred, target);
-      Tensor loss = tensor::Add(token_loss, tensor::Scale(time_loss, 0.5f));
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last_epoch_loss = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "trembr epoch " << epoch << " loss "
-                      << last_epoch_loss;
+double Trembr::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                          nn::Optimizer* opt, common::Rng* rng) {
+  (void)rng;  // Both reconstruction targets are deterministic.
+  const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
+  const Tensor dec_out = Decode(padded);
+  // Road-token loss.
+  std::vector<int64_t> hard(padded.ids.size(), -1);
+  for (int64_t s = 0; s < padded.batch_size; ++s) {
+    for (int64_t i = 0; i < padded.lengths[static_cast<size_t>(s)]; ++i) {
+      const size_t idx = static_cast<size_t>(s * padded.max_len + i);
+      hard[idx] = padded.ids[idx];
     }
   }
-  return last_epoch_loss;
+  const Tensor token_loss = tensor::CrossEntropyWithLogits(
+      TokenLogits(padded, dec_out), hard, -1);
+  // Timestamp reconstruction: per-step travel time (minutes), masked MSE.
+  const Tensor pred_time = time_head_->Forward(dec_out);  // [B, L, 1]
+  std::vector<float> mask(
+      static_cast<size_t>(padded.batch_size * padded.max_len), 0.0f);
+  std::vector<float> target(mask.size(), 0.0f);
+  for (int64_t s = 0; s < padded.batch_size; ++s) {
+    const auto* t = batch[static_cast<size_t>(s)];
+    for (int64_t i = 0; i < t->size(); ++i) {
+      const size_t idx = static_cast<size_t>(s * padded.max_len + i);
+      const int64_t t_in = t->timestamps[static_cast<size_t>(i)];
+      const int64_t t_out = i + 1 < t->size()
+                                ? t->timestamps[static_cast<size_t>(i + 1)]
+                                : t->end_time;
+      mask[idx] = 1.0f;
+      target[idx] = static_cast<float>(t_out - t_in) / 60.0f;
+    }
+  }
+  const Shape flat_shape({padded.batch_size * padded.max_len, 1});
+  const Tensor masked_pred =
+      tensor::Mul(tensor::Reshape(pred_time, flat_shape),
+                  Tensor::FromVector(flat_shape, std::move(mask)));
+  const Tensor time_loss = tensor::MseLoss(masked_pred, target);
+  return nn::TrainStep(
+      opt, tensor::Add(token_loss, tensor::Scale(time_loss, 0.5f)));
 }
 
 }  // namespace start::baselines

@@ -24,13 +24,13 @@ class Traj2Vec : public SequenceBaseline {
   Traj2Vec(const Seq2SeqConfig& config, const roadnet::RoadNetwork* net,
            common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
   int64_t dim() const override { return d_; }
   tensor::Tensor EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                              eval::EncodeMode mode) override;
 
  private:
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
   /// [B, L, F+2] feature tensor + lengths; time features zeroed in
   /// kDepartureOnly mode.
   tensor::Tensor BuildFeatures(const std::vector<const traj::Trajectory*>& b,
@@ -54,14 +54,20 @@ class T2Vec : public SequenceBaseline {
   T2Vec(const Seq2SeqConfig& config, const roadnet::RoadNetwork* net,
         common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
   int64_t dim() const override { return d_; }
   tensor::Tensor EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                              eval::EncodeMode mode) override;
 
  protected:
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
   tensor::Tensor EmbedRoads(const PaddedRoads& padded) const;
+  /// Teacher-forced decoder outputs [B, L, d]: the decoder reads the
+  /// right-shifted road sequence plus the encoder's representation.
+  tensor::Tensor Decode(const PaddedRoads& padded) const;
+  /// Road-token logits [B*L, |V|] of decoder outputs.
+  tensor::Tensor TokenLogits(const PaddedRoads& padded,
+                             const tensor::Tensor& dec_out) const;
 
   int64_t d_;
   const roadnet::RoadNetwork* net_;
@@ -80,10 +86,9 @@ class Trembr : public T2Vec {
   Trembr(const Seq2SeqConfig& config, const roadnet::RoadNetwork* net,
          common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
-
  private:
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
   std::unique_ptr<nn::Linear> time_head_;
 };
 

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "nn/init.h"
-#include "nn/optimizer.h"
 #include "tensor/ops.h"
 
 namespace start::baselines {
@@ -98,58 +96,27 @@ void TransformerMlm::MaskTokens(std::vector<int64_t>* ids, int64_t batch,
   }
 }
 
-double TransformerMlm::MlmStep(
-    const std::vector<const traj::Trajectory*>& batch, nn::AdamW* opt,
-    common::Rng* rng, double grad_clip) {
+Tensor TransformerMlm::MlmLoss(
+    const std::vector<const traj::Trajectory*>& batch, common::Rng* rng) {
   PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
   std::vector<int64_t> positions, targets;
   MaskTokens(&padded.ids, padded.batch_size, padded.max_len, padded.lengths,
              0.15, rng, &positions, &targets);
-  if (positions.empty()) return 0.0;
+  if (positions.empty()) return Tensor();
   const Tensor seq = backbone_->Forward(padded.ids, padded.lengths,
                                         padded.batch_size, padded.max_len);
   const Tensor flat = tensor::Reshape(
       seq, Shape({padded.batch_size * padded.max_len, backbone_->d()}));
   const Tensor logits =
       mlm_head_->Forward(tensor::GatherRows(flat, positions));
-  Tensor loss = tensor::CrossEntropyWithLogits(logits, targets);
-  opt->ZeroGrad();
-  loss.Backward();
-  nn::ClipGradNorm(Parameters(), grad_clip);
-  opt->Step();
-  return loss.item();
+  return tensor::CrossEntropyWithLogits(logits, targets);
 }
 
-double TransformerMlm::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                                const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      std::vector<const traj::Trajectory*> batch;
-      for (int64_t i = begin; i < end; ++i) {
-        batch.push_back(
-            &corpus[static_cast<size_t>(order[static_cast<size_t>(i)])]);
-      }
-      total += MlmStep(batch, &opt, &rng, options.grad_clip);
-      ++batches;
-    }
-    last = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "transformer epoch " << epoch << " mlm " << last;
-    }
-  }
-  return last;
+double TransformerMlm::TrainBatch(
+    const std::vector<const traj::Trajectory*>& batch, nn::Optimizer* opt,
+    common::Rng* rng) {
+  const Tensor loss = MlmLoss(batch, rng);
+  return loss.defined() ? nn::TrainStep(opt, loss) : 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -192,67 +159,32 @@ Tensor Bert::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                    padded.lengths);
 }
 
-double Bert::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                      const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      std::vector<const traj::Trajectory*> batch;
-      for (int64_t i = begin; i < end; ++i) {
-        batch.push_back(
-            &corpus[static_cast<size_t>(order[static_cast<size_t>(i)])]);
-      }
-      // Task 1: MLM (one optimizer step).
-      total += MlmStep(batch, &opt, &rng, options.grad_clip);
-      // Task 2: segment order — swap the two halves for negatives.
-      PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
-      std::vector<float> labels(batch.size());
-      for (int64_t b = 0; b < padded.batch_size; ++b) {
-        const int64_t len = padded.lengths[static_cast<size_t>(b)];
-        const bool positive = rng.Bernoulli(0.5);
-        labels[static_cast<size_t>(b)] = positive ? 1.0f : 0.0f;
-        if (!positive) {
-          // (T2, T1): rotate the sequence around its midpoint.
-          const int64_t half = len / 2;
-          std::vector<int64_t> row(static_cast<size_t>(len));
-          for (int64_t i = 0; i < len; ++i) {
-            row[static_cast<size_t>(i)] =
-                padded.ids[static_cast<size_t>(b * padded.max_len +
-                                               (i + half) % len)];
-          }
-          for (int64_t i = 0; i < len; ++i) {
-            padded.ids[static_cast<size_t>(b * padded.max_len + i)] =
-                row[static_cast<size_t>(i)];
-          }
-        }
-      }
-      const Tensor cls = EncodeCls(padded.ids, padded.batch_size,
-                                   padded.max_len, padded.lengths);
-      Tensor loss = tensor::BceWithLogits(order_head_->Forward(cls), labels);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "bert epoch " << epoch << " loss " << last;
-    }
+double Bert::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                        nn::Optimizer* opt, common::Rng* rng) {
+  // Task 1: MLM (one optimizer step).
+  const double mlm = TransformerMlm::TrainBatch(batch, opt, rng);
+  // Task 2: binary [CLS] discrimination of each row against a negative made
+  // by MakeNegative with probability 1/2 (a second optimizer step).
+  PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
+  std::vector<float> labels(batch.size());
+  for (int64_t b = 0; b < padded.batch_size; ++b) {
+    const bool positive = rng->Bernoulli(0.5);
+    labels[static_cast<size_t>(b)] = positive ? 1.0f : 0.0f;
+    if (!positive) MakeNegative(&padded, b, rng);
   }
-  return last;
+  const Tensor cls = EncodeCls(padded.ids, padded.batch_size, padded.max_len,
+                               padded.lengths);
+  return mlm + nn::TrainStep(opt, tensor::BceWithLogits(
+                                      order_head_->Forward(cls), labels));
+}
+
+void Bert::MakeNegative(PaddedRoads* padded, int64_t b,
+                        common::Rng* rng) const {
+  (void)rng;  // Segment order: (T2, T1) is fully determined by T.
+  // Rotate the sequence around its midpoint.
+  const int64_t len = padded->lengths[static_cast<size_t>(b)];
+  const auto first = padded->ids.begin() + b * padded->max_len;
+  std::rotate(first, first + len / 2, first + len);
 }
 
 // ---------------------------------------------------------------------------
@@ -263,62 +195,16 @@ Toast::Toast(const TransformerBaselineConfig& config,
              const roadnet::RoadNetwork* net, common::Rng* rng)
     : Bert(config, net, rng) {}
 
-double Toast::Pretrain(const std::vector<traj::Trajectory>& corpus,
-                       const PretrainOptions& options) {
-  START_CHECK(!corpus.empty());
-  common::Rng rng(options.seed);
-  nn::AdamW opt(Parameters(), options.lr);
-  SetTraining(true);
-  std::vector<int64_t> order(corpus.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int64_t>(i);
-  const int64_t n = static_cast<int64_t>(corpus.size());
-  double last = 0.0;
-  for (int64_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double total = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += options.batch_size) {
-      const int64_t end = std::min(n, begin + options.batch_size);
-      std::vector<const traj::Trajectory*> batch;
-      for (int64_t i = begin; i < end; ++i) {
-        batch.push_back(
-            &corpus[static_cast<size_t>(order[static_cast<size_t>(i)])]);
-      }
-      // Task 1: MLM.
-      total += MlmStep(batch, &opt, &rng, options.grad_clip);
-      // Task 2: trajectory discrimination — corrupt half the batch by
-      // replacing 30% of roads with random roads.
-      PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
-      std::vector<float> labels(batch.size());
-      for (int64_t b = 0; b < padded.batch_size; ++b) {
-        const bool real = rng.Bernoulli(0.5);
-        labels[static_cast<size_t>(b)] = real ? 1.0f : 0.0f;
-        if (!real) {
-          const int64_t len = padded.lengths[static_cast<size_t>(b)];
-          for (int64_t i = 0; i < len; ++i) {
-            if (rng.Bernoulli(0.3)) {
-              padded.ids[static_cast<size_t>(b * padded.max_len + i)] =
-                  rng.UniformInt(net_->num_segments());
-            }
-          }
-        }
-      }
-      const Tensor cls = EncodeCls(padded.ids, padded.batch_size,
-                                   padded.max_len, padded.lengths);
-      Tensor loss = tensor::BceWithLogits(order_head_->Forward(cls), labels);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(Parameters(), options.grad_clip);
-      opt.Step();
-      total += loss.item();
-      ++batches;
-    }
-    last = total / std::max<int64_t>(1, batches);
-    if (options.verbose) {
-      START_LOG(Info) << "toast epoch " << epoch << " loss " << last;
+void Toast::MakeNegative(PaddedRoads* padded, int64_t b,
+                         common::Rng* rng) const {
+  // Trajectory discrimination: replace 30% of the roads with random roads.
+  const int64_t len = padded->lengths[static_cast<size_t>(b)];
+  for (int64_t i = 0; i < len; ++i) {
+    if (rng->Bernoulli(0.3)) {
+      padded->ids[static_cast<size_t>(b * padded->max_len + i)] =
+          rng->UniformInt(net_->num_segments());
     }
   }
-  return last;
 }
 
 }  // namespace start::baselines

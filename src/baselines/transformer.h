@@ -7,7 +7,6 @@
 #include "baselines/base.h"
 #include "nn/attention.h"
 #include "nn/layers.h"
-#include "nn/optimizer.h"
 
 namespace start::baselines {
 
@@ -63,8 +62,6 @@ class TransformerMlm : public SequenceBaseline {
   TransformerMlm(const TransformerBaselineConfig& config,
                  const roadnet::RoadNetwork* net, common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
   int64_t dim() const override { return backbone_->d(); }
   tensor::Tensor EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                              eval::EncodeMode mode) override;
@@ -75,8 +72,12 @@ class TransformerMlm : public SequenceBaseline {
                   const std::vector<int64_t>& lengths, double ratio,
                   common::Rng* rng, std::vector<int64_t>* positions,
                   std::vector<int64_t>* targets) const;
-  double MlmStep(const std::vector<const traj::Trajectory*>& batch,
-                 nn::AdamW* opt, common::Rng* rng, double grad_clip);
+  /// Masked-token cross-entropy of one batch (15% masking drawn from
+  /// `rng`); an undefined Tensor when no token was masked.
+  tensor::Tensor MlmLoss(const std::vector<const traj::Trajectory*>& batch,
+                         common::Rng* rng);
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
 
   const roadnet::RoadNetwork* net_;
   std::unique_ptr<TokenTransformer> backbone_;
@@ -91,8 +92,6 @@ class Bert : public TransformerMlm {
   Bert(const TransformerBaselineConfig& config,
        const roadnet::RoadNetwork* net, common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
   tensor::Tensor EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
                              eval::EncodeMode mode) override;
 
@@ -101,6 +100,14 @@ class Bert : public TransformerMlm {
   tensor::Tensor EncodeCls(const std::vector<int64_t>& ids, int64_t batch,
                            int64_t max_len,
                            const std::vector<int64_t>& lengths) const;
+  /// MLM step, then the binary [CLS] step: each row is kept (label 1) or
+  /// replaced by MakeNegative (label 0) with probability 1/2.
+  double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
+                    nn::Optimizer* opt, common::Rng* rng) override;
+  /// Rewrites row `b` of `padded` into the binary task's negative; BERT
+  /// swaps its two halves, (T1, T2) -> (T2, T1).
+  virtual void MakeNegative(PaddedRoads* padded, int64_t b,
+                            common::Rng* rng) const;
 
   std::unique_ptr<nn::Linear> order_head_;
 };
@@ -113,8 +120,10 @@ class Toast : public Bert {
   Toast(const TransformerBaselineConfig& config,
         const roadnet::RoadNetwork* net, common::Rng* rng);
 
-  double Pretrain(const std::vector<traj::Trajectory>& corpus,
-                  const PretrainOptions& options) override;
+ private:
+  /// Replaces 30% of the row's roads with uniformly random roads.
+  void MakeNegative(PaddedRoads* padded, int64_t b,
+                    common::Rng* rng) const override;
 };
 
 }  // namespace start::baselines

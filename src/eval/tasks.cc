@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "common/rng.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
@@ -68,12 +66,12 @@ struct HeadTask {
   /// Loss of one train batch: head outputs [B, out_dim] and the batch's
   /// indices into the train split.
   std::function<Tensor(const Tensor&, const std::vector<int64_t>&)> loss;
-  const char* log_prefix;  ///< Verbose per-epoch log, e.g. "eta epoch".
 };
 
 /// The head loop every task shares: fits a linear head on `train` (with the
-/// encoder too when config.finetune_encoder), then returns the head's
-/// outputs on `test` as [test.size(), out_dim], in corpus order.
+/// encoder too when config.finetune_encoder) through nn::TrainEpochs, then
+/// returns the head's outputs on `test` as [test.size(), out_dim], in corpus
+/// order.
 Tensor FitHead(TrajectoryEncoder* encoder,
                const std::vector<traj::Trajectory>& train,
                const std::vector<traj::Trajectory>& test, const HeadTask& task,
@@ -95,7 +93,7 @@ Tensor FitHead(TrajectoryEncoder* encoder,
   if (config.finetune_encoder) {
     for (auto& p : encoder->TrainableParameters()) params.push_back(p);
   }
-  nn::AdamW opt(params, config.lr);
+  nn::AdamW opt(std::move(params), config.lr);
   // A frozen encoder (linear probe) is driven through the inference
   // contract: the train split is embedded ONCE with EmbedAll and every
   // epoch gathers those rows, so no encoder dropout and no autograd graph
@@ -107,40 +105,21 @@ Tensor FitHead(TrajectoryEncoder* encoder,
     frozen_rows = encoder->EmbedAll(train, task.mode, config.batch_size);
   }
 
-  std::vector<int64_t> order(train.size());
-  std::iota(order.begin(), order.end(), 0);
-  const int64_t n = static_cast<int64_t>(train.size());
-  for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.Shuffle(&order);
-    double epoch_loss = 0.0;
-    int64_t batches = 0;
-    for (int64_t begin = 0; begin + 1 < n; begin += config.batch_size) {
-      const int64_t end = std::min(n, begin + config.batch_size);
-      const std::vector<int64_t> rows(order.begin() + begin,
-                                      order.begin() + end);
-      Tensor reps;
-      if (config.finetune_encoder) {
-        std::vector<const traj::Trajectory*> batch;
-        for (const int64_t i : rows) {
-          batch.push_back(&train[static_cast<size_t>(i)]);
+  nn::TrainEpochs(
+      static_cast<int64_t>(train.size()), config.epochs, config.batch_size,
+      &rng, [&](const std::vector<int64_t>& rows) {
+        Tensor reps;
+        if (config.finetune_encoder) {
+          std::vector<const traj::Trajectory*> batch;
+          for (const int64_t i : rows) {
+            batch.push_back(&train[static_cast<size_t>(i)]);
+          }
+          reps = encoder->EncodeBatch(batch, task.mode);
+        } else {
+          reps = GatherRows(frozen_rows, dim, rows);
         }
-        reps = encoder->EncodeBatch(batch, task.mode);
-      } else {
-        reps = GatherRows(frozen_rows, dim, rows);
-      }
-      Tensor loss = task.loss(head.Forward(reps), rows);
-      opt.ZeroGrad();
-      loss.Backward();
-      nn::ClipGradNorm(params, config.grad_clip);
-      opt.Step();
-      epoch_loss += loss.item();
-      ++batches;
-    }
-    if (config.verbose) {
-      START_LOG(Info) << task.log_prefix << " " << epoch << " loss "
-                      << epoch_loss / std::max<int64_t>(1, batches);
-    }
-  }
+        return nn::TrainStep(&opt, task.loss(head.Forward(reps), rows));
+      });
 
   // Test split: embedded once through EmbedAll; the head reads the rows in
   // batch_size chunks in corpus order, under a NoGradGuard.
@@ -196,8 +175,7 @@ EtaResult FinetuneEta(TrajectoryEncoder* encoder,
               (Minutes(train[static_cast<size_t>(i)]) - mean) / stddev));
         }
         return tensor::MseLoss(pred, targets);
-      },
-      "eta epoch"};
+      }};
   const Tensor pred = FitHead(encoder, train, test, task, config);
 
   EtaResult result;
@@ -229,8 +207,7 @@ ClassificationResult FinetuneClassification(
           labels.push_back(train_labels[static_cast<size_t>(i)]);
         }
         return tensor::CrossEntropyWithLogits(logits, labels);
-      },
-      "cls epoch"};
+      }};
   const Tensor probs =
       tensor::SoftmaxLastDim(FitHead(encoder, train, test, task, config));
 

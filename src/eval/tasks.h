@@ -16,9 +16,7 @@ struct TaskConfig {
   int64_t epochs = 4;
   int64_t batch_size = 32;
   double lr = 1e-3;
-  double grad_clip = 5.0;
   uint64_t seed = 11;
-  bool verbose = false;
   /// When false, the encoder is frozen and only the head is trained (used by
   /// linear-probe style experiments): the train split goes through the
   /// inference contract, TrajectoryEncoder::EmbedAll (eval/encoder.h), once.

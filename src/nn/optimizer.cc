@@ -1,8 +1,11 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.h"
+#include "nn/module.h"
 
 namespace start::nn {
 
@@ -90,6 +93,39 @@ void AdamW::Step() {
                                         weight_decay_ * w[j]));
     }
   }
+}
+
+double TrainStep(Optimizer* opt, tensor::Tensor loss) {
+  opt->ZeroGrad();
+  loss.Backward();
+  ClipGradNorm(opt->params(), kGradClip);
+  opt->Step();
+  return loss.item();
+}
+
+double TrainEpochs(int64_t n, int64_t epochs, int64_t batch_size,
+                   common::Rng* rng,
+                   const std::function<double(const std::vector<int64_t>&)>&
+                       step) {
+  START_CHECK_MSG(n >= 2, "a minibatch epoch needs at least 2 items, got "
+                              << n);
+  START_CHECK_GT(batch_size, 0);
+  std::vector<int64_t> order(static_cast<size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  double last_epoch_loss = 0.0;
+  for (int64_t epoch = 0; epoch < epochs; ++epoch) {
+    rng->Shuffle(&order);
+    double total = 0.0;
+    int64_t batches = 0;
+    for (int64_t begin = 0; begin + 1 < n; begin += batch_size) {
+      const int64_t end = std::min(n, begin + batch_size);
+      total += step(std::vector<int64_t>(order.begin() + begin,
+                                         order.begin() + end));
+      ++batches;
+    }
+    last_epoch_loss = total / static_cast<double>(batches);
+  }
+  return last_epoch_loss;
 }
 
 }  // namespace start::nn

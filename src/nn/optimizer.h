@@ -1,8 +1,10 @@
 #ifndef START_NN_OPTIMIZER_H_
 #define START_NN_OPTIMIZER_H_
 
+#include <functional>
 #include <vector>
 
+#include "common/rng.h"
 #include "tensor/tensor.h"
 
 namespace start::nn {
@@ -80,6 +82,32 @@ class AdamW : public Optimizer {
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
 };
+
+/// Global gradient-norm bound of every TrainStep.
+inline constexpr double kGradClip = 5.0;
+
+/// One update of `opt` from `loss`: ZeroGrad, `loss.Backward()`,
+/// ClipGradNorm(opt->params(), kGradClip), Step. Returns `loss.item()`.
+double TrainStep(Optimizer* opt, tensor::Tensor loss);
+
+/// \brief The minibatch loop every pre-training task and fine-tune head
+/// shares.
+///
+/// Each of `epochs` epochs shuffles [0, n) with `rng` (one Rng::Shuffle per
+/// epoch, over the previous epoch's order, starting from 0..n-1), then hands
+/// `step` the consecutive `batch_size` slices of that order. A slice starts
+/// only where at least two indices remain (`begin + 1 < n`), so a trailing
+/// singleton is dropped rather than trained as a batch of one. `step` runs
+/// the caller's task — usually one TrainStep — and returns its loss; `rng`
+/// may be drawn from inside `step`, after that epoch's shuffle. Returns the
+/// mean `step` loss of the last epoch (0 when `epochs` is 0).
+///
+/// Requires n >= 2: with one item no batch would run, and the caller would
+/// get an untrained model and a loss of 0.
+double TrainEpochs(int64_t n, int64_t epochs, int64_t batch_size,
+                   common::Rng* rng,
+                   const std::function<double(const std::vector<int64_t>&)>&
+                       step);
 
 }  // namespace start::nn
 

@@ -1,6 +1,8 @@
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <gtest/gtest.h>
+#include <memory>
 
 #include "baselines/node2vec.h"
 #include "baselines/pim.h"
@@ -38,10 +40,29 @@ class BaselinesTest : public ::testing::Test {
     return options;
   }
 
-  void CheckEncoderContract(SequenceBaseline* model) {
+  /// Builds one model; called twice, it must build the same model twice.
+  using MakeModel = std::function<std::unique_ptr<SequenceBaseline>()>;
+
+  void CheckEncoderContract(const MakeModel& make) {
     // Pretraining runs and returns a finite loss.
+    const auto model = make();
     const double loss = model->Pretrain(corpus_, QuickOptions());
     EXPECT_TRUE(std::isfinite(loss));
+    // Pretraining is a pure function of construction, corpus and options: a
+    // twin built and seeded the same way ends it with the same bytes.
+    const auto twin = make();
+    EXPECT_EQ(twin->Pretrain(corpus_, QuickOptions()), loss);
+    const auto params = model->Parameters();
+    const auto twin_params = twin->Parameters();
+    ASSERT_EQ(params.size(), twin_params.size());
+    for (size_t p = 0; p < params.size(); ++p) {
+      ASSERT_EQ(params[p].numel(), twin_params[p].numel());
+      EXPECT_EQ(std::memcmp(params[p].data(), twin_params[p].data(),
+                            static_cast<size_t>(params[p].numel()) *
+                                sizeof(float)),
+                0)
+          << "parameter " << p << " differs between twin pretraining runs";
+    }
     // Embeddings have the right shape and are finite and non-constant.
     std::vector<traj::Trajectory> sample(corpus_.begin(),
                                          corpus_.begin() + 6);
@@ -118,71 +139,89 @@ TEST_F(BaselinesTest, Node2VecEmbedsNeighborsCloser) {
 }
 
 TEST_F(BaselinesTest, Traj2VecContract) {
-  common::Rng rng(2);
-  Traj2Vec model({.d = 16, .seed = 2}, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(2);
+    return std::make_unique<Traj2Vec>(Seq2SeqConfig{.d = 16, .seed = 2},
+                                      &net_, &rng);
+  });
 }
 
 TEST_F(BaselinesTest, T2VecContract) {
-  common::Rng rng(3);
-  T2Vec model({.d = 16, .seed = 3}, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(3);
+    return std::make_unique<T2Vec>(Seq2SeqConfig{.d = 16, .seed = 3}, &net_,
+                                   &rng);
+  });
 }
 
 TEST_F(BaselinesTest, TrembrContract) {
-  common::Rng rng(4);
-  Trembr model({.d = 16, .seed = 4}, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(4);
+    return std::make_unique<Trembr>(Seq2SeqConfig{.d = 16, .seed = 4}, &net_,
+                                    &rng);
+  });
+}
+
+TransformerBaselineConfig SmallTransformer() {
+  TransformerBaselineConfig config;
+  config.d = 16;
+  config.layers = 1;
+  config.heads = 2;
+  return config;
 }
 
 TEST_F(BaselinesTest, TransformerMlmContract) {
-  common::Rng rng(5);
-  TransformerBaselineConfig config;
-  config.d = 16;
-  config.layers = 1;
-  config.heads = 2;
-  TransformerMlm model(config, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(5);
+    return std::make_unique<TransformerMlm>(SmallTransformer(), &net_, &rng);
+  });
 }
 
 TEST_F(BaselinesTest, BertContract) {
-  common::Rng rng(6);
-  TransformerBaselineConfig config;
-  config.d = 16;
-  config.layers = 1;
-  config.heads = 2;
-  Bert model(config, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(6);
+    return std::make_unique<Bert>(SmallTransformer(), &net_, &rng);
+  });
 }
 
 TEST_F(BaselinesTest, ToastUsesNode2VecInit) {
-  common::Rng rng(7);
   Node2VecConfig n2v;
   n2v.dim = 16;
   n2v.epochs = 1;
-  TransformerBaselineConfig config;
-  config.d = 16;
-  config.layers = 1;
-  config.heads = 2;
+  TransformerBaselineConfig config = SmallTransformer();
   config.road_embedding_init = TrainNode2Vec(net_, n2v);
-  Toast model(config, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(7);
+    return std::make_unique<Toast>(config, &net_, &rng);
+  });
 }
 
 TEST_F(BaselinesTest, PimContract) {
-  common::Rng rng(8);
-  PimConfig config;
-  config.d = 16;
-  Pim model(config, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(8);
+    PimConfig config;
+    config.d = 16;
+    return std::make_unique<Pim>(config, &net_, &rng);
+  });
 }
 
 TEST_F(BaselinesTest, PimTfContract) {
-  common::Rng rng(9);
-  PimConfig config;
-  config.d = 16;
-  PimTf model(config, &net_, &rng);
-  CheckEncoderContract(&model);
+  CheckEncoderContract([&] {
+    common::Rng rng(9);
+    PimConfig config;
+    config.d = 16;
+    return std::make_unique<PimTf>(config, &net_, &rng);
+  });
+}
+
+TEST_F(BaselinesTest, PretrainRefusesAOneTrajectoryCorpus) {
+  // One trajectory would run no batch: an untrained model and a loss of 0.
+  common::Rng rng(2);
+  Traj2Vec model({.d = 16, .seed = 2}, &net_, &rng);
+  const std::vector<traj::Trajectory> one(corpus_.begin(),
+                                          corpus_.begin() + 1);
+  EXPECT_DEATH(model.Pretrain(one, QuickOptions()),
+               "at least 2 items, got 1");
 }
 
 TEST_F(BaselinesTest, TrembrPretrainingReducesLoss) {

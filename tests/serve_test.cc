@@ -380,14 +380,18 @@ TEST_F(ServeTest, LinearProbeLeavesEncoderFrozen) {
 }
 
 TEST_F(ServeTest, TasksShareTheirPreconditions) {
-  // Both tasks refuse an empty split, and classification refuses a test
-  // label outside [0, num_classes) before any training step runs.
+  // Both tasks refuse an empty split and a one-trajectory train split (no
+  // batch would run: the head would stay at its random init), and
+  // classification refuses a test label outside [0, num_classes) before any
+  // training step runs.
   core::StartEncoder encoder(model_);
   const std::vector<traj::Trajectory> train(corpus_->begin(),
                                             corpus_->begin() + 4);
   const std::vector<traj::Trajectory> test(corpus_->begin() + 4,
                                            corpus_->begin() + 6);
   const std::vector<traj::Trajectory> none;
+  const std::vector<traj::Trajectory> one(corpus_->begin(),
+                                          corpus_->begin() + 1);
   const eval::TaskConfig task;
   const eval::LabelFn zero = [](const traj::Trajectory&) -> int64_t {
     return 0;
@@ -400,6 +404,11 @@ TEST_F(ServeTest, TasksShareTheirPreconditions) {
   EXPECT_DEATH(eval::FinetuneClassification(&encoder, train, none, zero, 2, 1,
                                             task),
                "!test.empty");
+  EXPECT_DEATH(eval::FinetuneEta(&encoder, one, test, task),
+               "at least 2 items, got 1");
+  EXPECT_DEATH(eval::FinetuneClassification(&encoder, one, test, zero, 2, 1,
+                                            task),
+               "at least 2 items, got 1");
   const eval::LabelFn two_on_test = [&](const traj::Trajectory& t) {
     return &t == &test[1] ? int64_t{2} : int64_t{0};
   };
