@@ -215,15 +215,15 @@ ModelRunner MakeRunner(ModelKind kind, const CityWorld& world,
     }
     case ModelKind::kTraj2Vec:
       runner.baseline = std::make_unique<baselines::Traj2Vec>(
-          baselines::Seq2SeqConfig{config.d, seed}, world.net.get(), &rng);
+          baselines::Seq2SeqConfig{config.d}, world.net.get(), &rng);
       break;
     case ModelKind::kT2Vec:
       runner.baseline = std::make_unique<baselines::T2Vec>(
-          baselines::Seq2SeqConfig{config.d, seed}, world.net.get(), &rng);
+          baselines::Seq2SeqConfig{config.d}, world.net.get(), &rng);
       break;
     case ModelKind::kTrembr:
       runner.baseline = std::make_unique<baselines::Trembr>(
-          baselines::Seq2SeqConfig{config.d, seed}, world.net.get(), &rng);
+          baselines::Seq2SeqConfig{config.d}, world.net.get(), &rng);
       break;
     case ModelKind::kTransformer:
     case ModelKind::kBert:

@@ -1,6 +1,11 @@
-// Microbenchmark for the elementwise kernel engine: broadcast and same-shape
-// ops at transformer-pretraining shapes [B=64, T=128, D=256], against a
-// faithful reimplementation of the seed's scalar div/mod broadcast loop.
+// Microbenchmark for the tensor kernels:
+//  - the elementwise engine: broadcast and same-shape ops at
+//    transformer-pretraining shapes [B=64, T=128, D=256], against a faithful
+//    reimplementation of the seed's scalar div/mod broadcast loop;
+//  - the GEMM kernels at one d=192 encoder layer's shapes (L=161 roads,
+//    head width 48 inside rows of 192): attention scores (GemmNT), context
+//    (GemmNN) and an int8 projection (qgemm::AffineForward), each against
+//    its scalar reference, whose output it must match bit for bit.
 // Emits BENCH_tensor.json so CI tracks the kernel perf trajectory.
 //
 // Build & run:
@@ -10,6 +15,7 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -17,6 +23,7 @@
 #include "common/stopwatch.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
+#include "tensor/qgemm.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -87,7 +94,7 @@ void ScalarBroadcastAdd(const ScalarBroadcastMap& map, const float* pa,
 
 struct BenchResult {
   std::string name;
-  double scalar_ms = 0.0;  // seed loop (0 when no scalar baseline applies)
+  double scalar_ms = 0.0;  // seed loop or scalar reference
   double kernel_ms = 0.0;
   double speedup = 0.0;
 };
@@ -135,6 +142,119 @@ BenchResult BenchBroadcast(const char* name, const Shape& sa, const Shape& sb,
   return r;
 }
 
+/// Encoder-layer shapes of the GEMM rows: sequence length, head width and
+/// model width (the row stride of a head's slice of Q, K and V).
+constexpr int64_t kL = 161, kHead = 48, kModel = 192;
+
+std::vector<float> RandomFloats(int64_t n, Rng* rng) {
+  std::vector<float> v(static_cast<size_t>(n));
+  for (auto& x : v) x = static_cast<float>(rng->Uniform(-1.0, 1.0));
+  return v;
+}
+
+/// Exits 1 unless one call of `reference` (writing `a`) and one of `kernel`
+/// (writing `b`), both starting from `init`, give bitwise-equal outputs;
+/// then times each, one call per sample.
+template <typename Ref, typename Kernel>
+BenchResult BenchAgainstReference(const char* name, int iters,
+                                  const std::vector<float>& init,
+                                  std::vector<float>* a, std::vector<float>* b,
+                                  Ref reference, Kernel kernel) {
+  *a = init;
+  *b = init;
+  reference();
+  kernel();
+  if (std::memcmp(a->data(), b->data(), a->size() * sizeof(float)) != 0) {
+    std::fprintf(stderr, "MISMATCH in %s: kernel differs from its scalar "
+                 "reference\n", name);
+    std::exit(1);
+  }
+  BenchResult r;
+  r.name = name;
+  r.scalar_ms = TimeMs(iters, reference);
+  r.kernel_ms = TimeMs(iters, kernel);
+  r.speedup = r.scalar_ms / r.kernel_ms;
+  return r;
+}
+
+/// Attention scores of one head: C[L, L] += Q_h K_h^T, head slices read in
+/// place from [L, 192] rows.
+BenchResult BenchAttentionScores(int iters) {
+  namespace in = start::tensor::internal;
+  Rng rng(7);
+  const std::vector<float> q = RandomFloats(kL * kModel, &rng);
+  const std::vector<float> k = RandomFloats(kL * kModel, &rng);
+  const std::vector<float> init(static_cast<size_t>(kL * kL), 0.0f);
+  std::vector<float> ref, out;
+  return BenchAgainstReference(
+      "gemm_nt_scores_L161_h48_ld192", iters, init, &ref, &out,
+      [&] {
+        in::GemmNTReference(q.data(), kModel, k.data(), kModel, ref.data(),
+                            kL, kL, kHead, kL);
+      },
+      [&] {
+        in::GemmNT(q.data(), kModel, k.data(), kModel, out.data(), kL, kL,
+                   kHead, kL);
+      });
+}
+
+/// Attention context of one head: C[L, 48] += P V_h with P the [L, L]
+/// softmax (zeros past each row's length, as padding leaves them) and V_h a
+/// head slice of [L, 192] rows.
+BenchResult BenchAttentionContext(int iters) {
+  namespace in = start::tensor::internal;
+  Rng rng(8);
+  std::vector<float> p = RandomFloats(kL * kL, &rng);
+  for (int64_t i = 0; i < kL; ++i) {
+    for (int64_t j = kL - 16; j < kL; ++j) p[static_cast<size_t>(i * kL + j)] = 0;
+  }
+  const std::vector<float> v = RandomFloats(kL * kModel, &rng);
+  const std::vector<float> init(static_cast<size_t>(kL * kHead), 0.0f);
+  std::vector<float> ref, out;
+  return BenchAgainstReference(
+      "gemm_nn_context_L161_h48_ld192", iters, init, &ref, &out,
+      [&] {
+        in::GemmNNReference(p.data(), kL, v.data(), kModel, ref.data(), kHead,
+                            kL, kL, kHead);
+      },
+      [&] {
+        in::GemmNN(p.data(), kL, v.data(), kModel, out.data(), kHead, kL, kL,
+                   kHead);
+      });
+}
+
+/// One int8 projection Linear at d=192 over L rows: the scalar reference is
+/// QuantizeActivations + bias + Gemm on qgemm::Backend::kScalar.
+BenchResult BenchInt8Projection(int iters) {
+  namespace qg = start::tensor::qgemm;
+  Rng rng(9);
+  const std::vector<float> x = RandomFloats(kL * kModel, &rng);
+  const std::vector<float> w = RandomFloats(kModel * kModel, &rng);
+  const std::vector<float> bias = RandomFloats(kModel, &rng);
+  const qg::PackedMatrix packed =
+      qg::QuantizeAndPack(w.data(), kModel, kModel, kModel);
+  std::vector<int8_t> aq(static_cast<size_t>(kL * packed.cols_padded));
+  std::vector<float> scales(static_cast<size_t>(kL));
+  const std::vector<float> init(static_cast<size_t>(kL * kModel), 0.0f);
+  std::vector<float> ref, out;
+  return BenchAgainstReference(
+      "int8_affine_forward_L161_d192", iters, init, &ref, &out,
+      [&] {
+        qg::QuantizeActivations(x.data(), kModel, kL, packed, aq.data(),
+                                scales.data(), qg::Backend::kScalar);
+        for (int64_t i = 0; i < kL; ++i) {
+          std::memcpy(ref.data() + i * kModel, bias.data(),
+                      sizeof(float) * static_cast<size_t>(kModel));
+        }
+        qg::Gemm(aq.data(), scales.data(), kL, packed, ref.data(), kModel,
+                 qg::Backend::kScalar);
+      },
+      [&] {
+        qg::AffineForward(x.data(), kModel, kL, packed, bias.data(),
+                          out.data(), kModel);
+      });
+}
+
 }  // namespace
 
 int main() {
@@ -149,6 +269,9 @@ int main() {
   results.push_back(BenchBroadcast("add_same_shape_B64_T128_D256",
                                    Shape({kB, kT, kD}), Shape({kB, kT, kD}),
                                    9));
+  results.push_back(BenchAttentionScores(51));
+  results.push_back(BenchAttentionContext(51));
+  results.push_back(BenchInt8Projection(51));
 
   std::FILE* json = std::fopen("BENCH_tensor.json", "w");
   if (json == nullptr) {

@@ -108,8 +108,7 @@ T2Vec::T2Vec(const Seq2SeqConfig& config, const roadnet::RoadNetwork* net,
              common::Rng* rng)
     : d_(config.d),
       net_(net),
-      pad_id_(net->num_segments()),
-      rng_(config.seed) {
+      pad_id_(net->num_segments()) {
   embedding_ =
       std::make_unique<nn::Embedding>(net->num_segments() + 1, d_, rng);
   encoder_ = std::make_unique<nn::Gru>(d_, d_, rng);

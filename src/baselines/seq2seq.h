@@ -13,7 +13,6 @@ namespace start::baselines {
 /// Width configuration shared by the encoder-decoder baselines.
 struct Seq2SeqConfig {
   int64_t d = 64;
-  uint64_t seed = 21;
 };
 
 /// \brief traj2vec [9]: converts trajectories to feature sequences (road
@@ -76,7 +75,6 @@ class T2Vec : public SequenceBaseline {
   std::unique_ptr<nn::Gru> encoder_;
   std::unique_ptr<nn::Gru> decoder_;
   std::unique_ptr<nn::Linear> token_head_;
-  common::Rng rng_;
 };
 
 /// \brief Trembr [7]: like t2vec, but the decoder reconstructs both roads

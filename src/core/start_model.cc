@@ -73,8 +73,23 @@ StartModel::StartModel(const StartConfig& config,
   RegisterModule("mlm_head", mlm_head_.get());
 }
 
+void StartModel::ReleaseTrainingOnlyModules() {
+  if (gat_ != nullptr) {
+    UnregisterModule("tpe_gat");
+    gat_.reset();
+    road_features_ = Tensor();
+  }
+  if (mlm_head_ != nullptr) {
+    UnregisterModule("mlm_head");
+    mlm_head_.reset();
+  }
+}
+
 Tensor StartModel::ComputeRoadReps() const {
-  if (config_.use_tpe_gat) return gat_->Forward(road_features_);
+  if (config_.use_tpe_gat) {
+    START_CHECK_MSG(gat_ != nullptr, "stage 1 was released");
+    return gat_->Forward(road_features_);
+  }
   return road_table_;
 }
 
@@ -91,11 +106,12 @@ Tensor StartModel::BuildScoreBias(const data::Batch& batch) const {
 
   // ∆ of Eq. (8) and the decayed ∆' (δ' = 1/log(e + δ), Sec. III-B2).
   // CLS rows/columns use δ = 0 (full view of the sequence); padded positions
-  // are already excluded by the padding bias.
-  std::vector<float> dprime(static_cast<size_t>(b * l1 * l1));
+  // are already excluded by the padding bias. Pooled, like the padding bias
+  // (see nn::MakePaddingBias).
+  Tensor dprime_t = Tensor::Zeros(Shape({b * l1 * l1, 1}));
   for (int64_t s = 0; s < b; ++s) {
     const double* times = batch.times.data() + s * batch.max_len;
-    float* base = dprime.data() + s * l1 * l1;
+    float* base = dprime_t.data() + s * l1 * l1;
     for (int64_t i = 0; i < l1; ++i) {
       for (int64_t j = 0; j < l1; ++j) {
         double delta;
@@ -116,8 +132,6 @@ Tensor StartModel::BuildScoreBias(const data::Batch& batch) const {
       }
     }
   }
-  Tensor dprime_t =
-      Tensor::FromVector(Shape({b * l1 * l1, 1}), std::move(dprime));
   Tensor delta_tilde;
   if (config_.interval_adaptive) {
     // Eq. (9): ∆̃ = LeakyReLU(∆' ω1) ω2ᵀ, element-wise through a k-wide map.
@@ -219,6 +233,7 @@ Tensor StartModel::MaskedLogits(const EncoderOutput& out,
     rows.push_back(s * l1 + p + 1);
   }
   const Tensor gathered = tensor::GatherRows(flat, rows);
+  START_CHECK_MSG(mlm_head_ != nullptr, "the MLM head was released");
   return mlm_head_->Forward(gathered);  // [M, |V|]
 }
 

@@ -65,6 +65,11 @@ class StartModel : public nn::Module {
                               const std::vector<int64_t>& flat_positions,
                               int64_t max_len) const;
 
+  /// \brief Frees stage 1 (the TPE-GAT and its road features) and the MLM
+  /// head, which a frozen engine never reads once its extended table is
+  /// built. Afterwards only BuildExtendedTable and EncodeWithTable may run.
+  void ReleaseTrainingOnlyModules();
+
   const StartConfig& config() const { return config_; }
   int64_t num_roads() const { return num_roads_; }
   /// Construction inputs, exposed so the data-parallel trainer can build

@@ -88,7 +88,10 @@ Tensor TransformerEncoderLayer::Forward(const Tensor& x,
 
 Tensor MakePaddingBias(const std::vector<int64_t>& lengths, int64_t max_len) {
   const int64_t b = static_cast<int64_t>(lengths.size());
-  std::vector<float> bias(static_cast<size_t>(b * max_len * max_len), 0.0f);
+  // A pooled buffer, not an adopted std::vector: a per-request vector that
+  // the full pool refuses goes back to malloc, and that churn grows serving
+  // RSS.
+  Tensor bias = Tensor::Zeros(Shape({b, max_len, max_len}));
   for (int64_t s = 0; s < b; ++s) {
     const int64_t len = lengths[static_cast<size_t>(s)];
     START_CHECK_LE(len, max_len);
@@ -100,7 +103,7 @@ Tensor MakePaddingBias(const std::vector<int64_t>& lengths, int64_t max_len) {
       }
     }
   }
-  return Tensor::FromVector(Shape({b, max_len, max_len}), std::move(bias));
+  return bias;
 }
 
 }  // namespace start::nn

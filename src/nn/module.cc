@@ -1,5 +1,6 @@
 #include "nn/module.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -126,6 +127,14 @@ void Module::RegisterModule(const std::string& name, Module* child) {
   START_CHECK(child != nullptr);
   if (dropout_rng_ != nullptr) child->SetDropoutRng(dropout_rng_);
   children_.emplace_back(name, child);
+}
+
+void Module::UnregisterModule(const std::string& name) {
+  const auto it = std::find_if(
+      children_.begin(), children_.end(),
+      [&name](const auto& child) { return child.first == name; });
+  START_CHECK(it != children_.end());
+  children_.erase(it);
 }
 
 double ClipGradNorm(const std::vector<tensor::Tensor>& params,

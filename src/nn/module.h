@@ -78,6 +78,10 @@ class Module {
   /// Registers a child module (must outlive this module).
   void RegisterModule(const std::string& name, Module* child);
 
+  /// Removes a child registered under `name` (its parameters leave
+  /// Parameters() and checkpoints).
+  void UnregisterModule(const std::string& name);
+
   /// Generator for dropout masks; nullptr means use common::GlobalRng().
   common::Rng* dropout_rng() const { return dropout_rng_; }
 

@@ -86,6 +86,7 @@ common::Result<std::unique_ptr<FrozenEncoder>> FrozenEncoder::Load(
     const tensor::Tensor road_reps = model->ComputeRoadReps().Detach();
     encoder->ext_table_ = model->BuildExtendedTable(road_reps).Detach();
   }
+  model->ReleaseTrainingOnlyModules();
   if (options.precision == Precision::kInt8) {
     encoder->quantized_layers_ = QuantizeStage2(model.get());
     encoder->precision_ = Precision::kInt8;
@@ -151,6 +152,7 @@ common::Result<std::unique_ptr<FrozenEncoder>> FrozenEncoder::LoadSnapshot(
         " was built for a different architecture (config hash mismatch)");
   }
   auto model = BuildFrozenModel(config, net, transfer);
+  model->ReleaseTrainingOnlyModules();  // the snapshot's ext_table replaces them
 
   // Install the quantized Linears first, validating every record against the
   // architecture before any kernel code touches it.

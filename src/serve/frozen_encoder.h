@@ -36,7 +36,9 @@ struct FrozenEncoderOptions {
 ///  - dropout is off (eval mode) and stays off;
 ///  - the stage-1 TPE-GAT road representations AND the extended token
 ///    lookup table ([V+2, d]: roads, [MASK], padding) are precomputed at
-///    load time, so a request pays only the stage-2 transformer forward.
+///    load time, so a request pays only the stage-2 transformer forward;
+///    stage 1 and the MLM head are then freed
+///    (StartModel::ReleaseTrainingOnlyModules).
 ///
 /// Thread-safety contract: every const method may be called concurrently
 /// from any number of threads with no external synchronisation. This holds

@@ -179,6 +179,18 @@ inline void UnaryBackward(const ElementwisePlan& p, const float* g,
 // ---------------------------------------------------------------------------
 // GEMM primitives with explicit leading dimensions (row strides), so matmul
 // accepts row-strided and transpose views without materialisation.
+//
+// Kernel contract: every output element gets the float operations of the
+// *Reference loop, in that loop's order, so every kernel is bitwise equal
+// to its reference on every input (zeros, -0.0, infinities and NaN too):
+//  - GemmNN / GemmTN: for p = 0, 1, ..., k-1, unless A(i,p) == 0:
+//    C[i,j] += A(i,p) * B(p,j) (a multiply, then an add);
+//  - GemmNT: acc = 0; for p = 0, ..., k-1: acc += A[i,p] * B[j,p]; then
+//    C[i,j] += acc.
+// No FMA: a fused multiply-add rounds once where the reference rounds twice.
+// On hosts with AVX2 (checked once with __builtin_cpu_supports) the entry
+// points run register-blocked AVX2 kernels; elsewhere they run the
+// references. GemmNT with m == 1 always runs its reference loop.
 // ---------------------------------------------------------------------------
 
 /// C[m,n] (ldc) += A[m,k] (lda) * B[k,n] (ldb).
@@ -192,6 +204,15 @@ void GemmNT(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
 /// C[m,n] (ldc) += A^T * B where A is stored [k,m] (lda), B is [k,n] (ldb).
 void GemmTN(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
             int64_t ldc, int64_t m, int64_t k, int64_t n);
+
+/// The portable scalar loops that define the results above (tests and
+/// bench_tensor_kernels compare the dispatched kernels against them).
+void GemmNNReference(const float* a, int64_t lda, const float* b, int64_t ldb,
+                     float* c, int64_t ldc, int64_t m, int64_t k, int64_t n);
+void GemmNTReference(const float* a, int64_t lda, const float* b, int64_t ldb,
+                     float* c, int64_t ldc, int64_t m, int64_t k, int64_t n);
+void GemmTNReference(const float* a, int64_t lda, const float* b, int64_t ldb,
+                     float* c, int64_t ldc, int64_t m, int64_t k, int64_t n);
 
 /// Single inner product over `n` floats — the SIMD dot microkernel shared by
 /// point lookups that cannot batch rows into a GEMM (graph-index traversal

@@ -48,19 +48,22 @@ struct PackedMatrix {
 };
 
 /// Kernel backends. kScalar is the portable reference; kAvx2 is the SIMD
-/// microkernel (maddubs + sign-transfer, 32 int8 products per instruction).
-/// Both produce bitwise identical output.
+/// path (quantizer eight floats per step; GEMM with maddubs + sign-transfer,
+/// 32 int8 products per instruction, two activation rows per weight block).
+/// Both produce bitwise identical codes, scales and output.
 enum class Backend { kScalar, kAvx2 };
 
-/// The backend the host dispatches to: kAvx2 when the CPU supports AVX2 and
-/// the environment variable START_QGEMM_BACKEND is not "scalar".
+/// The backend the host dispatches to: kAvx2 when the CPU supports AVX2.
 Backend ActiveBackend();
 const char* BackendName(Backend backend);
 
 /// \brief Per-row absmax int8 quantization of `rows` x `cols` floats read
 /// with leading dimension `ld` (so strided views / submatrices quantize
 /// without materialisation). Writes dense row-major [rows, cols] codes and
-/// one scale per row.
+/// one scale per row. A NaN input is left out of its row's absmax and gets
+/// code -127.
+void QuantizeRows(const float* src, int64_t ld, int64_t rows, int64_t cols,
+                  int8_t* dst, float* scales, Backend backend);
 void QuantizeRows(const float* src, int64_t ld, int64_t rows, int64_t cols,
                   int8_t* dst, float* scales);
 
@@ -82,6 +85,9 @@ std::vector<int8_t> Unpack(const PackedMatrix& m);
 /// `lda`) against packed weights `b`: writes int8 codes with leading
 /// dimension b.cols_padded (the k-tail [cols, cols_padded) zero-filled) and
 /// one scale per row. `aq` must hold m * b.cols_padded bytes.
+void QuantizeActivations(const float* a, int64_t lda, int64_t m,
+                         const PackedMatrix& b, int8_t* aq, float* a_scales,
+                         Backend backend);
 void QuantizeActivations(const float* a, int64_t lda, int64_t m,
                          const PackedMatrix& b, int8_t* aq, float* a_scales);
 

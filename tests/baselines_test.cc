@@ -141,24 +141,21 @@ TEST_F(BaselinesTest, Node2VecEmbedsNeighborsCloser) {
 TEST_F(BaselinesTest, Traj2VecContract) {
   CheckEncoderContract([&] {
     common::Rng rng(2);
-    return std::make_unique<Traj2Vec>(Seq2SeqConfig{.d = 16, .seed = 2},
-                                      &net_, &rng);
+    return std::make_unique<Traj2Vec>(Seq2SeqConfig{.d = 16}, &net_, &rng);
   });
 }
 
 TEST_F(BaselinesTest, T2VecContract) {
   CheckEncoderContract([&] {
     common::Rng rng(3);
-    return std::make_unique<T2Vec>(Seq2SeqConfig{.d = 16, .seed = 3}, &net_,
-                                   &rng);
+    return std::make_unique<T2Vec>(Seq2SeqConfig{.d = 16}, &net_, &rng);
   });
 }
 
 TEST_F(BaselinesTest, TrembrContract) {
   CheckEncoderContract([&] {
     common::Rng rng(4);
-    return std::make_unique<Trembr>(Seq2SeqConfig{.d = 16, .seed = 4}, &net_,
-                                    &rng);
+    return std::make_unique<Trembr>(Seq2SeqConfig{.d = 16}, &net_, &rng);
   });
 }
 
@@ -217,7 +214,7 @@ TEST_F(BaselinesTest, PimTfContract) {
 TEST_F(BaselinesTest, PretrainRefusesAOneTrajectoryCorpus) {
   // One trajectory would run no batch: an untrained model and a loss of 0.
   common::Rng rng(2);
-  Traj2Vec model({.d = 16, .seed = 2}, &net_, &rng);
+  Traj2Vec model({.d = 16}, &net_, &rng);
   const std::vector<traj::Trajectory> one(corpus_.begin(),
                                           corpus_.begin() + 1);
   EXPECT_DEATH(model.Pretrain(one, QuickOptions()),
@@ -226,7 +223,7 @@ TEST_F(BaselinesTest, PretrainRefusesAOneTrajectoryCorpus) {
 
 TEST_F(BaselinesTest, TrembrPretrainingReducesLoss) {
   common::Rng rng(10);
-  Trembr model({.d = 16, .seed = 10}, &net_, &rng);
+  Trembr model({.d = 16}, &net_, &rng);
   PretrainOptions one;
   one.epochs = 1;
   one.batch_size = 8;

@@ -189,6 +189,27 @@ TEST_F(StartModelTest, AblationFlagsChangeParameterCount) {
   EXPECT_FALSE(has_param(b, "tpe_gat"));
 }
 
+TEST_F(StartModelTest, ReleasedTrainingOnlyModulesLeaveEncodeWithTable) {
+  const auto tp = MakeTransfer();
+  common::Rng rng(12);
+  StartModel model(SmallConfig(), &net_, &tp, &rng);
+  model.SetTraining(false);
+  const auto trip = MakeTrip(0, net_.num_segments() - 1, 9 * 3600);
+  const data::Batch batch = data::MakeBatch({data::MakeView(trip)});
+  tensor::NoGradGuard no_grad;
+  const tensor::Tensor ext =
+      model.BuildExtendedTable(model.ComputeRoadReps()).Detach();
+  const tensor::Tensor before = model.EncodeWithTable(batch, ext).cls;
+  model.ReleaseTrainingOnlyModules();
+  for (const auto& [name, t] : model.NamedParameters()) {
+    EXPECT_NE(name.rfind("tpe_gat.", 0), 0u) << name;
+    EXPECT_NE(name.rfind("mlm_head.", 0), 0u) << name;
+  }
+  testutil::ExpectTensorBitwiseEqual(model.EncodeWithTable(batch, ext).cls,
+                                     before);
+  EXPECT_DEATH(model.ComputeRoadReps(), "stage 1 was released");
+}
+
 TEST_F(StartModelTest, SaveLoadRestoresEncoding) {
   const auto tp = MakeTransfer();
   common::Rng rng_a(10), rng_b(11);

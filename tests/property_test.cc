@@ -3,6 +3,7 @@
 // just hand-picked cases.
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 #include <set>
 
 #include "core/start_model.h"
@@ -289,47 +290,63 @@ TEST(EncoderPropertyTest, TrainingDropoutDiversifiesViews) {
 // transposes.
 // ---------------------------------------------------------------------------
 
-class StridedGemmPropertyTest : public ::testing::TestWithParam<int> {};
+/// Runs GemmNN/NT/TN on one (m, k, n) instance with random leading
+/// dimensions (row-strided views) and checks, per variant:
+///  - the dispatched kernel memcmp-equals its scalar *Reference loop over
+///    the whole C buffer, on A with zeros and -0.0 and C with -0.0 entries,
+///    and again with infinities in B (kernels.h's bitwise contract);
+///  - the result is within rounding of a double-precision GEMM;
+///  - the padding tail (columns [n, ldc)) is untouched.
+void CheckStridedGemm(common::Rng* rng, int64_t m, int64_t k, int64_t n) {
+  SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+               " n=" + std::to_string(n));
+  const int64_t lda_nn = k + rng->UniformInt(5);
+  const int64_t ldb_nn = n + rng->UniformInt(5);
+  const int64_t ldb_nt = k + rng->UniformInt(5);
+  const int64_t lda_tn = m + rng->UniformInt(5);
+  const int64_t ldc = n + rng->UniformInt(5);
 
-TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
-  common::Rng rng(testutil::TestSeed(GetParam()));
-  const int64_t m = 1 + rng.UniformInt(17);
-  const int64_t k = 1 + rng.UniformInt(23);
-  const int64_t n = 1 + rng.UniformInt(19);
-  // Random leading dimensions ≥ the row width simulate row-strided views
-  // (slices of a wider base matrix), the whole point of the strided API.
-  const int64_t lda_nn = k + rng.UniformInt(5);
-  const int64_t ldb_nn = n + rng.UniformInt(5);
-  const int64_t ldb_nt = k + rng.UniformInt(5);
-  const int64_t lda_tn = m + rng.UniformInt(5);
-  const int64_t ldc = n + rng.UniformInt(5);
-
-  const auto fill = [&rng](std::vector<float>* v) {
-    for (auto& x : *v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  // A quarter of the A entries are zeros (half of them -0.0): the NN/TN
+  // kernels skip exact zeros, and a skipped step must stay skipped.
+  const auto fill_a = [rng](std::vector<float>* v) {
+    for (auto& x : *v) {
+      const int64_t r = rng->UniformInt(8);
+      x = r == 0 ? 0.0f
+                 : r == 1 ? -0.0f : static_cast<float>(rng->Uniform(-1.0, 1.0));
+    }
   };
-  // Buffers sized for the largest addressing each variant performs.
+  const auto fill = [rng](std::vector<float>* v) {
+    for (auto& x : *v) x = static_cast<float>(rng->Uniform(-1.0, 1.0));
+  };
   std::vector<float> a_nn(static_cast<size_t>(m * lda_nn));
   std::vector<float> b_nn(static_cast<size_t>(k * ldb_nn));
   std::vector<float> b_nt(static_cast<size_t>(n * ldb_nt));
   std::vector<float> a_tn(static_cast<size_t>(k * lda_tn));
   std::vector<float> c_init(static_cast<size_t>(m * ldc));
-  fill(&a_nn);
+  fill_a(&a_nn);
   fill(&b_nn);
   fill(&b_nt);
-  fill(&a_tn);
+  fill_a(&a_tn);
   fill(&c_init);  // GEMMs accumulate: C += ..., start from random C
+  for (auto& x : c_init) {
+    if (rng->UniformInt(8) == 0) x = -0.0f;  // -0.0 + 0.0 would be +0.0
+  }
 
+  using GemmFn = void (*)(const float*, int64_t, const float*, int64_t,
+                          float*, int64_t, int64_t, int64_t, int64_t);
   struct Variant {
     const char* name;
-    std::function<void(std::vector<float>*)> run;
-    std::function<double(int64_t, int64_t)> reference;  // (i, j) -> sum
+    GemmFn kernel;
+    GemmFn reference;
+    const std::vector<float>* a;
+    int64_t lda;
+    const std::vector<float>* b;
+    int64_t ldb;
+    std::function<double(int64_t, int64_t)> exact;  // (i, j) -> sum
   };
   const std::vector<Variant> variants = {
-      {"GemmNN",
-       [&](std::vector<float>* c) {
-         tensor::internal::GemmNN(a_nn.data(), lda_nn, b_nn.data(), ldb_nn,
-                                  c->data(), ldc, m, k, n);
-       },
+      {"GemmNN", tensor::internal::GemmNN, tensor::internal::GemmNNReference,
+       &a_nn, lda_nn, &b_nn, ldb_nn,
        [&](int64_t i, int64_t j) {
          double acc = 0;
          for (int64_t p = 0; p < k; ++p) {
@@ -338,11 +355,8 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
          }
          return acc;
        }},
-      {"GemmNT",
-       [&](std::vector<float>* c) {
-         tensor::internal::GemmNT(a_nn.data(), lda_nn, b_nt.data(), ldb_nt,
-                                  c->data(), ldc, m, k, n);
-       },
+      {"GemmNT", tensor::internal::GemmNT, tensor::internal::GemmNTReference,
+       &a_nn, lda_nn, &b_nt, ldb_nt,
        [&](int64_t i, int64_t j) {
          double acc = 0;
          for (int64_t p = 0; p < k; ++p) {
@@ -351,11 +365,8 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
          }
          return acc;
        }},
-      {"GemmTN",
-       [&](std::vector<float>* c) {
-         tensor::internal::GemmTN(a_tn.data(), lda_tn, b_nn.data(), ldb_nn,
-                                  c->data(), ldc, m, k, n);
-       },
+      {"GemmTN", tensor::internal::GemmTN, tensor::internal::GemmTNReference,
+       &a_tn, lda_tn, &b_nn, ldb_nn,
        [&](int64_t i, int64_t j) {
          double acc = 0;
          for (int64_t p = 0; p < k; ++p) {
@@ -366,15 +377,21 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
        }},
   };
 
+  const auto run = [&](const Variant& v, GemmFn fn) {
+    std::vector<float> c = c_init;
+    fn(v.a->data(), v.lda, v.b->data(), v.ldb, c.data(), ldc, m, k, n);
+    return c;
+  };
   for (const auto& variant : variants) {
     SCOPED_TRACE(variant.name);
-    std::vector<float> c = c_init;
-    variant.run(&c);
+    const std::vector<float> c = run(variant, variant.kernel);
+    testutil::ExpectFloatsBitwiseEqual(c, run(variant, variant.reference),
+                                       "kernel == scalar reference");
     // Numeric correctness vs the double-precision scalar reference.
     for (int64_t i = 0; i < m; ++i) {
       for (int64_t j = 0; j < n; ++j) {
         const double expected =
-            c_init[static_cast<size_t>(i * ldc + j)] + variant.reference(i, j);
+            c_init[static_cast<size_t>(i * ldc + j)] + variant.exact(i, j);
         EXPECT_NEAR(c[static_cast<size_t>(i * ldc + j)], expected,
                     1e-4 * (1.0 + std::fabs(expected)))
             << "at (" << i << ", " << j << ")";
@@ -388,10 +405,50 @@ TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
       }
     }
   }
+
+  // Infinities in B: inf * 0 and inf - inf make NaNs, and the kernels must
+  // make the same ones in the same places (NN/TN skip the zero A entries).
+  const float inf = std::numeric_limits<float>::infinity();
+  for (auto* b : {&b_nn, &b_nt}) {
+    for (auto& x : *b) {
+      const int64_t r = rng->UniformInt(16);
+      if (r == 0) x = inf;
+      if (r == 1) x = -inf;
+    }
+  }
+  for (const auto& variant : variants) {
+    SCOPED_TRACE(std::string(variant.name) + " with infinities in B");
+    testutil::ExpectFloatsBitwiseEqual(run(variant, variant.kernel),
+                                       run(variant, variant.reference),
+                                       "kernel == scalar reference");
+  }
+}
+
+class StridedGemmPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(StridedGemmPropertyTest, MatchesNaiveReferenceAllVariants) {
+  common::Rng rng(testutil::TestSeed(GetParam()));
+  // m crosses the 4-row blocks, n the 8- and 16-column blocks.
+  const int64_t m = 1 + rng.UniformInt(17);
+  const int64_t k = 1 + rng.UniformInt(23);
+  const int64_t n = 1 + rng.UniformInt(40);
+  CheckStridedGemm(&rng, m, k, n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StridedGemmPropertyTest,
                          ::testing::Range(0, 10));
+
+TEST(StridedGemmEdgeShapeTest, AttentionAndBlockTailShapes) {
+  common::Rng rng(testutil::TestSeed());
+  const int64_t shapes[][3] = {
+      {1, 48, 161},  // one query row: GemmNT's reference path
+      {2, 5, 3},    {3, 1, 8},  // the interval map's k = 1 and n = 8
+      {4, 16, 16},  {5, 8, 1},  // its k = 8 and n = 1
+      {7, 33, 31},  {9, 0, 17},  // k = 0 adds nothing (GemmNT adds +0)
+      {45, 48, 45},  {161, 48, 161}, {161, 161, 48},  // QK^T and AV
+  };
+  for (const auto& s : shapes) CheckStridedGemm(&rng, s[0], s[1], s[2]);
+}
 
 class BroadcastElementwisePropertyTest : public ::testing::TestWithParam<int> {
 };
@@ -505,6 +562,14 @@ TEST(BroadcastElementwisePropertyTest, BroadcastBackwardMatchesDense) {
 
 namespace qg = tensor::qgemm;
 
+/// Every backend this host can run; the scalar reference first.
+std::vector<qg::Backend> HostBackends() {
+  return qg::ActiveBackend() == qg::Backend::kAvx2
+             ? std::vector<qg::Backend>{qg::Backend::kScalar,
+                                        qg::Backend::kAvx2}
+             : std::vector<qg::Backend>{qg::Backend::kScalar};
+}
+
 /// Exercises one (m, k, n, lda, ldc) instance end to end:
 ///  - pack→unpack bitwise identity (and re-pack determinism);
 ///  - Gemm output bitwise equal to an exact integer reference that replays
@@ -513,7 +578,8 @@ namespace qg = tensor::qgemm;
 ///  - Gemm output within the analytic per-row-scale error bound of a
 ///    double-precision GEMM over the original floats;
 ///  - C padding tail (columns [n, ldc)) untouched;
-///  - bitwise invariance across backends.
+///  - bitwise invariance across backends of QuantizeRows,
+///    QuantizeActivations and Gemm.
 void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
                         int64_t lda, int64_t ldc) {
   SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
@@ -553,12 +619,32 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
   if (n >= 2) {
     EXPECT_EQ(wscales[1], 0.0f) << "all-zero row must quantize to scale 0";
   }
+  for (const qg::Backend backend : HostBackends()) {
+    SCOPED_TRACE(qg::BackendName(backend));
+    std::vector<int8_t> wq_b(wq.size());
+    std::vector<float> wscales_b(wscales.size());
+    qg::QuantizeRows(w.data(), ldw, n, k, wq_b.data(), wscales_b.data(),
+                     backend);
+    EXPECT_EQ(wq_b, wq);
+    testutil::ExpectFloatsBitwiseEqual(wscales_b, wscales,
+                                       "QuantizeRows backend invariance");
+  }
 
   // Quantized activations.
   std::vector<int8_t> aq(static_cast<size_t>(m * packed.cols_padded));
   std::vector<float> ascales(static_cast<size_t>(m));
   qg::QuantizeActivations(a.data(), lda, m, packed, aq.data(),
                           ascales.data());
+  for (const qg::Backend backend : HostBackends()) {
+    SCOPED_TRACE(qg::BackendName(backend));
+    std::vector<int8_t> aq_b(aq.size(), 1);  // the k-tail must be written too
+    std::vector<float> ascales_b(ascales.size());
+    qg::QuantizeActivations(a.data(), lda, m, packed, aq_b.data(),
+                            ascales_b.data(), backend);
+    EXPECT_EQ(aq_b, aq);
+    testutil::ExpectFloatsBitwiseEqual(ascales_b, ascales,
+                                       "QuantizeActivations backend invariance");
+  }
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t p = k; p < packed.cols_padded; ++p) {
       ASSERT_EQ(aq[static_cast<size_t>(i * packed.cols_padded + p)], 0)
@@ -584,12 +670,8 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
     }
   }
 
-  const std::vector<qg::Backend> backends =
-      qg::ActiveBackend() == qg::Backend::kAvx2
-          ? std::vector<qg::Backend>{qg::Backend::kScalar, qg::Backend::kAvx2}
-          : std::vector<qg::Backend>{qg::Backend::kScalar};
   std::vector<std::vector<float>> results;
-  for (const qg::Backend backend : backends) {
+  for (const qg::Backend backend : HostBackends()) {
     std::vector<float> c = c_init;
     qg::Gemm(aq.data(), ascales.data(), m, packed, c.data(), ldc, backend);
     results.push_back(std::move(c));
@@ -653,9 +735,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QGemmPropertyTest, ::testing::Range(0, 10));
 
 TEST(QGemmEdgeShapeTest, BlockBoundariesAndDegenerateShapes) {
   common::Rng rng(testutil::TestSeed());
+  // Odd m leaves the 2-row AVX2 kernel a last row to run alone.
   const int64_t shapes[][3] = {
-      {1, 1, 1},  {1, 31, 1}, {2, 32, 4},
-      {3, 33, 5}, {4, 64, 8}, {5, 7, 9},
+      {1, 1, 1},  {1, 31, 1}, {2, 32, 4},   {3, 33, 5},
+      {4, 64, 8}, {5, 7, 9},  {7, 192, 13}, {9, 100, 32},
   };
   for (const auto& s : shapes) {
     CheckQGemmInstance(&rng, s[0], s[1], s[2], /*lda=*/s[1], /*ldc=*/s[2]);
@@ -664,15 +747,41 @@ TEST(QGemmEdgeShapeTest, BlockBoundariesAndDegenerateShapes) {
 
 TEST(QGemmQuantizeTest, RoundHalfEvenAndSaturation) {
   // absmax 127 -> scale exactly 1.0: codes are round-half-even of the input.
-  const std::vector<float> row = {127.0f, 0.5f,   1.5f,  2.5f, -0.5f,
-                                  -1.5f,  126.5f, -2.5f, 0.0f, -127.0f};
-  std::vector<int8_t> q(row.size());
-  float scale = 0;
-  qg::QuantizeRows(row.data(), static_cast<int64_t>(row.size()), 1,
-                   static_cast<int64_t>(row.size()), q.data(), &scale);
-  EXPECT_EQ(scale, 1.0f);
-  const std::vector<int8_t> want = {127, 0, 2, 2, 0, -2, 126, -2, 0, -127};
-  EXPECT_EQ(q, want);
+  const std::vector<float> ties = {127.0f, 0.5f,   1.5f,  2.5f, -0.5f,
+                                   -1.5f,  126.5f, -2.5f, 0.0f, -127.0f};
+  const std::vector<int8_t> tie_codes = {127, 0,   2, 2, 0,
+                                         -2,  126, -2, 0, -127};
+  // Rows of 10, 40 and 77 floats: the AVX2 quantizer's scalar tail only, and
+  // its 32-wide body plus tails. Row 1 is all zeros (scale 0). Row 2 holds
+  // its only |x| = 127 at 0 and a NaN at 8, in the same SIMD lane after it:
+  // the NaN is left out of the absmax without dropping the 127, and gets
+  // code -127.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int64_t cols : {int64_t{10}, int64_t{40}, int64_t{77}}) {
+    SCOPED_TRACE("cols=" + std::to_string(cols));
+    std::vector<float> rows(static_cast<size_t>(3 * cols), 0.0f);
+    std::vector<int8_t> want(rows.size(), 0);
+    for (int64_t k = 0; k < cols; ++k) {
+      const size_t t = static_cast<size_t>(k) % ties.size();
+      const size_t at = static_cast<size_t>(2 * cols + k);
+      rows[static_cast<size_t>(k)] = ties[t];
+      want[static_cast<size_t>(k)] = tie_codes[t];
+      const bool extreme = std::fabs(ties[t]) == 127.0f && k != 0;
+      rows[at] = extreme ? 3.5f : ties[t];
+      want[at] = extreme ? int8_t{4} : tie_codes[t];
+    }
+    rows[static_cast<size_t>(2 * cols + 8)] = nan;
+    want[static_cast<size_t>(2 * cols + 8)] = -127;
+    for (const qg::Backend backend : HostBackends()) {
+      SCOPED_TRACE(qg::BackendName(backend));
+      std::vector<int8_t> q(rows.size(), 1);
+      std::vector<float> scales(3, -1.0f);
+      qg::QuantizeRows(rows.data(), cols, 3, cols, q.data(), scales.data(),
+                       backend);
+      EXPECT_EQ(scales, (std::vector<float>{1.0f, 0.0f, 1.0f}));
+      EXPECT_EQ(q, want);
+    }
+  }
 }
 
 TEST(QGemmAffineForwardTest, MatchesGemmPlusBias) {
