@@ -34,6 +34,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "core/parallel_trainer.h"
+#include "core/pretrain.h"
 #include "core/start_model.h"
 #include "data/dataset.h"
 #include "data/loader.h"
@@ -49,7 +50,7 @@ namespace {
 using start::common::Rng;
 using start::common::Stopwatch;
 using start::core::ParallelTrainer;
-using start::core::ShardConfig;
+using start::core::PretrainConfig;
 using start::core::StartModel;
 
 constexpr uint64_t kSeed = 29;
@@ -58,7 +59,6 @@ constexpr int64_t kGrain = 4;  // 8 grains per batch: K = 4 gets 2 each
 constexpr double kLr = 1e-3;
 constexpr double kLambda = 0.6;
 constexpr float kTau = 0.05f;
-constexpr double kGradClip = 5.0;
 
 struct World {
   std::unique_ptr<start::roadnet::RoadNetwork> net;
@@ -159,7 +159,7 @@ double RunLegacy(const World& w, int64_t steps, double* sink) {
     }
     opt.ZeroGrad();
     loss.Backward();
-    start::nn::ClipGradNorm(model->Parameters(), kGradClip);
+    start::nn::ClipGradNorm(model->Parameters(), start::nn::kGradClip);
     opt.Step();
     *sink += loss.item();
   }
@@ -177,18 +177,17 @@ double RunSharded(const World& w, int num_shards, int64_t steps, double* sink,
                   int64_t grain = kGrain) {
   auto model = MakeModel(w);
   start::nn::AdamW opt(model->Parameters(), kLr);
-  ShardConfig config;
+  PretrainConfig config;
   config.num_shards = num_shards;
   config.shard_grain = grain;
   config.lambda = kLambda;
   config.tau = kTau;
-  config.grad_clip = kGradClip;
   config.seed = kSeed;
   ParallelTrainer trainer(model.get(), config);
   Stopwatch timer;
   for (int64_t s = 0; s < steps; ++s) {
     const auto& tb = w.batches[static_cast<size_t>(s) % w.batches.size()];
-    const auto stats = trainer.Step({&tb}, s, &opt, kLr);
+    const auto stats = trainer.Step(tb, &opt, kLr);
     *sink += stats.loss;
     if (losses_out != nullptr) losses_out->push_back(stats.loss);
   }

@@ -75,13 +75,14 @@ int main() {
   pretrain_config.epochs = 6;
   pretrain_config.batch_size = 16;
   pretrain_config.lr = 2e-3;
-  pretrain_config.verbose = true;
   pretrain_config.checkpoint_path = checkpoint;
   const auto stats =
       core::Pretrain(&model, dataset.train(), &traffic, pretrain_config);
-  std::printf("      final loss %.4f (mask %.4f, contrastive %.4f)\n",
-              stats.epoch_loss.back(), stats.epoch_mask_loss.back(),
-              stats.epoch_contrastive_loss.back());
+  for (size_t e = 0; e < stats.epoch_loss.size(); ++e) {
+    std::printf("      epoch %zu loss %.4f (mask %.4f, contrastive %.4f)\n",
+                e, stats.epoch_loss[e], stats.epoch_mask_loss[e],
+                stats.epoch_contrastive_loss[e]);
+  }
   std::printf("      checkpoint written to %s\n", checkpoint.c_str());
 
   // 5. Warm-start a *fresh* model from the checkpoint — the serving-side

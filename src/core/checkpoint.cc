@@ -24,15 +24,11 @@ constexpr char kLossSumKey[] = "trainer.loss_sum";
 constexpr char kMaskSumKey[] = "trainer.mask_sum";
 constexpr char kConSumKey[] = "trainer.con_sum";
 constexpr char kBatchCountKey[] = "trainer.batch_count";
-constexpr char kRngStateKey[] = "trainer.rng_state";
 constexpr char kScheduleKey[] = "trainer.schedule_fingerprint";
 constexpr char kPlanHashKey[] = "trainer.plan_hash";
-// Shard topology of the data-parallel engine: {num_shards, shard_grain,
-// accum_steps} plus the per-replica RNG cursors. Absent in checkpoints that
-// predate the engine (they load with the TrainerState defaults); ignored by
-// older loaders — both directions stay compatible.
-constexpr char kShardTopologyKey[] = "trainer.shard_topology";
-constexpr char kShardRngKey[] = "trainer.shard_rng";
+// Records of older writers that no loader reads ("trainer.rng_state",
+// "trainer.shard_topology", "trainer.shard_rng") are skipped on load, so
+// those files still resume.
 
 void WarnOnHashMismatch(const std::string& path, uint64_t expected,
                         uint64_t actual) {
@@ -178,12 +174,8 @@ common::Status SaveTrainingCheckpoint(const std::string& path,
   bundle.doubles[kLossSumKey] = state.loss_sum;
   bundle.doubles[kMaskSumKey] = state.mask_sum;
   bundle.doubles[kConSumKey] = state.con_sum;
-  bundle.uints[kRngStateKey] = state.rng_state;
   bundle.uints[kScheduleKey] = {state.schedule_fingerprint};
   bundle.uints[kPlanHashKey] = {state.plan_hash};
-  bundle.ints[kShardTopologyKey] = {state.num_shards, state.shard_grain,
-                                    state.accum_steps};
-  bundle.uints[kShardRngKey] = state.shard_rng;
   return tensor::SaveBundle(path, config_hash, bundle);
 }
 
@@ -270,8 +262,6 @@ common::Result<TrainerState> LoadTrainingCheckpoint(
   copy_doubles(kLossSumKey, &state.loss_sum);
   copy_doubles(kMaskSumKey, &state.mask_sum);
   copy_doubles(kConSumKey, &state.con_sum);
-  const auto rng_it = bundle.records.uints.find(kRngStateKey);
-  if (rng_it != bundle.records.uints.end()) state.rng_state = rng_it->second;
   const auto sched_it = bundle.records.uints.find(kScheduleKey);
   if (sched_it != bundle.records.uints.end() && !sched_it->second.empty()) {
     state.schedule_fingerprint = sched_it->second[0];
@@ -279,16 +269,6 @@ common::Result<TrainerState> LoadTrainingCheckpoint(
   const auto plan_it = bundle.records.uints.find(kPlanHashKey);
   if (plan_it != bundle.records.uints.end() && !plan_it->second.empty()) {
     state.plan_hash = plan_it->second[0];
-  }
-  const auto topo_it = ints.find(kShardTopologyKey);
-  if (topo_it != ints.end() && topo_it->second.size() >= 3) {
-    state.num_shards = topo_it->second[0];
-    state.shard_grain = topo_it->second[1];
-    state.accum_steps = topo_it->second[2];
-  }
-  const auto shard_rng_it = bundle.records.uints.find(kShardRngKey);
-  if (shard_rng_it != bundle.records.uints.end()) {
-    state.shard_rng = shard_rng_it->second;
   }
   return state;
 }

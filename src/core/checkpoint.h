@@ -22,7 +22,7 @@ namespace start::core {
 ///    SaveModelCheckpoint; consumed by eval::TrajectoryEncoder::WarmStart,
 ///    the fine-tuning tasks, and the transfer example.
 ///  * **Training checkpoint** — parameters + AdamW slot buffers + trainer
-///    bookkeeping (step cursor, per-epoch loss accumulators, RNG cursor).
+///    bookkeeping (step cursor, per-epoch loss accumulators, plan hash).
 ///    Written/resumed by core::Pretrain; an interrupted run restarted from
 ///    one continues bitwise-identically to an uninterrupted run (asserted by
 ///    tests/core_pretrain_test.cc).
@@ -58,38 +58,14 @@ struct TrainerState {
   int64_t adam_step = 0;  ///< AdamW bias-correction counter t.
   uint64_t schedule_fingerprint = 0;  ///< WarmupCosineSchedule::Fingerprint.
   /// Hash of everything that shapes the step plan (epochs, batch size, seed,
-  /// corpus size). A resume under a different plan hash is a different run —
-  /// Pretrain refuses it and starts fresh rather than continue incoherently.
+  /// corpus size) and the gradient summation order (shard_grain). A resume
+  /// under a different plan hash is a different run — Pretrain refuses it
+  /// and starts fresh rather than continue incoherently.
   uint64_t plan_hash = 0;
   std::vector<double> loss_sum;
   std::vector<double> mask_sum;
   std::vector<double> con_sum;
   std::vector<int64_t> batch_count;
-  /// Dropout-stream cursor at save time (common::Rng::GetState), for
-  /// consumers that draw from one long-lived stream and restore it to
-  /// continue the exact sequence. Pretrain leaves it empty: the engine's
-  /// streams are per shard (`shard_rng`).
-  std::vector<uint64_t> rng_state;
-
-  // --- Shard topology (data-parallel engine, core/parallel_trainer.h) ------
-  /// Replica count the checkpointing run used. Informational only: shard
-  /// count is a pure scheduling knob (K shards are bitwise-identical to 1),
-  /// so a resume may legally use a different value — asserted by
-  /// tests/parallel_trainer_test.cc.
-  int64_t num_shards = 1;
-  /// Micro-shard decomposition grain (samples per shard). Unlike num_shards
-  /// this *defines* the gradient summation order, so it is folded into the
-  /// plan hash: resuming under a different grain is refused.
-  int64_t shard_grain = 0;
-  /// Micro-batches combined per optimizer step; also summation-order-defining
-  /// and plan-hash-folded.
-  int64_t accum_steps = 1;
-  /// Per-replica dropout-stream cursors at save time (6 words per shard,
-  /// common::Rng::GetState layout). Diagnostic only: the engine
-  /// reseeds every (optimizer step, micro-shard) pair via StepSeed, so the
-  /// cursors document where each replica's stream stopped rather than being
-  /// required to resume it.
-  std::vector<uint64_t> shard_rng;
 };
 
 /// True when `path` exists and is readable (the resume probe).

@@ -22,14 +22,11 @@ namespace {
 constexpr uint64_t kShardDropoutSalt = 0x5aadd0f05eedULL;
 constexpr uint64_t kStage1DropoutSalt = 0x57a6e15eed01ULL;
 
-/// Per-(optimizer step, grain ordinal) dropout seed. Keyed on the grain's
-/// position within the *optimizer step's* grain list — not the loader step —
-/// so an accumulation group of micro-batches draws the same streams as the
-/// equivalent single large batch (the 2-micro ≡ 1-double contract).
-uint64_t GrainSeed(uint64_t base, int64_t opt_step, int64_t ordinal) {
+/// Per-(optimizer step, grain ordinal) dropout seed: a pure function of the
+/// decomposition, so every shard count draws the same streams.
+uint64_t GrainSeed(uint64_t base, int64_t step, int64_t ordinal) {
   return data::BatchLoader::StepSeed(
-      data::BatchLoader::StepSeed(base ^ kShardDropoutSalt, opt_step),
-      ordinal);
+      data::BatchLoader::StepSeed(base ^ kShardDropoutSalt, step), ordinal);
 }
 
 /// A leaf tensor aliasing `t`'s value storage (zero-copy) with its own
@@ -82,12 +79,11 @@ void DropGrads(const std::vector<Tensor>& params) {
 
 }  // namespace
 
-/// One micro-shard: a fixed [row_begin, row_end) trajectory range of one
-/// micro-batch, with everything the two phases exchange.
+/// One micro-shard: a fixed [row_begin, row_end) trajectory range of the
+/// step's batch, with everything the two phases exchange.
 struct ParallelTrainer::Grain {
   int64_t ordinal = 0;  ///< Fixed slot in the all-reduce tree.
-  const data::TrainingBatch* micro = nullptr;
-  int64_t row_begin = 0, row_end = 0;  ///< Trajectory rows of `micro`.
+  int64_t row_begin = 0, row_end = 0;  ///< Trajectory rows of the batch.
 
   // Masked-recovery slice (empty when the range holds no masked positions).
   std::vector<int64_t> local_positions;  ///< Rebased b*max_len+pos.
@@ -108,12 +104,12 @@ struct ParallelTrainer::Grain {
   std::shared_ptr<std::vector<float>> proxy_grad;
 };
 
-ParallelTrainer::ParallelTrainer(StartModel* model, const ShardConfig& config)
+ParallelTrainer::ParallelTrainer(StartModel* model,
+                                 const PretrainConfig& config)
     : config_(config), primary_(model), replica_init_rng_(0xdeadbeef) {
   START_CHECK(model != nullptr);
   START_CHECK_GE(config_.num_shards, 1);
   START_CHECK_GE(config_.shard_grain, 0);
-  START_CHECK_GE(config_.accum_steps, 1);
   rngs_.resize(static_cast<size_t>(config_.num_shards));
   replica_params_.push_back(primary_->Parameters());
   for (int r = 1; r < config_.num_shards; ++r) {
@@ -160,27 +156,10 @@ void ParallelTrainer::RunOnReplicas(const std::function<void(int)>& fn) {
   latch.Wait();
 }
 
-void ParallelTrainer::SyncReplicas() {
-  for (auto& replica : extra_replicas_) {
-    replica->CopyParametersFrom(*primary_);
-  }
-}
-
-std::vector<uint64_t> ParallelTrainer::ShardRngStates() const {
-  std::vector<uint64_t> out;
-  for (const auto& rng : rngs_) {
-    const auto state = rng.GetState();
-    out.insert(out.end(), state.begin(), state.end());
-  }
-  return out;
-}
-
-ShardStepStats ParallelTrainer::Step(
-    const std::vector<const data::TrainingBatch*>& micros, int64_t opt_step,
-    nn::AdamW* opt, double lr) {
+ShardStepStats ParallelTrainer::Step(const data::TrainingBatch& batch,
+                                     nn::AdamW* opt, double lr) {
   START_CHECK(opt != nullptr);
-  START_CHECK(!micros.empty());
-  START_CHECK_LE(static_cast<int64_t>(micros.size()), config_.accum_steps);
+  const int64_t step = batch.step;
   const int64_t d = primary_->config().d;
   const int64_t v = primary_->num_roads();
 
@@ -190,57 +169,50 @@ ShardStepStats ParallelTrainer::Step(
   for (const auto& params : replica_params_) DropGrads(params);
 
   // ---- Grain plan (coordinator, cheap scans only) --------------------------
-  // The decomposition is a pure function of (micros, shard_grain): grain g
-  // covers a fixed trajectory range of a fixed micro-batch and owns slot g of
-  // the reduce tree, regardless of num_shards.
+  // The decomposition is a pure function of (batch, shard_grain): grain g
+  // covers a fixed trajectory range of the batch and owns slot g of the
+  // reduce tree, regardless of num_shards.
   std::vector<Grain> grains;
   int64_t logit_rows_total = 0, cls_rows_total = 0;
   std::vector<int64_t> targets_cat;
-  for (const data::TrainingBatch* micro : micros) {
-    START_CHECK(micro != nullptr);
-    const bool has_masked = config_.use_mask_task && micro->has_masked &&
-                            !micro->mask_positions.empty();
-    const bool has_con =
-        config_.use_contrastive_task && micro->has_contrastive;
-    const int64_t num_traj = has_masked ? micro->masked.batch_size
-                                        : micro->contrastive.batch_size / 2;
-    START_CHECK_GT(num_traj, 0);
-    const int64_t grain =
-        config_.shard_grain > 0 ? std::min(config_.shard_grain, num_traj)
-                                : num_traj;
-    size_t pos_cursor = 0;  // mask_positions are sorted by (b, pos)
-    for (int64_t r0 = 0; r0 < num_traj; r0 += grain) {
-      const int64_t r1 = std::min(num_traj, r0 + grain);
-      Grain g;
-      g.ordinal = static_cast<int64_t>(grains.size());
-      g.micro = micro;
-      g.row_begin = r0;
-      g.row_end = r1;
-      if (has_masked) {
-        const int64_t max_len = micro->masked.max_len;
-        const int64_t limit = r1 * max_len;
-        g.logit_row = logit_rows_total;
-        while (pos_cursor < micro->mask_positions.size() &&
-               micro->mask_positions[pos_cursor] < limit) {
-          g.local_positions.push_back(micro->mask_positions[pos_cursor] -
-                                      r0 * max_len);
-          targets_cat.push_back(micro->mask_targets[pos_cursor]);
-          ++pos_cursor;
-        }
-        g.logit_rows = static_cast<int64_t>(g.local_positions.size());
-        logit_rows_total += g.logit_rows;
-      }
-      if (has_con) {
-        g.cls_row = cls_rows_total;
-        g.cls_rows = 2 * (r1 - r0);
-        cls_rows_total += g.cls_rows;
-      }
-      grains.push_back(std::move(g));
-    }
+  const bool has_masked = config_.use_mask_task && batch.has_masked &&
+                          !batch.mask_positions.empty();
+  const bool has_con = config_.use_contrastive_task && batch.has_contrastive;
+  const int64_t num_traj = has_masked ? batch.masked.batch_size
+                                      : batch.contrastive.batch_size / 2;
+  START_CHECK_GT(num_traj, 0);
+  const int64_t grain = config_.shard_grain > 0
+                            ? std::min(config_.shard_grain, num_traj)
+                            : num_traj;
+  size_t pos_cursor = 0;  // mask_positions are sorted by (b, pos)
+  for (int64_t r0 = 0; r0 < num_traj; r0 += grain) {
+    const int64_t r1 = std::min(num_traj, r0 + grain);
+    Grain g;
+    g.ordinal = static_cast<int64_t>(grains.size());
+    g.row_begin = r0;
+    g.row_end = r1;
     if (has_masked) {
-      START_CHECK_EQ(pos_cursor, micro->mask_positions.size());
+      const int64_t max_len = batch.masked.max_len;
+      const int64_t limit = r1 * max_len;
+      g.logit_row = logit_rows_total;
+      while (pos_cursor < batch.mask_positions.size() &&
+             batch.mask_positions[pos_cursor] < limit) {
+        g.local_positions.push_back(batch.mask_positions[pos_cursor] -
+                                    r0 * max_len);
+        targets_cat.push_back(batch.mask_targets[pos_cursor]);
+        ++pos_cursor;
+      }
+      g.logit_rows = static_cast<int64_t>(g.local_positions.size());
+      logit_rows_total += g.logit_rows;
     }
+    if (has_con) {
+      g.cls_row = cls_rows_total;
+      g.cls_rows = 2 * (r1 - r0);
+      cls_rows_total += g.cls_rows;
+    }
+    grains.push_back(std::move(g));
   }
+  if (has_masked) START_CHECK_EQ(pos_cursor, batch.mask_positions.size());
   const int64_t num_grains = static_cast<int64_t>(grains.size());
   START_CHECK_MSG(logit_rows_total > 0 || cls_rows_total > 0,
                   "optimizer step with no loss contributions");
@@ -254,15 +226,14 @@ ShardStepStats ParallelTrainer::Step(
 
   // ---- Stage 1 once per optimizer step (primary, graph retained) -----------
   rngs_[0].Seed(data::BatchLoader::StepSeed(
-      config_.seed ^ kStage1DropoutSalt, opt_step));
+      config_.seed ^ kStage1DropoutSalt, step));
   Tensor road_reps = primary_->ComputeRoadReps();
 
   // Central boundary leaves. Both objectives couple samples across the whole
-  // optimizer step (NT-Xent's in-batch negatives; the CE mean over every
-  // masked position), so they are evaluated once, serially, over these
-  // gathered rows — the same computation for every shard count, and the
-  // mechanism through which gradient accumulation enlarges the effective
-  // contrastive batch. Each grain writes its own rows during phase A.
+  // batch (NT-Xent's in-batch negatives; the CE mean over every masked
+  // position), so they are evaluated once, serially, over these gathered
+  // rows — the same computation for every shard count. Each grain writes its
+  // own rows during phase A.
   Tensor logits_cat, cls_cat;
   if (logit_rows_total > 0) {
     logits_cat = Tensor::Zeros(tensor::Shape({logit_rows_total, v}),
@@ -281,10 +252,10 @@ ShardStepStats ParallelTrainer::Step(
     common::Rng& rng = rngs_[static_cast<size_t>(r)];
     for (int64_t gi = begin; gi < end; ++gi) {
       Grain& g = grains[static_cast<size_t>(gi)];
-      rng.Seed(GrainSeed(config_.seed, opt_step, g.ordinal));
+      rng.Seed(GrainSeed(config_.seed, step, g.ordinal));
       g.proxy = SharedValueLeaf(road_reps);
       if (g.logit_rows > 0) {
-        data::SliceBatchRows(g.micro->masked, g.row_begin, g.row_end,
+        data::SliceBatchRows(batch.masked, g.row_begin, g.row_end,
                              &g.masked_slice);
         const EncoderOutput out = model->Encode(g.masked_slice, g.proxy);
         g.logits = model->MaskedLogits(out, g.local_positions,
@@ -292,7 +263,7 @@ ShardStepStats ParallelTrainer::Step(
         CopyRowsOut(g.logits, logits_cat.data() + g.logit_row * v);
       }
       if (g.cls_rows > 0) {
-        data::SliceBatchRows(g.micro->contrastive, 2 * g.row_begin,
+        data::SliceBatchRows(batch.contrastive, 2 * g.row_begin,
                              2 * g.row_end, &g.contrastive_slice);
         g.cls = model->Encode(g.contrastive_slice, g.proxy).cls;
         CopyRowsOut(g.cls, cls_cat.data() + g.cls_row * d);
@@ -380,7 +351,7 @@ ShardStepStats ParallelTrainer::Step(
       road_reps.Backward(reps_grad->data());
     }
   }
-  nn::ClipGradNorm(replica_params_[0], config_.grad_clip);
+  nn::ClipGradNorm(replica_params_[0], nn::kGradClip);
   opt->set_lr(lr);
   opt->Step();
 

@@ -7,20 +7,24 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "core/pretrain.h"
 #include "core/start_model.h"
 #include "data/loader.h"
 #include "nn/optimizer.h"
 
 namespace start::core {
 
-/// \brief Data-parallel sharded pre-training engine.
+/// \brief Data-parallel sharded pre-training engine — the one trainer every
+/// core::Pretrain call runs through, configured by core::PretrainConfig.
 ///
-/// One optimizer step consumes a group of `accum_steps` micro-batches from
-/// the loader, decomposes them into fixed-size *micro-shards* ("grains" of
-/// `shard_grain` trajectories), fans the grains out across `num_shards` model
-/// replicas running on a common::ThreadPool, and combines their gradients
-/// with the deterministic fixed-order tree all-reduce of nn/allreduce.h
-/// before one fused AdamW update on the primary model.
+/// One optimizer step consumes one loader batch: the step mixes the two
+/// self-supervised losses of Sec. III-C over that batch with Eq. 15's
+/// `lambda`. The engine decomposes the batch into fixed-size *micro-shards*
+/// ("grains" of `shard_grain` trajectories), fans the grains out across
+/// `num_shards` model replicas running on a common::ThreadPool, and
+/// combines their gradients with the deterministic fixed-order tree
+/// all-reduce of nn/allreduce.h before one gradient clip (nn::kGradClip)
+/// and one fused AdamW update on the primary model.
 ///
 /// ## Determinism contract (the load-bearing design decision)
 ///
@@ -28,32 +32,28 @@ namespace start::core {
 /// bitwise-reproducible if the *summation order* is pinned independently of
 /// the parallelism. The engine therefore separates two knobs:
 ///
-///  * The **decomposition** — (shard_grain, accum_steps) — defines which
-///    gradient contributions exist and the fixed tree in which they are
-///    combined. Changing it changes the floating-point stream (never the
-///    math): it is training-semantics and is folded into the resume plan
-///    hash.
-///  * The **schedule** — num_shards — says how many replicas *compute* the
+///  * The **decomposition** — `shard_grain` — defines which gradient
+///    contributions exist and the fixed tree in which they are combined.
+///    Changing it changes the floating-point stream (never the math): it is
+///    training-semantics and is folded into the resume plan hash.
+///  * The **schedule** — `num_shards` — says how many replicas *compute* the
 ///    fixed grain set. It cannot affect a single bit of the result: every
 ///    grain's forward/backward is a self-contained serial computation (own
 ///    activations, own per-grain-seeded dropout stream, gradients captured
 ///    in the grain's own slot), and the tree all-reduce walks the grain
 ///    ordinals in the same order for any K. K ∈ {1,2,3,5} produce
 ///    bitwise-identical parameters, optimizer state, and loss curves
-///    (tests/parallel_trainer_test.cc; gated in bench_pretrain).
+///    (tests/parallel_trainer_test.cc; gated in bench_pretrain), and a
+///    checkpoint may be resumed under a different K.
 ///
 /// Batch-coupled reductions cannot be computed per shard without changing
 /// their value — NT-Xent scores every trajectory against every other in the
-/// step, and the masked-recovery cross entropy averages over all masked
+/// batch, and the masked-recovery cross entropy averages over all masked
 /// positions. The engine handles them SimCLR-style: shards compute the
 /// row-independent encoder forward only, the coordinator gathers the
 /// boundary tensors (masked-position logits, CLS rows) and evaluates both
-/// losses *centrally* over the full group — identically for any K — then
+/// losses *centrally* over the whole batch — identically for any K — then
 /// scatters the boundary gradients back for the per-grain backward passes.
-/// Gradient accumulation rides the same path: the micro-batches of one
-/// optimizer step contribute grains to one central loss, so accumulation
-/// *increases the effective contrastive batch* and two micro-batches are
-/// bitwise-equivalent to one double batch when their row streams align.
 ///
 /// Stage 1 (TPE-GAT road representations) is batch-independent: the
 /// coordinator runs it once per optimizer step on the primary replica,
@@ -61,30 +61,13 @@ namespace start::core {
 /// leaves, tree-reduces the per-grain proxy gradients, and back-propagates
 /// the combined gradient through the retained stage-1 graph exactly once.
 ///
+/// Dropout streams are reseeded per (step, grain ordinal) from
+/// PretrainConfig::seed, so no RNG cursor needs to be checkpointed: a
+/// resumed run replays the same streams from the saved step cursor.
+///
 /// Threading contract: Step() is single-consumer; replicas touch disjoint
 /// model instances; phases are separated by joins, so no tensor is read and
 /// written concurrently. The TSan CI job runs the sharded step.
-struct ShardConfig {
-  /// Model replicas (worker threads). Pure scheduling: any value yields
-  /// bitwise-identical training. 1 runs the grain set inline.
-  int num_shards = 1;
-  /// Trajectories per micro-shard; 0 = one grain per micro-batch (no intra-
-  /// batch decomposition — with num_shards > 1 parallelism then comes only
-  /// from accumulation groups). Summation-order-defining.
-  int64_t shard_grain = 0;
-  /// Micro-batches per optimizer step. Summation-order-defining.
-  int64_t accum_steps = 1;
-
-  // Loss knobs, mirroring core::PretrainConfig.
-  bool use_mask_task = true;
-  bool use_contrastive_task = true;
-  double lambda = 0.6;
-  float tau = 0.05f;
-  double grad_clip = 5.0;
-  /// Base seed of the per-(optimizer step, grain) dropout streams.
-  uint64_t seed = 7;
-};
-
 /// \brief Per-optimizer-step telemetry.
 struct ShardStepStats {
   double loss = 0.0;       ///< Combined central loss (Eq. 15 mix).
@@ -97,33 +80,26 @@ class ParallelTrainer {
  public:
   /// `model` is the primary replica: it receives the reduced gradients and
   /// the optimizer update, and stays the single source of truth for
-  /// checkpointing. The trainer builds `num_shards - 1` additional replicas
-  /// from the model's own construction inputs and keeps them value-synced
-  /// after every step. The trainer installs per-replica dropout generators
-  /// (Module::SetDropoutRng) for its lifetime.
-  ParallelTrainer(StartModel* model, const ShardConfig& config);
+  /// checkpointing. The trainer reads the engine knobs (`num_shards`,
+  /// `shard_grain`) and the loss knobs (`use_mask_task`,
+  /// `use_contrastive_task`, `lambda`, `tau`, `seed`) of `config`; it builds
+  /// `num_shards - 1` additional replicas from the model's own construction
+  /// inputs and keeps them value-synced after every step. The trainer
+  /// installs per-replica dropout generators (Module::SetDropoutRng) for its
+  /// lifetime.
+  ParallelTrainer(StartModel* model, const PretrainConfig& config);
   ~ParallelTrainer();
 
   ParallelTrainer(const ParallelTrainer&) = delete;
   ParallelTrainer& operator=(const ParallelTrainer&) = delete;
 
-  /// Runs one optimizer step over `micros` (1..accum_steps micro-batches, in
-  /// loader order): sharded forward/backward, tree all-reduce into the
-  /// primary model, gradient clipping, AdamW update at learning rate `lr`,
-  /// and parameter broadcast to the replicas. `opt` must be built from the
+  /// Runs one optimizer step over `batch`: sharded forward/backward, tree
+  /// all-reduce into the primary model, gradient clipping, AdamW update at
+  /// learning rate `lr`, and parameter broadcast to the replicas.
+  /// `batch.step` keys the dropout streams. `opt` must be built from the
   /// primary model's Parameters().
-  ShardStepStats Step(const std::vector<const data::TrainingBatch*>& micros,
-                      int64_t opt_step, nn::AdamW* opt, double lr);
-
-  /// Call after externally overwriting the primary model's parameters (e.g.
-  /// a checkpoint resume) so the replicas match again.
-  void SyncReplicas();
-
-  /// Per-replica dropout-stream cursors (common::Rng::GetState, 6 words
-  /// each), flattened in replica order — the TrainerState shard_rng payload.
-  std::vector<uint64_t> ShardRngStates() const;
-
-  int num_shards() const { return config_.num_shards; }
+  ShardStepStats Step(const data::TrainingBatch& batch, nn::AdamW* opt,
+                      double lr);
 
  private:
   struct Grain;
@@ -132,7 +108,7 @@ class ParallelTrainer {
   /// Runs fn(r) for every replica, on the pool when num_shards > 1.
   void RunOnReplicas(const std::function<void(int)>& fn);
 
-  ShardConfig config_;
+  const PretrainConfig config_;
   StartModel* primary_;
   common::Rng replica_init_rng_;  ///< Dummy init source for replica builds.
   std::vector<std::unique_ptr<StartModel>> extra_replicas_;

@@ -20,11 +20,16 @@ namespace {
 /// loop that preceded ParallelTrainer carry the same plan fields without
 /// this word, and their floating-point stream differs from the engine's, so
 /// the marker makes Pretrain refuse them rather than resume incoherently.
-/// The engine's summation-order-defining knobs (shard_grain, accum_steps)
-/// are folded in after it. num_shards deliberately stays out of the hash:
-/// shard count is bitwise-neutral, and resuming under a different one is
-/// supported (tested).
+/// The engine's summation-order-defining knob (shard_grain) is folded in
+/// after it, then kBatchesPerStep. num_shards deliberately stays out of the
+/// hash: shard count is bitwise-neutral, and resuming under a different one
+/// is supported (tested).
 constexpr uint64_t kShardedEngineMarker = 0x5aa2ded0e6019e5dULL;
+
+/// Loader batches per optimizer step. Always 1; checkpoints written while
+/// several batches could share a step folded that count here, so keeping
+/// the word keeps their plan hash — and their resume — valid.
+constexpr uint64_t kBatchesPerStep = 1;
 
 }  // namespace
 
@@ -60,26 +65,19 @@ PretrainStats Pretrain(StartModel* model,
   batch_options.aug_a = config.aug_a;
   batch_options.aug_b = config.aug_b;
 
-  // The engine groups `accum_steps` loader micro-steps into one optimizer
-  // step; the LR schedule and step counters run in optimizer steps, so a
-  // (batch B, accum 2) run anneals exactly like a (batch 2B, accum 1) run.
-  const int64_t accum = config.accum_steps;
-  START_CHECK_GE(accum, 1);
-  const int64_t total_opt_steps = (total_steps + accum - 1) / accum;
-
   nn::AdamW opt(model->Parameters(), config.lr, 0.9, 0.999, 1e-8,
                 config.weight_decay);
   const nn::WarmupCosineSchedule schedule(
       config.lr,
       static_cast<int64_t>(config.warmup_fraction *
-                           static_cast<double>(total_opt_steps)),
-      total_opt_steps, config.lr * 0.05);
+                           static_cast<double>(total_steps)),
+      total_steps, config.lr * 0.05);
 
   // The header tag identifies the model architecture (any consumer of the
   // artifact checks it); the plan hash additionally pins everything
   // MakeShuffledPlan's output depends on — epochs, batch size, bucketing,
   // seed, and the full length profile of the corpus — plus the engine's
-  // summation-order-defining knobs (see kShardedEngineMarker), so a resume
+  // summation-order-defining knob (see kShardedEngineMarker), so a resume
   // under a different step plan or summation order is refused up front.
   const uint64_t config_hash = HashStartConfig(model->config());
   uint64_t plan_hash = HashCombine(config_hash, 0x9e3779b97f4a7c15ULL);
@@ -94,7 +92,7 @@ PretrainStats Pretrain(StartModel* model,
   }
   plan_hash = HashCombine(plan_hash, kShardedEngineMarker);
   plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.shard_grain));
-  plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(accum));
+  plan_hash = HashCombine(plan_hash, kBatchesPerStep);
 
   // Trainer state doubles as the live accumulator set: the loss sums below
   // are exactly what a checkpoint persists, so a resumed run's epoch trace
@@ -116,12 +114,6 @@ PretrainStats Pretrain(StartModel* model,
       START_CHECK_LE(start_step, total_steps);
       START_CHECK_EQ(static_cast<int64_t>(state.loss_sum.size()),
                      config.epochs);
-      // Checkpoints land only at optimizer-step boundaries, so a valid
-      // cursor is a multiple of the accumulation depth — except the
-      // end-of-plan cursor, whose final group may be partial when accum
-      // does not divide total_steps (the plan hash already refused
-      // mismatched accum/grain).
-      START_CHECK(start_step % accum == 0 || start_step == total_steps);
       if (state.schedule_fingerprint != 0 &&
           state.schedule_fingerprint != schedule.Fingerprint()) {
         START_LOG(Warning)
@@ -147,106 +139,47 @@ PretrainStats Pretrain(StartModel* model,
       data::MakePretrainBuilder(&corpus, traffic, batch_options),
       loader_config);
 
-  const auto log_epoch = [&](int64_t epoch) {
-    const auto e = static_cast<size_t>(epoch);
-    const double denom =
-        static_cast<double>(std::max<int64_t>(1, state.batch_count[e]));
-    START_LOG(Info) << "pretrain epoch " << epoch << " loss "
-                    << state.loss_sum[e] / denom << " (mask "
-                    << state.mask_sum[e] / denom << ", con "
-                    << state.con_sum[e] / denom << ")";
-  };
-  int64_t current_epoch =
-      start_step < total_steps
-          ? epoch_of_step[static_cast<size_t>(start_step)]
-          : std::max<int64_t>(0, config.epochs - 1);
-
-  // ---- One optimizer step per accumulation group, through the data-parallel
-  // engine (see core/parallel_trainer.h). Every config trains here: the
-  // defaults (num_shards 1, shard_grain 0, accum_steps 1) run one grain per
-  // step on the primary model.
-  ShardConfig shard_config;
-  shard_config.num_shards = config.num_shards;
-  shard_config.shard_grain = config.shard_grain;
-  shard_config.accum_steps = accum;
-  shard_config.use_mask_task = config.use_mask_task;
-  shard_config.use_contrastive_task = config.use_contrastive_task;
-  shard_config.lambda = config.lambda;
-  shard_config.tau = config.tau;
-  shard_config.grad_clip = config.grad_clip;
-  shard_config.seed = config.seed;
-  // Built after the resume load, so the replicas copy the resumed values.
-  ParallelTrainer trainer(model, shard_config);
+  // ---- One optimizer step per loader batch, through the data-parallel
+  // engine (see core/parallel_trainer.h). Built after the resume load, so
+  // the replicas copy the resumed values.
+  ParallelTrainer trainer(model, config);
 
   const auto save_checkpoint = [&](int64_t next_step) {
     state.next_step = next_step;
     state.adam_step = opt.step_count();
     state.schedule_fingerprint = schedule.Fingerprint();
     state.plan_hash = plan_hash;
-    state.num_shards = config.num_shards;
-    state.shard_grain = config.shard_grain;
-    state.accum_steps = accum;
-    state.shard_rng = trainer.ShardRngStates();
     const auto st = SaveTrainingCheckpoint(config.checkpoint_path, *model,
                                            opt, state, config_hash);
     if (!st.ok()) {
       START_LOG(Warning) << "checkpoint save failed: " << st.ToString();
-    } else if (config.verbose) {
-      START_LOG(Info) << "checkpointed step " << next_step << " -> "
-                      << config.checkpoint_path;
     }
   };
 
-  std::vector<data::TrainingBatch> group(static_cast<size_t>(accum));
-  std::vector<const data::TrainingBatch*> micros;
-  int64_t opt_steps_done = 0;
-  bool exhausted = false;
-  while (!exhausted) {
-    int64_t got = 0;
-    while (got < accum && loader.Next(&group[static_cast<size_t>(got)])) {
-      ++got;
-    }
-    if (got < accum) exhausted = true;
-    if (got == 0) break;
-    const int64_t first_step = group[0].step;
-    const int64_t last_step_idx = group[static_cast<size_t>(got - 1)].step;
-    const int64_t opt_step = first_step / accum;
-    micros.clear();
-    for (int64_t i = 0; i < got; ++i) {
-      micros.push_back(&group[static_cast<size_t>(i)]);
-    }
+  data::TrainingBatch tb;
+  int64_t steps_done = 0;
+  while (loader.Next(&tb)) {
+    const int64_t step = tb.step;
     const ShardStepStats step_stats =
-        trainer.Step(micros, opt_step, &opt, schedule.LrAt(opt_step));
-
-    // The whole accumulation group books under its first micro-step's
-    // epoch (groups spanning an epoch boundary are attributed once).
-    const int64_t epoch = epoch_of_step[static_cast<size_t>(first_step)];
-    if (config.verbose && epoch != current_epoch) {
-      log_epoch(current_epoch);
-      current_epoch = epoch;
-    }
-    const auto e = static_cast<size_t>(epoch);
+        trainer.Step(tb, &opt, schedule.LrAt(step));
+    const auto e =
+        static_cast<size_t>(epoch_of_step[static_cast<size_t>(step)]);
     state.loss_sum[e] += step_stats.loss;
     state.mask_sum[e] += step_stats.mask_loss;
     state.con_sum[e] += step_stats.con_loss;
     ++state.batch_count[e];
 
-    ++opt_steps_done;
-    const bool hit_max =
-        config.max_steps > 0 && opt_steps_done >= config.max_steps;
-    const bool plan_done = last_step_idx + 1 == total_steps;
+    ++steps_done;
+    const bool hit_max = config.max_steps > 0 && steps_done >= config.max_steps;
     if (!config.checkpoint_path.empty() &&
-        (hit_max || plan_done ||
+        (hit_max || step + 1 == total_steps ||
          (config.checkpoint_every_steps > 0 &&
-          opt_steps_done % config.checkpoint_every_steps == 0))) {
-      save_checkpoint(last_step_idx + 1);
+          steps_done % config.checkpoint_every_steps == 0))) {
+      save_checkpoint(step + 1);
     }
-    for (int64_t i = 0; i < got; ++i) {
-      loader.Recycle(std::move(group[static_cast<size_t>(i)]));
-    }
+    loader.Recycle(std::move(tb));
     if (hit_max) break;  // simulated interruption; loader shuts down
   }
-  if (config.verbose) log_epoch(current_epoch);
 
   PretrainStats stats;
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {

@@ -17,7 +17,6 @@ struct PretrainConfig {
   double lr = 1e-3;
   double weight_decay = 0.01;
   double warmup_fraction = 0.15;  ///< Fraction of steps used for warm-up.
-  double grad_clip = 5.0;
   double lambda = 0.6;  ///< Loss mix of Eq. (15).
   float tau = 0.05f;    ///< NT-Xent temperature.
   int64_t mask_span = 2;       ///< lm.
@@ -27,7 +26,6 @@ struct PretrainConfig {
   bool use_mask_task = true;         ///< false = "w/o Mask" ablation.
   bool use_contrastive_task = true;  ///< false = "w/o Contra" ablation.
   uint64_t seed = 7;
-  bool verbose = false;
 
   // --- Data pipeline (see data/loader.h and ARCHITECTURE.md) -------------
   /// Augmentation worker threads feeding the prefetch queue; 0 builds every
@@ -62,22 +60,16 @@ struct PretrainConfig {
   int64_t max_steps = 0;
 
   // --- Data-parallel engine (see core/parallel_trainer.h) ----------------
-  // Every run trains through ParallelTrainer. The defaults run one grain
-  // per step on the primary model alone.
+  // Every run trains through ParallelTrainer, one optimizer step per loader
+  // batch. The defaults run one grain per step on the primary model alone.
   /// Model replicas training in data parallel. A pure *scheduling* knob:
-  /// for any fixed (shard_grain, accum_steps) decomposition, every value of
-  /// num_shards — including 1 — produces bitwise-identical parameters,
-  /// optimizer state, and loss curves (the fixed-order tree all-reduce
-  /// pins every gradient summation order).
+  /// every value — including 1 — produces bitwise-identical parameters,
+  /// optimizer state, and loss curves.
   int num_shards = 1;
   /// Trajectories per micro-shard. Defines the gradient summation order
   /// (training semantics, folded into the resume plan hash); 0 = one shard
-  /// per micro-batch. Pick ~batch_size / num_shards for load balance.
+  /// per batch. Pick ~batch_size / num_shards for load balance.
   int64_t shard_grain = 0;
-  /// Micro-batches combined per optimizer step, on the same reduction path.
-  /// The group's losses are evaluated jointly, so accumulation enlarges the
-  /// effective (contrastive) batch; also summation-order-defining.
-  int64_t accum_steps = 1;
 };
 
 /// \brief Per-epoch telemetry of a pre-training run.
@@ -88,9 +80,11 @@ struct PretrainStats {
 };
 
 /// Runs the two self-supervised tasks of Sec. III-C over `corpus`
-/// (span-masked recovery + trajectory contrastive learning) with AdamW and
-/// the warm-up/cosine schedule. `traffic` supplies historical travel times
-/// for the Temporal Shifting augmentation.
+/// (span-masked recovery + trajectory contrastive learning) with AdamW,
+/// gradient clipping at nn::kGradClip and the warm-up/cosine schedule, one
+/// optimizer step per batch (core/parallel_trainer.h states the trainer
+/// contract). `traffic` supplies historical travel times for the Temporal
+/// Shifting augmentation.
 PretrainStats Pretrain(StartModel* model,
                        const std::vector<traj::Trajectory>& corpus,
                        const traj::TrafficModel* traffic,

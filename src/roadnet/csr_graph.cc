@@ -165,24 +165,19 @@ CsrDijkstra::CsrDijkstra(const CsrGraph* graph) : graph_(graph) {
   dist_.assign(v, kInfCost);
   parent_.assign(v, -1);
   stamp_.assign(v, 0);
-  settled_.assign(v, 0);
-  is_target_.assign(v, 0);
-  target_stamp_.assign(v, 0);
 }
 
 void CsrDijkstra::Reset() {
   ++cur_stamp_;
   if (cur_stamp_ == 0) {  // stamp wraparound: hard-clear once per 2^32 queries
     std::fill(stamp_.begin(), stamp_.end(), 0);
-    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
     cur_stamp_ = 1;
   }
   heap_.clear();
 }
 
 template <typename ArcCost>
-void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining,
-                      const ArcCost& arc_cost) {
+void CsrDijkstra::Run(int32_t src, int32_t dst, const ArcCost& arc_cost) {
   const int64_t* offsets = graph_->out_offsets();
   const int32_t* heads = graph_->out_heads();
   const Cost* weights = graph_->out_weights();
@@ -192,7 +187,6 @@ void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining,
       stamp_[static_cast<size_t>(v)] = cur_stamp_;
       dist_[static_cast<size_t>(v)] = kInfCost;
       parent_[static_cast<size_t>(v)] = -1;
-      settled_[static_cast<size_t>(v)] = 0;
     }
     return dist_[static_cast<size_t>(v)];
   };
@@ -207,13 +201,6 @@ void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining,
     const auto [d, u] = heap_.back();
     heap_.pop_back();
     if (d > label(u)) continue;  // stale entry
-    settled_[static_cast<size_t>(u)] = 1;
-    if (remaining != nullptr &&
-        target_stamp_[static_cast<size_t>(u)] == cur_stamp_ &&
-        is_target_[static_cast<size_t>(u)]) {
-      is_target_[static_cast<size_t>(u)] = 0;
-      if (--*remaining == 0) return;
-    }
     if (u == dst) return;
     for (int64_t k = offsets[u]; k < offsets[u + 1]; ++k) {
       const int32_t nb = heads[k];
@@ -231,19 +218,14 @@ void CsrDijkstra::Run(int32_t src, int32_t dst, int64_t* remaining,
   }
 }
 
-void CsrDijkstra::Search(int32_t src, int32_t dst, int64_t* remaining,
-                         const ArcCostFn& arc_cost) {
-  if (arc_cost) {
-    Run(src, dst, remaining, arc_cost);
-  } else {
-    Run(src, dst, remaining, [](int32_t, int32_t, Cost w) { return w; });
-  }
-}
-
 Cost CsrDijkstra::Distance(int32_t src, int32_t dst,
                            const ArcCostFn& arc_cost) {
   Reset();
-  Search(src, dst, nullptr, arc_cost);
+  if (arc_cost) {
+    Run(src, dst, arc_cost);
+  } else {
+    Run(src, dst, [](int32_t, int32_t, Cost w) { return w; });
+  }
   if (stamp_[static_cast<size_t>(dst)] != cur_stamp_) return kInfCost;
   return dist_[static_cast<size_t>(dst)];
 }
@@ -259,30 +241,6 @@ std::optional<CsrPath> CsrDijkstra::Route(int32_t src, int32_t dst,
   }
   std::reverse(path.nodes.begin(), path.nodes.end());
   return path;
-}
-
-void CsrDijkstra::DistancesFrom(int32_t src,
-                                const std::vector<int32_t>& targets,
-                                std::vector<Cost>* out) {
-  Reset();
-  int64_t remaining = 0;
-  for (const int32_t t : targets) {
-    target_stamp_[static_cast<size_t>(t)] = cur_stamp_;
-    if (!is_target_[static_cast<size_t>(t)]) {
-      is_target_[static_cast<size_t>(t)] = 1;
-      ++remaining;
-    }
-  }
-  Search(src, -1, &remaining, {});
-  out->assign(targets.size(), kInfCost);
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const int32_t t = targets[i];
-    if (stamp_[static_cast<size_t>(t)] == cur_stamp_ &&
-        settled_[static_cast<size_t>(t)]) {
-      (*out)[i] = dist_[static_cast<size_t>(t)];
-    }
-    is_target_[static_cast<size_t>(t)] = 0;  // clear for the next call
-  }
 }
 
 std::vector<CsrPath> KShortestPaths(const CsrGraph& graph, int32_t src,

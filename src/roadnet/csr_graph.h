@@ -161,36 +161,19 @@ class CsrDijkstra {
   std::optional<CsrPath> Route(int32_t src, int32_t dst,
                                const ArcCostFn& arc_cost = {});
 
-  /// One-to-many: distances from src to every target (kInfCost when
-  /// unreachable). Stops as soon as all targets are settled.
-  void DistancesFrom(int32_t src, const std::vector<int32_t>& targets,
-                     std::vector<Cost>* out);
-
   const CsrGraph& graph() const { return *graph_; }
 
  private:
-  /// Runs Dijkstra from src until dst is settled (or exhaustion when
-  /// dst < 0, or `remaining` targets are settled when remaining != nullptr),
-  /// pricing arcs with `arc_cost(tail, head, stored weight)`.
+  /// Runs Dijkstra from src until dst is settled (or the reachable region
+  /// is exhausted), pricing arcs with `arc_cost(tail, head, stored weight)`.
   template <typename ArcCost>
-  void Run(int32_t src, int32_t dst, int64_t* remaining,
-           const ArcCost& arc_cost);
-  /// Run() with the hook, or with the stored weights when it is empty.
-  void Search(int32_t src, int32_t dst, int64_t* remaining,
-              const ArcCostFn& arc_cost);
+  void Run(int32_t src, int32_t dst, const ArcCost& arc_cost);
   void Reset();
-  bool Settled(int32_t v) const {
-    return stamp_[static_cast<size_t>(v)] == cur_stamp_ &&
-           settled_[static_cast<size_t>(v)];
-  }
 
   const CsrGraph* graph_;
   std::vector<Cost> dist_;
   std::vector<int32_t> parent_;
   std::vector<uint32_t> stamp_;
-  std::vector<uint8_t> settled_;
-  std::vector<uint8_t> is_target_;  ///< Stamped via target_stamp_.
-  std::vector<uint32_t> target_stamp_;
   uint32_t cur_stamp_ = 0;
   // Binary heap of (dist, node); lazily deleted stale entries.
   std::vector<std::pair<Cost, int32_t>> heap_;

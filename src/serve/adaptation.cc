@@ -97,14 +97,14 @@ common::Status AdaptationController::Boot() {
   // re-embedding; a corrupt or mismatched sidecar is recovered from by
   // starting empty (the stream refills it) — never fatal.
   const std::string index_path = IndexPathFor(config_.base_checkpoint);
-  if (config_.persist_index && core::CheckpointExists(index_path)) {
+  if (core::CheckpointExists(index_path)) {
     auto loaded = HnswIndex::Load(index_path);
     if (loaded.ok() && loaded.value()->dim() == encoder_->dim()) {
       hnsw_ = std::move(loaded.value());
-      index_restored_ = 1;
+      stats_.index_restored = 1;
     } else {
-      index_recovered_ = 1;
-      last_error_ =
+      stats_.index_recovered = 1;
+      stats_.last_error =
           "persisted index rejected: " +
           (loaded.ok() ? std::string("dim mismatch") : loaded.status().ToString());
     }
@@ -190,21 +190,8 @@ std::string AdaptationController::serving_checkpoint() const {
 
 AdaptationStats AdaptationController::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  AdaptationStats s;
-  s.state = state_;
-  s.generation = generation_;
-  s.drift_triggers = drift_triggers_;
-  s.rounds_started = rounds_started_;
-  s.rounds_completed = rounds_completed_;
-  s.rounds_failed = rounds_failed_;
-  s.rounds_skipped = rounds_skipped_;
-  s.compactions = compactions_;
-  s.swap_timeouts = swap_timeouts_;
-  s.catch_up_items = catch_up_items_;
-  s.index_restored = index_restored_;
-  s.index_recovered = index_recovered_;
+  AdaptationStats s = stats_;
   s.corpus_size = static_cast<int64_t>(corpus_.size());
-  s.last_error = last_error_;
   return s;
 }
 
@@ -224,7 +211,7 @@ void AdaptationController::OnIngested(int64_t id,
 void AdaptationController::OnDrift() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++drift_triggers_;
+    ++stats_.drift_triggers;
     retrain_pending_ = true;
   }
   cv_.notify_all();
@@ -243,10 +230,11 @@ void AdaptationController::WorkerLoop() {
       if (retrain_pending_) {
         retrain_pending_ = false;
         retrain = true;
-        round = generation_ + 1;  // the generation this round would produce
+        // The generation this round would produce.
+        round = stats_.generation + 1;
       } else {
         compact_pending_ = false;
-        round = generation_;  // compaction serves the same generation
+        round = stats_.generation;  // compaction serves the same generation
       }
       round_active_ = true;
     }
@@ -258,7 +246,7 @@ void AdaptationController::WorkerLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       round_active_ = false;
-      state_ = AdaptationState::kServing;
+      stats_.state = AdaptationState::kServing;
     }
     cv_.notify_all();
   }
@@ -267,9 +255,9 @@ void AdaptationController::WorkerLoop() {
 void AdaptationController::FailRound(const std::string& what,
                                      const common::Status& st) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++rounds_failed_;
-  last_error_ = what + ": " + st.ToString();
-  state_ = AdaptationState::kServing;
+  ++stats_.rounds_failed;
+  stats_.last_error = what + ": " + st.ToString();
+  stats_.state = AdaptationState::kServing;
 }
 
 common::Status AdaptationController::CatchUp(const FrozenEncoder& encoder,
@@ -290,7 +278,7 @@ common::Status AdaptationController::CatchUp(const FrozenEncoder& encoder,
   START_RETURN_IF_ERROR(index->AddBatch(ids, rows));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    catch_up_items_ += static_cast<int64_t>(ids.size());
+    stats_.catch_up_items += static_cast<int64_t>(ids.size());
   }
   return common::Status::OK();
 }
@@ -312,7 +300,7 @@ common::Status AdaptationController::SwapAndCatchUp(
     if (now > deadline) {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        ++swap_timeouts_;
+        ++stats_.swap_timeouts;
       }
       return common::Status::FailedPrecondition(
           "swap timeout: pipeline never reached a quiescent boundary");
@@ -331,14 +319,12 @@ common::Status AdaptationController::SwapAndCatchUp(
   // Everything accepted before the quiescent swap has finalized and been
   // recorded, so one pass closes the gap; new items land on the new engine.
   START_RETURN_IF_ERROR(CatchUp(*encoder, index.get()));
-  if (config_.persist_index) {
-    const common::Status st = index->Save(index_path);
-    if (!st.ok()) {
-      // The swap already landed: persistence failure only costs the next
-      // restart a rebuild. Record, don't fail the round.
-      std::lock_guard<std::mutex> lock(mu_);
-      last_error_ = "index persist: " + st.ToString();
-    }
+  const common::Status st = index->Save(index_path);
+  if (!st.ok()) {
+    // The swap already landed: persistence failure only costs the next
+    // restart a rebuild. Record, don't fail the round.
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.last_error = "index persist: " + st.ToString();
   }
   return common::Status::OK();
 }
@@ -354,11 +340,11 @@ void AdaptationController::RunRetrainRound(int64_t round) {
     }
     base = serving_checkpoint_;
     if (static_cast<int64_t>(corpus.size()) < config_.min_retrain_corpus) {
-      ++rounds_skipped_;
+      ++stats_.rounds_skipped;
       return;
     }
-    ++rounds_started_;
-    state_ = AdaptationState::kRetraining;
+    ++stats_.rounds_started;
+    stats_.state = AdaptationState::kRetraining;
   }
 
   common::Status st = hooks_->BeforeStage("retrain", round);
@@ -399,7 +385,7 @@ void AdaptationController::RunRetrainRound(int64_t round) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    state_ = AdaptationState::kSwapping;
+    stats_.state = AdaptationState::kSwapping;
   }
   st = hooks_->BeforeStage("swap", round);
   if (!st.ok()) {
@@ -418,13 +404,13 @@ void AdaptationController::RunRetrainRound(int64_t round) {
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  generation_ = round;
+  stats_.generation = round;
   serving_checkpoint_ = retrained.value().checkpoint;
   encoder_ = std::move(encoder);
   hnsw_ = std::move(index);
-  ++rounds_completed_;
-  last_error_.clear();
-  state_ = AdaptationState::kServing;
+  ++stats_.rounds_completed;
+  stats_.last_error.clear();
+  stats_.state = AdaptationState::kServing;
 }
 
 void AdaptationController::RunCompactionRound(int64_t round) {
@@ -455,7 +441,7 @@ void AdaptationController::RunCompactionRound(int64_t round) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    state_ = AdaptationState::kSwapping;
+    stats_.state = AdaptationState::kSwapping;
   }
   st = hooks_->BeforeStage("swap", round);
   if (!st.ok()) {
@@ -476,9 +462,9 @@ void AdaptationController::RunCompactionRound(int64_t round) {
 
   std::lock_guard<std::mutex> lock(mu_);
   hnsw_ = std::move(compacted);
-  ++compactions_;
-  last_error_.clear();
-  state_ = AdaptationState::kServing;
+  ++stats_.compactions;
+  stats_.last_error.clear();
+  stats_.state = AdaptationState::kServing;
 }
 
 }  // namespace start::serve

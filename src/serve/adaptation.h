@@ -62,9 +62,6 @@ struct AdaptationConfig {
   /// Remove() schedules a compaction swap once the serving index's
   /// DeadFraction() crosses this.
   double compact_dead_fraction = 0.5;
-  /// Persist each generation's index next to its checkpoint so a restart
-  /// loads the graph instead of re-embedding the corpus.
-  bool persist_index = true;
 };
 
 /// Counters + state snapshot of the loop.
@@ -221,23 +218,12 @@ class AdaptationController {
   bool retrain_pending_ = false;
   bool compact_pending_ = false;
   bool round_active_ = false;
-  AdaptationState state_ = AdaptationState::kServing;
-  int64_t generation_ = 0;
+  /// State, generation, counters and last error; corpus_size is filled in
+  /// by stats().
+  AdaptationStats stats_;
   std::string serving_checkpoint_;
   /// The serving HnswIndex (same object the pipeline's bundle holds, typed).
   std::shared_ptr<HnswIndex> hnsw_;
-  // Counters (guarded by mu_; see AdaptationStats).
-  int64_t drift_triggers_ = 0;
-  int64_t rounds_started_ = 0;
-  int64_t rounds_completed_ = 0;
-  int64_t rounds_failed_ = 0;
-  int64_t rounds_skipped_ = 0;
-  int64_t compactions_ = 0;
-  int64_t swap_timeouts_ = 0;
-  int64_t catch_up_items_ = 0;
-  int64_t index_restored_ = 0;
-  int64_t index_recovered_ = 0;
-  std::string last_error_;
 
   /// Corpus ring: newest-last id order plus id -> matched trajectory.
   /// Removed/evicted ids leave the map; stale ids in the deque are skipped.

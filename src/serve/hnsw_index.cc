@@ -795,11 +795,6 @@ common::Result<std::unique_ptr<HnswIndex>> HnswIndex::Load(
   return out;
 }
 
-void HnswIndex::SetEfSearch(int64_t ef_search) {
-  ef_search_.store(std::max<int64_t>(ef_search, 1),
-                   std::memory_order_relaxed);
-}
-
 int64_t HnswIndex::max_level() const {
   const uint64_t e = entry_.load(std::memory_order_acquire);
   return e == kNoEntry ? -1 : EntryLevel(e);

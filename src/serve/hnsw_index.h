@@ -18,8 +18,8 @@
 namespace start::serve {
 
 /// Knobs of the HNSW graph. Recall and cost both rise with every knob;
-/// `ef_search` is the runtime recall/latency dial (see SetEfSearch), the
-/// rest are fixed at build time.
+/// `ef_search` is the query-time recall/latency dial, the rest shape the
+/// graph; all are fixed when the index is built.
 struct HnswConfig {
   int64_t M = 16;                ///< Max links per node above level 0 (level 0 keeps 2M).
   int64_t ef_construction = 128; ///< Candidate-pool width while inserting.
@@ -89,12 +89,9 @@ class HnswIndex : public IndexInterface {
 
   const HnswConfig& config() const { return config_; }
 
-  /// Runtime recall/latency dial: the level-0 candidate pool per Query is
-  /// max(ef_search, k). Atomic — callable while queries run.
-  void SetEfSearch(int64_t ef_search);
-  int64_t ef_search() const {
-    return ef_search_.load(std::memory_order_relaxed);
-  }
+  /// Recall/latency dial: the level-0 candidate pool per Query is
+  /// max(ef_search, k).
+  int64_t ef_search() const { return ef_search_; }
 
   /// Current top level of the graph (-1 while empty).
   int64_t max_level() const;
@@ -202,7 +199,7 @@ class HnswIndex : public IndexInterface {
   const HnswConfig config_;
   const int64_t max_m0_;      ///< Level-0 link cap: 2M.
   const double level_mult_;   ///< 1 / ln(M).
-  std::atomic<int64_t> ef_search_;
+  const int64_t ef_search_;
 
   /// Serializes writers end-to-end (slot assignment, RNG draws, arena
   /// bumps, graph wiring). Readers never take it.

@@ -9,6 +9,16 @@
 
 namespace start::serve {
 
+namespace {
+
+constexpr int64_t kEmbedQueueDepth = 128;
+/// First retry sleep; doubles per attempt.
+constexpr int64_t kRetryBackoffUs = 200;
+/// Matched trajectories shorter than this are failed (matching noise).
+constexpr int64_t kMinRoads = 2;
+
+}  // namespace
+
 void StreamPipeline::LatencyRing::Record(double value) {
   std::lock_guard<std::mutex> lock(mu);
   if (ms.size() < kCapacity) {
@@ -80,7 +90,6 @@ StreamPipeline::StreamPipeline(EngineBundle engine,
   START_CHECK_GT(config_.match_workers, 0);
   START_CHECK_GT(config_.embed_workers, 0);
   START_CHECK_GT(config_.match_queue_depth, 0);
-  START_CHECK_GT(config_.embed_queue_depth, 0);
   START_CHECK_GT(config_.upsert_queue_depth, 0);
   START_CHECK_GT(config_.max_in_flight, 0);
   START_CHECK_GE(config_.max_retries, 0);
@@ -221,7 +230,7 @@ common::Status StreamPipeline::RunWithRetry(const char* stage, int64_t seq,
   while (!st.ok() && st.code() != common::StatusCode::kInvalidArgument &&
          attempt < config_.max_retries) {
     counters->retried.fetch_add(1, std::memory_order_relaxed);
-    hooks_->SleepUs(config_.retry_backoff_us << attempt);
+    hooks_->SleepUs(kRetryBackoffUs << attempt);
     ++attempt;
     st = hooks_->BeforeStage(stage, seq);
   }
@@ -290,7 +299,7 @@ void StreamPipeline::MatchLoop() {
       w.traj = matcher.MatchTrajectory(w.gps);
       w.gps.points.clear();
       w.gps.points.shrink_to_fit();
-      if (w.traj.size() < config_.min_roads) {
+      if (w.traj.size() < kMinRoads) {
         st = common::Status::InvalidArgument(
             "map matching failed or matched too few roads");
       } else {
@@ -310,7 +319,7 @@ void StreamPipeline::MatchLoop() {
     match_.completed.fetch_add(1, std::memory_order_relaxed);
     const int64_t seq = w.seq;
     const int64_t id = w.id;
-    if (!PushWork(&embed_q_, config_.embed_queue_depth, std::move(w),
+    if (!PushWork(&embed_q_, kEmbedQueueDepth, std::move(w),
                   &embed_)) {
       Outcome o;
       o.seq = seq;

@@ -57,9 +57,9 @@ struct StreamConfig {
   int match_workers = 2;  ///< HMM map-matching workers (the CPU-bound stage).
   int embed_workers = 2;  ///< Workers round-tripping the EmbeddingService.
 
-  // Per-stage queue bounds (items waiting to ENTER the stage).
+  // Per-stage queue bounds (items waiting to ENTER the stage). The embed
+  // stage's bound is fixed at 128.
   int64_t match_queue_depth = 128;
-  int64_t embed_queue_depth = 128;
   int64_t upsert_queue_depth = 128;
   /// Global bound on accepted-but-not-finalized items; also bounds the
   /// finalizer's reorder buffer, so pipeline memory is O(max_in_flight)
@@ -70,12 +70,9 @@ struct StreamConfig {
 
   /// Transient-failure policy: a stage attempt that fails with anything but
   /// InvalidArgument is retried up to this many times, sleeping
-  /// retry_backoff_us << attempt between attempts (exponential backoff).
+  /// 200 us << attempt between attempts (exponential backoff). Matched
+  /// trajectories shorter than 2 roads are failed (matching noise).
   int max_retries = 3;
-  int64_t retry_backoff_us = 200;
-
-  /// Matched trajectories shorter than this are failed (matching noise).
-  int64_t min_roads = 2;
 
   traj::HmmMapMatcher::Config matcher;  ///< Map-matching knobs.
   ServiceConfig service;                ///< Micro-batching embed service.

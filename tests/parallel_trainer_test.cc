@@ -2,8 +2,8 @@
 //  * the fixed-order tree all-reduce itself (nn/allreduce.h),
 //  * K-shard bitwise-identity to single-shard execution (the engine's core
 //    contract), for parameters, optimizer state, AND loss curves,
-//  * gradient accumulation: two micro-batches ≡ one double batch, bitwise,
-//  * mid-plan checkpoint resume across *different* shard counts.
+//  * mid-plan checkpoint resume across *different* shard counts, and from
+//    files that carry records older writers added.
 //
 // This suite carries the `concurrency` ctest label: the sharded step fans
 // forward/backward out over a ThreadPool, so the TSan CI job runs it.
@@ -20,6 +20,7 @@
 #include "data/loader.h"
 #include "nn/allreduce.h"
 #include "nn/optimizer.h"
+#include "tensor/serialize.h"
 #include "testing.h"
 
 namespace start::core {
@@ -121,36 +122,6 @@ class ParallelTrainerTest : public ::testing::Test {
   std::unique_ptr<TinyWorld> world_;
 };
 
-/// Splits `full` (trajectory rows [0, n)) into two micro TrainingBatches
-/// covering rows [0, n/2) and [n/2, n) with identical padded content — the
-/// aligned-row-stream premise of the accumulation-equivalence contract.
-std::pair<data::TrainingBatch, data::TrainingBatch> SplitBatch(
-    const data::TrainingBatch& full) {
-  const int64_t n = full.masked.batch_size;
-  const int64_t half = n / 2;
-  data::TrainingBatch a, b;
-  a.step = full.step;
-  b.step = full.step + 1;
-  a.has_masked = b.has_masked = full.has_masked;
-  a.has_contrastive = b.has_contrastive = full.has_contrastive;
-  data::SliceBatchRows(full.masked, 0, half, &a.masked);
-  data::SliceBatchRows(full.masked, half, n, &b.masked);
-  data::SliceBatchRows(full.contrastive, 0, 2 * half, &a.contrastive);
-  data::SliceBatchRows(full.contrastive, 2 * half, 2 * n, &b.contrastive);
-  const int64_t max_len = full.masked.max_len;
-  for (size_t i = 0; i < full.mask_positions.size(); ++i) {
-    const int64_t flat = full.mask_positions[i];
-    if (flat < half * max_len) {
-      a.mask_positions.push_back(flat);
-      a.mask_targets.push_back(full.mask_targets[i]);
-    } else {
-      b.mask_positions.push_back(flat - half * max_len);
-      b.mask_targets.push_back(full.mask_targets[i]);
-    }
-  }
-  return {std::move(a), std::move(b)};
-}
-
 // ---------------------------------------------------------------------------
 // K-shard bitwise identity (engine level: parameters + optimizer state +
 // per-step losses).
@@ -166,15 +137,14 @@ TEST_F(ParallelTrainerTest, ShardCountIsBitwiseNeutral) {
   auto reference = MakeModel(kSeed);
   nn::AdamW ref_opt(reference->Parameters(), 1e-3);
   {
-    ShardConfig config;
+    PretrainConfig config;
     config.num_shards = 1;
     config.shard_grain = 2;
     config.seed = kSeed;
     ParallelTrainer trainer(reference.get(), config);
     for (int64_t s = 0; s < kSteps; ++s) {
       const data::TrainingBatch tb = MakeBatch(indices, s);
-      ref_losses.push_back(
-          trainer.Step({&tb}, s, &ref_opt, /*lr=*/1e-3).loss);
+      ref_losses.push_back(trainer.Step(tb, &ref_opt, /*lr=*/1e-3).loss);
     }
   }
 
@@ -182,14 +152,14 @@ TEST_F(ParallelTrainerTest, ShardCountIsBitwiseNeutral) {
     SCOPED_TRACE("num_shards=" + std::to_string(k));
     auto model = MakeModel(kSeed);
     nn::AdamW opt(model->Parameters(), 1e-3);
-    ShardConfig config;
+    PretrainConfig config;
     config.num_shards = k;
     config.shard_grain = 2;
     config.seed = kSeed;
     ParallelTrainer trainer(model.get(), config);
     for (int64_t s = 0; s < kSteps; ++s) {
       const data::TrainingBatch tb = MakeBatch(indices, s);
-      const ShardStepStats stats = trainer.Step({&tb}, s, &opt, 1e-3);
+      const ShardStepStats stats = trainer.Step(tb, &opt, 1e-3);
       EXPECT_EQ(stats.loss, ref_losses[static_cast<size_t>(s)])
           << "loss diverged at step " << s;
     }
@@ -206,27 +176,29 @@ TEST_F(ParallelTrainerTest, ShardCountIsBitwiseNeutral) {
   }
 }
 
-// With shard_grain == 0 (no intra-batch decomposition) a K > 1 engine must
-// still match K = 1: grains then map 1:1 to micro-batches.
+// With shard_grain == 0 (no intra-batch decomposition) each step is one
+// grain, so a K > 1 engine leaves all but one replica idle — and must still
+// match K = 1.
 TEST_F(ParallelTrainerTest, WholeBatchGrainsStayBitwiseNeutral) {
   const std::vector<int64_t> indices = {0, 1, 2, 3, 4, 5};
   auto a = MakeModel(kSeed);
   auto b = MakeModel(kSeed);
   nn::AdamW opt_a(a->Parameters(), 1e-3), opt_b(b->Parameters(), 1e-3);
-  ShardConfig config;
+  PretrainConfig config;
   config.shard_grain = 0;
-  config.accum_steps = 2;
   config.seed = kSeed;
-  ShardConfig config_k3 = config;
+  PretrainConfig config_k3 = config;
   config_k3.num_shards = 3;
   ParallelTrainer trainer_a(a.get(), config);
   ParallelTrainer trainer_b(b.get(), config_k3);
-  const data::TrainingBatch m0 = MakeBatch(indices, 0);
-  const data::TrainingBatch m1 = MakeBatch(indices, 1);
-  const ShardStepStats sa = trainer_a.Step({&m0, &m1}, 0, &opt_a, 1e-3);
-  const ShardStepStats sb = trainer_b.Step({&m0, &m1}, 0, &opt_b, 1e-3);
-  EXPECT_EQ(sa.loss, sb.loss);
-  EXPECT_EQ(sa.grains, 2);
+  for (int64_t s = 0; s < 2; ++s) {
+    const data::TrainingBatch tb = MakeBatch(indices, s);
+    const ShardStepStats sa = trainer_a.Step(tb, &opt_a, 1e-3);
+    const ShardStepStats sb = trainer_b.Step(tb, &opt_b, 1e-3);
+    EXPECT_EQ(sa.loss, sb.loss);
+    EXPECT_EQ(sa.grains, 1);
+    EXPECT_EQ(sb.grains, 1);
+  }
   ExpectParamsBitwiseEqual(*a, *b);
 }
 
@@ -247,17 +219,17 @@ TEST_F(ParallelTrainerTest, TaskAblationsStayBitwiseNeutral) {
     auto a = MakeModel(kSeed);
     auto b = MakeModel(kSeed);
     nn::AdamW opt_a(a->Parameters(), 1e-3), opt_b(b->Parameters(), 1e-3);
-    ShardConfig config;
+    PretrainConfig config;
     config.shard_grain = 2;
     config.use_mask_task = use_mask;
     config.use_contrastive_task = !use_mask;
     config.seed = kSeed;
-    ShardConfig config_k3 = config;
+    PretrainConfig config_k3 = config;
     config_k3.num_shards = 3;
     ParallelTrainer trainer_a(a.get(), config);
     ParallelTrainer trainer_b(b.get(), config_k3);
-    const ShardStepStats sa = trainer_a.Step({&tb}, 0, &opt_a, 1e-3);
-    const ShardStepStats sb = trainer_b.Step({&tb}, 0, &opt_b, 1e-3);
+    const ShardStepStats sa = trainer_a.Step(tb, &opt_a, 1e-3);
+    const ShardStepStats sb = trainer_b.Step(tb, &opt_b, 1e-3);
     EXPECT_EQ(sa.loss, sb.loss);
     if (use_mask) {
       EXPECT_EQ(sa.con_loss, 0.0);
@@ -271,56 +243,9 @@ TEST_F(ParallelTrainerTest, TaskAblationsStayBitwiseNeutral) {
 }
 
 // ---------------------------------------------------------------------------
-// Gradient accumulation: 2 micro-batches ≡ 1 double batch, bitwise.
-// ---------------------------------------------------------------------------
-
-TEST_F(ParallelTrainerTest, TwoMicroBatchesMatchOneDoubleBatchBitwise) {
-  ASSERT_GE(world_->corpus.size(), 8u);
-  const std::vector<int64_t> indices = {3, 1, 7, 2, 6, 0, 5, 4};
-  constexpr int64_t kGrain = 2;  // divides the half batch: slices align
-
-  auto whole = MakeModel(kSeed);
-  auto split = MakeModel(kSeed);
-  nn::AdamW opt_whole(whole->Parameters(), 1e-3);
-  nn::AdamW opt_split(split->Parameters(), 1e-3);
-
-  ShardConfig whole_config;
-  whole_config.num_shards = 2;
-  whole_config.shard_grain = kGrain;
-  whole_config.accum_steps = 1;
-  whole_config.seed = kSeed;
-  ShardConfig split_config = whole_config;
-  split_config.num_shards = 3;  // also cross-checks shard neutrality
-  split_config.accum_steps = 2;
-
-  ParallelTrainer whole_trainer(whole.get(), whole_config);
-  ParallelTrainer split_trainer(split.get(), split_config);
-  for (int64_t s = 0; s < 2; ++s) {
-    const data::TrainingBatch full = MakeBatch(indices, s);
-    const auto [micro_a, micro_b] = SplitBatch(full);
-    const ShardStepStats stats_whole =
-        whole_trainer.Step({&full}, s, &opt_whole, 1e-3);
-    const ShardStepStats stats_split =
-        split_trainer.Step({&micro_a, &micro_b}, s, &opt_split, 1e-3);
-    // Same grain set → same central losses → same update, bitwise.
-    EXPECT_EQ(stats_whole.loss, stats_split.loss);
-    EXPECT_EQ(stats_whole.mask_loss, stats_split.mask_loss);
-    EXPECT_EQ(stats_whole.con_loss, stats_split.con_loss);
-    EXPECT_EQ(stats_whole.grains, stats_split.grains);
-  }
-  ExpectParamsBitwiseEqual(*whole, *split);
-  for (size_t i = 0; i < opt_whole.moment1().size(); ++i) {
-    ExpectFloatsBitwiseEqual(opt_whole.moment1()[i], opt_split.moment1()[i],
-                             "adam m");
-    ExpectFloatsBitwiseEqual(opt_whole.moment2()[i], opt_split.moment2()[i],
-                             "adam v");
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Full Pretrain() runs: shard counts, accumulation, and mid-plan resume
-// across DIFFERENT shard counts — everything through the loader, the LR
-// schedule, and the checkpoint container.
+// Full Pretrain() runs: shard counts and mid-plan resume across DIFFERENT
+// shard counts — everything through the loader, the LR schedule, and the
+// checkpoint container.
 // ---------------------------------------------------------------------------
 
 class ShardedPretrainTest : public ParallelTrainerTest {
@@ -405,37 +330,12 @@ TEST_F(ShardedPretrainTest, ResumeAcrossShardCountsBitwise) {
   ExpectStatsBitwiseEqual(ref_stats, resumed_stats);
 }
 
-// Resuming from the FINAL checkpoint of a completed sharded run must
-// no-op gracefully even when accum_steps does not divide the plan length:
-// the end-of-plan cursor then sits after a *partial* accumulation group,
-// the one legal non-multiple-of-accum value (regression test — this used
-// to CHECK-abort).
-TEST_F(ShardedPretrainTest, ResumeAfterCompletedRunWithPartialFinalGroup) {
+// Resuming from the FINAL checkpoint of a completed sharded run is a no-op:
+// the end-of-plan cursor consumes no steps.
+TEST_F(ShardedPretrainTest, ResumeAfterCompletedRunIsNoOp) {
   PretrainConfig config = EngineConfig();
   config.epochs = 1;
-  config.accum_steps = 2;
-  // Pick a batch size whose step count is NOT a multiple of accum_steps so
-  // the final accumulation group really is partial.
-  const auto total_steps_for = [&](int64_t batch_size) {
-    data::PlanConfig plan_config;
-    plan_config.batch_size = batch_size;
-    plan_config.epochs = config.epochs;
-    plan_config.seed = config.seed;
-    return static_cast<int64_t>(
-        data::MakeShuffledPlan(data::Lengths(world_->corpus), plan_config)
-            .steps.size());
-  };
-  int64_t batch_size = 0;
-  for (const int64_t candidate : {8, 7, 9, 11, 13}) {
-    if (total_steps_for(candidate) % config.accum_steps != 0) {
-      batch_size = candidate;
-      break;
-    }
-  }
-  ASSERT_GT(batch_size, 0) << "no batch size yields a partial final group";
-  config.batch_size = batch_size;
   config.num_shards = 2;
-
   TempDir dir;
   config.checkpoint_path = dir.File("completed.sttn");
   auto model = MakeModel(11);
@@ -444,7 +344,7 @@ TEST_F(ShardedPretrainTest, ResumeAfterCompletedRunWithPartialFinalGroup) {
   auto resumed = MakeModel(12);
   PretrainConfig again = config;
   again.resume = true;
-  const PretrainStats stats = Run(again, resumed.get());  // must not abort
+  const PretrainStats stats = Run(again, resumed.get());
   ASSERT_EQ(stats.epoch_loss.size(), 1u);
   // The resumed run consumed no steps: its parameters are exactly the
   // checkpointed (completed) ones.
@@ -479,27 +379,40 @@ TEST_F(ShardedPretrainTest, GrainChangeRefusesResume) {
   ExpectStatsBitwiseEqual(fresh_stats, stats);
 }
 
-// The checkpoint records the shard topology and per-replica RNG cursors.
-TEST_F(ShardedPretrainTest, CheckpointCarriesShardTopology) {
-  TempDir dir;
-  const std::string ckpt = dir.File("topology.sttn");
-  auto model = MakeModel(9);
-  PretrainConfig config = EngineConfig();
-  config.num_shards = 3;
-  config.accum_steps = 1;
-  config.checkpoint_path = ckpt;
-  config.max_steps = 2;
-  Run(config, model.get());
+// Older writers also saved the dropout-stream cursor, the shard topology and
+// the per-replica RNG cursors. No loader reads them, so a checkpoint that
+// carries them must resume exactly like one that does not.
+TEST_F(ShardedPretrainTest, RetiredTrainerRecordsAreIgnoredOnResume) {
+  auto reference = MakeModel(77);
+  const PretrainStats ref_stats = Run(EngineConfig(), reference.get());
 
-  auto probe = MakeModel(9);
-  nn::AdamW opt(probe->Parameters(), 1e-3);
-  auto state = LoadTrainingCheckpoint(ckpt, probe.get(), &opt,
-                                      /*expected_config_hash=*/0);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  EXPECT_EQ(state->num_shards, 3);
-  EXPECT_EQ(state->shard_grain, 2);
-  EXPECT_EQ(state->accum_steps, 1);
-  EXPECT_EQ(state->shard_rng.size(), 3u * 6u);  // 6 state words per shard
+  TempDir dir;
+  const std::string ckpt = dir.File("retired_records.sttn");
+  auto half = MakeModel(77);
+  PretrainConfig interrupted = EngineConfig();
+  interrupted.num_shards = 2;
+  interrupted.checkpoint_path = ckpt;
+  interrupted.max_steps = 3;
+  Run(interrupted, half.get());
+
+  auto bundle = tensor::LoadBundle(ckpt);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  tensor::RecordBundle records = std::move(bundle->records);
+  ASSERT_EQ(records.uints.count("trainer.rng_state"), 0u);
+  ASSERT_EQ(records.ints.count("trainer.shard_topology"), 0u);
+  ASSERT_EQ(records.uints.count("trainer.shard_rng"), 0u);
+  records.uints["trainer.rng_state"] = {1, 2, 3, 4, 5, 6};
+  records.ints["trainer.shard_topology"] = {2, 2, 1};
+  records.uints["trainer.shard_rng"] = std::vector<uint64_t>(12, 0x5eed);
+  ASSERT_TRUE(tensor::SaveBundle(ckpt, bundle->meta_tag, records).ok());
+
+  auto resumed = MakeModel(1234);
+  PretrainConfig tail = EngineConfig();
+  tail.checkpoint_path = ckpt;
+  tail.resume = true;
+  const PretrainStats resumed_stats = Run(tail, resumed.get());
+  ExpectParamsBitwiseEqual(*reference, *resumed);
+  ExpectStatsBitwiseEqual(ref_stats, resumed_stats);
 }
 
 }  // namespace
