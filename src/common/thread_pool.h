@@ -11,40 +11,6 @@
 
 namespace start::common {
 
-/// \brief Count-down join latch for fan-out/fan-in over a ThreadPool.
-///
-/// The pool has no join primitive by design (tasks are fire-and-forget);
-/// callers that submit a batch and need all of it finished — the sharded
-/// trainer's per-replica phases, the all-reduce's per-parameter fan-out —
-/// pair each task with `CountDown()` and block on `Wait()`. One-shot:
-/// create a fresh latch per batch.
-class Latch {
- public:
-  explicit Latch(int count) : remaining_(count) {}
-
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
-
-  /// Signals one task done. The counter is decremented (and the last waiter
-  /// notified) under the lock, so a waiter that wakes and destroys the
-  /// latch cannot race the signaling thread.
-  void CountDown() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--remaining_ == 0) cv_.notify_all();
-  }
-
-  /// Blocks until CountDown() has been called `count` times.
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return remaining_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int remaining_;
-};
-
 /// CPUs this process may run on: the calling thread's affinity mask where
 /// the OS exposes one (so `taskset` and cgroup cpusets count), else
 /// std::thread::hardware_concurrency(); at least 1.

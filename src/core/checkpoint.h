@@ -58,7 +58,7 @@ struct TrainerState {
   int64_t adam_step = 0;  ///< AdamW bias-correction counter t.
   uint64_t schedule_fingerprint = 0;  ///< WarmupCosineSchedule::Fingerprint.
   /// Hash of everything that shapes the step plan (epochs, batch size, seed,
-  /// corpus size) and the gradient summation order (shard_grain). A resume
+  /// corpus size) and the training step's summation order. A resume
   /// under a different plan hash is a different run — Pretrain refuses it
   /// and starts fresh rather than continue incoherently.
   uint64_t plan_hash = 0;

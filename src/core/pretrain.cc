@@ -6,30 +6,129 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "core/checkpoint.h"
-#include "core/parallel_trainer.h"
 #include "data/dataset.h"
 #include "data/loader.h"
+#include "nn/losses.h"
 #include "nn/optimizer.h"
 #include "nn/schedule.h"
+#include "tensor/ops.h"
 
 namespace start::core {
 
 namespace {
 
+using tensor::Tensor;
+
 /// Folded into every plan hash. Checkpoints written by the single-replica
-/// loop that preceded ParallelTrainer carry the same plan fields without
-/// this word, and their floating-point stream differs from the engine's, so
-/// the marker makes Pretrain refuse them rather than resume incoherently.
-/// The engine's summation-order-defining knob (shard_grain) is folded in
-/// after it, then kBatchesPerStep. num_shards deliberately stays out of the
-/// hash: shard count is bitwise-neutral, and resuming under a different one
-/// is supported (tested).
+/// loop that preceded the data-parallel engine carry the same plan fields
+/// without this word, and their floating-point stream differs from today's,
+/// so the marker makes Pretrain refuse them rather than resume incoherently.
+/// The engine's micro-shard size followed it in the hash; the step now
+/// always runs the whole batch as one shard, so a constant 0 is folded in
+/// its place, then kBatchesPerStep. Checkpoints the engine wrote at its
+/// default (whole-batch) shard size therefore keep their hash and resume.
 constexpr uint64_t kShardedEngineMarker = 0x5aa2ded0e6019e5dULL;
 
 /// Loader batches per optimizer step. Always 1; checkpoints written while
 /// several batches could share a step folded that count here, so keeping
 /// the word keeps their plan hash — and their resume — valid.
 constexpr uint64_t kBatchesPerStep = 1;
+
+/// Salts separating the step's dropout streams from each other and from the
+/// loader's augmentation stream.
+constexpr uint64_t kEncoderDropoutSalt = 0x5aadd0f05eedULL;
+constexpr uint64_t kStage1DropoutSalt = 0x57a6e15eed01ULL;
+
+/// A leaf tensor aliasing `t`'s values (zero-copy) with its own gradient
+/// buffer and no graph edges: the boundary at which one backward pass stops
+/// and the next is seeded.
+Tensor DetachedLeaf(const Tensor& t) {
+  const auto& src = t.impl();
+  auto impl = std::make_shared<tensor::TensorImpl>();
+  impl->shape = src->shape;
+  impl->storage = src->storage;
+  impl->strides = src->strides;
+  impl->offset = src->offset;
+  impl->contiguous = src->contiguous;
+  impl->requires_grad = true;
+  impl->op = "detached_leaf";
+  return Tensor(std::move(impl));
+}
+
+struct StepLosses {
+  double loss = 0.0;
+  double mask_loss = 0.0;  ///< 0 when the batch has no masked positions.
+  double con_loss = 0.0;   ///< 0 when the contrastive task is off.
+};
+
+/// One optimizer step over `batch`; Pretrain's doc comment states the
+/// contract. `opt` must be built from `model`'s parameters.
+StepLosses TrainStep(StartModel* model, const data::TrainingBatch& batch,
+                     const PretrainConfig& config, common::Rng* dropout_rng,
+                     nn::AdamW* opt, double lr) {
+  const bool has_masked = config.use_mask_task && batch.has_masked &&
+                          !batch.mask_positions.empty();
+  const bool has_con = config.use_contrastive_task && batch.has_contrastive;
+  START_CHECK_MSG(has_masked || has_con,
+                  "optimizer step with no loss contributions");
+  const std::vector<Tensor>& params = opt->params();
+  // Gradients stay unallocated until a backward pass reaches them.
+  for (const auto& p : params) p.impl()->grad.reset();
+
+  dropout_rng->Seed(data::BatchLoader::StepSeed(
+      config.seed ^ kStage1DropoutSalt, batch.step));
+  Tensor road_reps = model->ComputeRoadReps();
+  const Tensor reps = DetachedLeaf(road_reps);
+  // The outer StepSeed's ordinal 0 names the first micro-shard of the
+  // retired data-parallel engine, whose stream this keeps.
+  dropout_rng->Seed(data::BatchLoader::StepSeed(
+      data::BatchLoader::StepSeed(config.seed ^ kEncoderDropoutSalt,
+                                  batch.step),
+      0));
+  StepLosses losses;
+  {  // The stage-2 graphs die at the end of this scope, before stage 1's
+     // backward allocates its gradients.
+    Tensor logits, cls;
+    if (has_masked) {
+      logits = model->MaskedLogits(model->Encode(batch.masked, reps),
+                                   batch.mask_positions, batch.masked.max_len);
+    }
+    if (has_con) cls = model->Encode(batch.contrastive, reps).cls;
+
+    Tensor logits_leaf, cls_leaf, loss;
+    if (has_masked) {
+      logits_leaf = DetachedLeaf(logits);
+      const Tensor mask_loss =
+          tensor::CrossEntropyWithLogits(logits_leaf, batch.mask_targets);
+      losses.mask_loss = mask_loss.item();
+      loss = tensor::Scale(mask_loss, config.use_contrastive_task
+                                          ? static_cast<float>(config.lambda)
+                                          : 1.0f);
+    }
+    if (has_con) {
+      cls_leaf = DetachedLeaf(cls);
+      const Tensor con_loss = nn::NtXentLoss(cls_leaf, config.tau);
+      losses.con_loss = con_loss.item();
+      const Tensor scaled = tensor::Scale(
+          con_loss, config.use_mask_task
+                        ? static_cast<float>(1.0 - config.lambda)
+                        : 1.0f);
+      loss = loss.defined() ? tensor::Add(loss, scaled) : scaled;
+    }
+    losses.loss = loss.item();
+    loss.Backward();
+    if (has_masked) logits.Backward(logits_leaf.grad());
+    if (has_con) cls.Backward(cls_leaf.grad());
+  }
+  road_reps.Backward(reps.grad());
+  for (const auto& p : params) {
+    if (!p.has_grad()) p.impl()->ResetGrad();
+  }
+  nn::ClipGradNorm(params, nn::kGradClip);
+  opt->set_lr(lr);
+  opt->Step();
+  return losses;
+}
 
 }  // namespace
 
@@ -76,9 +175,10 @@ PretrainStats Pretrain(StartModel* model,
   // The header tag identifies the model architecture (any consumer of the
   // artifact checks it); the plan hash additionally pins everything
   // MakeShuffledPlan's output depends on — epochs, batch size, bucketing,
-  // seed, and the full length profile of the corpus — plus the engine's
-  // summation-order-defining knob (see kShardedEngineMarker), so a resume
-  // under a different step plan or summation order is refused up front.
+  // seed, and the full length profile of the corpus — plus the marker words
+  // of the step's floating-point stream (see kShardedEngineMarker), so a
+  // resume under a different step plan or summation order is refused up
+  // front.
   const uint64_t config_hash = HashStartConfig(model->config());
   uint64_t plan_hash = HashCombine(config_hash, 0x9e3779b97f4a7c15ULL);
   plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.epochs));
@@ -91,7 +191,7 @@ PretrainStats Pretrain(StartModel* model,
     plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(length));
   }
   plan_hash = HashCombine(plan_hash, kShardedEngineMarker);
-  plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.shard_grain));
+  plan_hash = HashCombine(plan_hash, 0);  // the retired micro-shard size
   plan_hash = HashCombine(plan_hash, kBatchesPerStep);
 
   // Trainer state doubles as the live accumulator set: the loss sums below
@@ -139,10 +239,10 @@ PretrainStats Pretrain(StartModel* model,
       data::MakePretrainBuilder(&corpus, traffic, batch_options),
       loader_config);
 
-  // ---- One optimizer step per loader batch, through the data-parallel
-  // engine (see core/parallel_trainer.h). Built after the resume load, so
-  // the replicas copy the resumed values.
-  ParallelTrainer trainer(model, config);
+  // Dropout streams are reseeded per step from config.seed, so a resumed run
+  // replays them from the saved step cursor.
+  common::Rng dropout_rng(config.seed);
+  model->SetDropoutRng(&dropout_rng);
 
   const auto save_checkpoint = [&](int64_t next_step) {
     state.next_step = next_step;
@@ -160,8 +260,8 @@ PretrainStats Pretrain(StartModel* model,
   int64_t steps_done = 0;
   while (loader.Next(&tb)) {
     const int64_t step = tb.step;
-    const ShardStepStats step_stats =
-        trainer.Step(tb, &opt, schedule.LrAt(step));
+    const StepLosses step_stats = TrainStep(model, tb, config, &dropout_rng,
+                                            &opt, schedule.LrAt(step));
     const auto e =
         static_cast<size_t>(epoch_of_step[static_cast<size_t>(step)]);
     state.loss_sum[e] += step_stats.loss;
@@ -180,6 +280,7 @@ PretrainStats Pretrain(StartModel* model,
     loader.Recycle(std::move(tb));
     if (hit_max) break;  // simulated interruption; loader shuts down
   }
+  model->SetDropoutRng(nullptr);
 
   PretrainStats stats;
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {

@@ -50,26 +50,14 @@ struct PretrainConfig {
   /// Periodic checkpoint cadence in optimizer steps; 0 = final-only.
   int64_t checkpoint_every_steps = 0;
   /// Resume from `checkpoint_path` when it holds a training checkpoint. The
-  /// resumed run replays the loader's StepSeed stream and the engine's
-  /// per-step dropout seeds from the saved cursor, so it is bitwise
+  /// resumed run replays the loader's StepSeed stream and the step's
+  /// dropout seeds from the saved cursor, so it is bitwise
   /// identical to a never-interrupted run (tests/core_pretrain_test.cc
   /// asserts this).
   bool resume = false;
   /// Stop after this many optimizer steps past the resume point (0 = run the
   /// whole plan). Simulates interruption; pair with `checkpoint_path`.
   int64_t max_steps = 0;
-
-  // --- Data-parallel engine (see core/parallel_trainer.h) ----------------
-  // Every run trains through ParallelTrainer, one optimizer step per loader
-  // batch. The defaults run one grain per step on the primary model alone.
-  /// Model replicas training in data parallel. A pure *scheduling* knob:
-  /// every value — including 1 — produces bitwise-identical parameters,
-  /// optimizer state, and loss curves.
-  int num_shards = 1;
-  /// Trajectories per micro-shard. Defines the gradient summation order
-  /// (training semantics, folded into the resume plan hash); 0 = one shard
-  /// per batch. Pick ~batch_size / num_shards for load balance.
-  int64_t shard_grain = 0;
 };
 
 /// \brief Per-epoch telemetry of a pre-training run.
@@ -81,10 +69,31 @@ struct PretrainStats {
 
 /// Runs the two self-supervised tasks of Sec. III-C over `corpus`
 /// (span-masked recovery + trajectory contrastive learning) with AdamW,
-/// gradient clipping at nn::kGradClip and the warm-up/cosine schedule, one
-/// optimizer step per batch (core/parallel_trainer.h states the trainer
-/// contract). `traffic` supplies historical travel times for the Temporal
-/// Shifting augmentation.
+/// gradient clipping at nn::kGradClip and the warm-up/cosine schedule.
+/// `traffic` supplies historical travel times for the Temporal Shifting
+/// augmentation.
+///
+/// One optimizer step per loader batch, in a fixed order that pins every
+/// bit of the output (tests/core_pretrain_test.cc compares a default run
+/// with recorded constants):
+///  1. Stage 1 (TPE-GAT road representations) runs once, with dropout
+///     seeded from (seed, step).
+///  2. Stage 2 encodes the masked batch, then the contrastive batch, through
+///     a zero-copy leaf of the road representations, with dropout reseeded
+///     from (seed, step).
+///  3. The masked-recovery cross entropy and NT-Xent are evaluated over
+///     zero-copy leaves of the logits and [CLS] rows and mixed by Eq. 15's
+///     `lambda` (with one task off, the other has weight 1).
+///  4. Backward runs through the loss graph, then the masked encoder graph,
+///     then the contrastive one, then stage 1 once from the accumulated
+///     road-representation gradient. Separate passes fix the order in which
+///     the two branches accumulate into shared parameters; one combined
+///     backward would sum them in a different order and change the bits.
+///  5. Parameters no pass reached get zero gradients, so AdamW still decays
+///     them; then the global norm is clipped and AdamW steps.
+/// Gradients stay unallocated from one step's start until a backward pass
+/// reaches them. Dropout is reseeded every step, so no RNG cursor is
+/// checkpointed: a resumed run replays the same streams from the saved step.
 PretrainStats Pretrain(StartModel* model,
                        const std::vector<traj::Trajectory>& corpus,
                        const traj::TrafficModel* traffic,

@@ -16,8 +16,6 @@ StartModel::StartModel(const StartConfig& config,
                        const roadnet::TransferProbability* transfer,
                        common::Rng* rng)
     : config_(config),
-      net_(net),
-      transfer_(transfer),
       num_roads_(net->num_segments()) {
   START_CHECK(net != nullptr);
   START_CHECK(net->finalized());

@@ -72,18 +72,12 @@ class StartModel : public nn::Module {
 
   const StartConfig& config() const { return config_; }
   int64_t num_roads() const { return num_roads_; }
-  /// Construction inputs, exposed so the data-parallel trainer can build
-  /// structurally identical replicas (core/parallel_trainer.h).
-  const roadnet::RoadNetwork* net() const { return net_; }
-  const roadnet::TransferProbability* transfer() const { return transfer_; }
 
  private:
   /// Builds the additive attention bias: padding mask + ∆̃ (Eqs. 7–9).
   tensor::Tensor BuildScoreBias(const data::Batch& batch) const;
 
   StartConfig config_;
-  const roadnet::RoadNetwork* net_;
-  const roadnet::TransferProbability* transfer_;
   int64_t num_roads_;
 
   // Stage 1: either the TPE-GAT over road features, or a plain learnable

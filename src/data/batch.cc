@@ -46,28 +46,6 @@ void MakeBatchInto(const std::vector<View>& views, Batch* batch) {
   }
 }
 
-void SliceBatchRows(const Batch& batch, int64_t row_begin, int64_t row_end,
-                    Batch* out) {
-  START_CHECK(out != nullptr);
-  START_CHECK_GE(row_begin, 0);
-  START_CHECK_LT(row_begin, row_end);
-  START_CHECK_LE(row_end, batch.batch_size);
-  const int64_t rows = row_end - row_begin;
-  out->batch_size = rows;
-  out->max_len = batch.max_len;  // parent extent, NOT the slice's own max
-  out->embedding_dropout = batch.embedding_dropout;
-  const size_t first = static_cast<size_t>(row_begin * batch.max_len);
-  const size_t last = static_cast<size_t>(row_end * batch.max_len);
-  out->roads.assign(batch.roads.begin() + first, batch.roads.begin() + last);
-  out->minute_idx.assign(batch.minute_idx.begin() + first,
-                         batch.minute_idx.begin() + last);
-  out->dow_idx.assign(batch.dow_idx.begin() + first,
-                      batch.dow_idx.begin() + last);
-  out->times.assign(batch.times.begin() + first, batch.times.begin() + last);
-  out->lengths.assign(batch.lengths.begin() + row_begin,
-                      batch.lengths.begin() + row_end);
-}
-
 double PaddingEfficiency(const std::vector<int64_t>& lengths) {
   START_CHECK(!lengths.empty());
   int64_t total = 0, max_len = 0;

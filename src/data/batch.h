@@ -37,18 +37,6 @@ Batch MakeBatch(const std::vector<View>& views);
 /// path under the async loader (one call per training step per worker).
 void MakeBatchInto(const std::vector<View>& views, Batch* batch);
 
-/// \brief Copies rows [row_begin, row_end) of `batch` into `*out`, keeping
-/// the parent's `max_len` padding extent (reusing `out`'s buffers).
-///
-/// Preserving max_len is what makes the slice *bitwise row-independent*: the
-/// encoder's per-row outputs (positional rows, attention over the padded
-/// extent, per-sample score bias) are identical whether a row is encoded
-/// inside the full batch or inside any slice of it. The sharded trainer
-/// (core/parallel_trainer.h) relies on this to split one batch across model
-/// replicas without perturbing a single bit of the forward pass.
-void SliceBatchRows(const Batch& batch, int64_t row_begin, int64_t row_end,
-                    Batch* out);
-
 /// Fraction of non-padding tokens in a padded batch with these lengths:
 /// sum(lengths) / (n * max(lengths)). 1.0 means zero padding waste.
 double PaddingEfficiency(const std::vector<int64_t>& lengths);

@@ -101,20 +101,6 @@ common::Status Module::Load(const std::string& path, bool allow_missing,
   return common::Status::OK();
 }
 
-void Module::CopyParametersFrom(const Module& other) {
-  auto mine = NamedParameters();
-  auto theirs = other.NamedParameters();
-  START_CHECK_EQ(mine.size(), theirs.size());
-  for (size_t i = 0; i < mine.size(); ++i) {
-    START_CHECK_MSG(mine[i].first == theirs[i].first,
-                    mine[i].first << " vs " << theirs[i].first);
-    START_CHECK(mine[i].second.shape() == theirs[i].second.shape());
-    std::copy(theirs[i].second.data(),
-              theirs[i].second.data() + theirs[i].second.numel(),
-              mine[i].second.data());
-  }
-}
-
 tensor::Tensor Module::RegisterParameter(const std::string& name,
                                          tensor::Tensor t) {
   START_CHECK(t.defined());

@@ -67,9 +67,6 @@ class Module {
   common::Status Load(const std::string& path, bool allow_missing = false,
                       bool skip_mismatched = false);
 
-  /// Copies parameter values from a module with identical structure.
-  void CopyParametersFrom(const Module& other);
-
  protected:
   /// Registers a leaf parameter; returns the same tensor with
   /// requires_grad set.

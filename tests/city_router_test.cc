@@ -64,7 +64,7 @@ class CityRouterTest : public ::testing::Test {
     config_ = nullptr;
   }
 
-  static std::unique_ptr<ServingCity> MakeServingCity(int64_t grid,
+  static std::unique_ptr<ServingCity> MakeServingCity(int32_t grid,
                                                       const char* name) {
     auto city = std::make_unique<ServingCity>();
     testutil::TinyWorldOptions options;

@@ -12,8 +12,8 @@
 ///    is the laptop-scale model every core test uses.
 ///  * Comparators — `ExpectAllClose` for numeric tolerance checks,
 ///    `ExpectTensorBitwiseEqual` / `ExpectParamsBitwiseEqual` for the
-///    repo's determinism contracts (loader worker counts, checkpoint resume,
-///    shard counts), where "close" is not the claim being tested.
+///    repo's determinism contracts (loader worker counts, checkpoint resume),
+///    where "close" is not the claim being tested.
 ///  * `TempDir` — RAII scratch directory (recursively removed), replacing
 ///    ad-hoc `::testing::TempDir() + name` + manual std::remove pairs.
 ///  * `TestRng` — seeded generator derived from the current gtest test name,
@@ -44,8 +44,8 @@ namespace start::testutil {
 /// Knobs of the standard tiny world; the defaults reproduce the fixture the
 /// core/pretrain/eval tests were all hand-rolling.
 struct TinyWorldOptions {
-  int64_t grid_width = 5;
-  int64_t grid_height = 5;
+  int32_t grid_width = 5;
+  int32_t grid_height = 5;
   int64_t num_drivers = 8;
   int64_t num_days = 8;
   double trips_per_driver_day = 4.0;

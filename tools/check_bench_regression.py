@@ -71,24 +71,6 @@ HEADLINE_METRICS = {
             lambda doc: {"ch_exactness": doc["ch_exactness"]},
         ),
     ],
-    "BENCH_pretrain.json": [
-        # The sharded engine's determinism contract: K in {2,3,5} bitwise
-        # identical to K=1. Binary (1.0/0.0) and host-independent; any
-        # regression below 1.0 is a broken reduction order.
-        (
-            "sharded-engine bitwise gate",
-            lambda doc: {"bitwise_identical": doc["bitwise_identical"]},
-        ),
-        # Engine bookkeeping cost at K=1 relative to the legacy loop —
-        # a same-host ratio, so stable across runners.
-        (
-            "sharded-engine K=1 overhead",
-            lambda doc: {
-                "overhead_1shard_vs_legacy":
-                    doc["overhead_1shard_vs_legacy"]
-            },
-        ),
-    ],
     "BENCH_serve.json": [
         # Frozen-engine corpus embedding vs the seed grad-tracking consumer
         # path: algorithmic (no autograd capture, precomputed road table,
