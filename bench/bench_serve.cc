@@ -25,8 +25,8 @@
 //     (d=192) model — corpus-embedding throughput, mean per-embedding
 //     cosine vs the f32 reference, and serving-snapshot vs training-
 //     checkpoint artifact size. Gates: >= 2x throughput on hosts running
-//     the AVX2 qgemm backend (never slower anywhere), mean cosine
-//     >= 0.999, snapshot at most half the checkpoint.
+//     a SIMD qgemm backend (AVX2 or AVX-512 VNNI; never slower anywhere),
+//     mean cosine >= 0.999, snapshot at most half the checkpoint.
 //
 // Build & run:
 //   cmake -B build -S . && cmake --build build -j --target bench_serve
@@ -200,11 +200,10 @@ AnnResults MeasureAnn() {
   r.rows = 50000;
   r.dim = 32;
   const int64_t kCenters = 512;
-  // The exact scan answers the first kQueries (truth, recall, exact qps);
-  // HNSW is timed over all kHnswQueries: 200 of them took about 13 ms, too
+  // Both indexes answer the same kQueries queries, which give the truth,
+  // the recall and both qps figures: 200 HNSW queries took about 13 ms, too
   // short to time on a shared host.
-  const int64_t kQueries = 200;
-  const int64_t kHnswQueries = 2000;
+  const int64_t kQueries = 2000;
   const int64_t kK = 10;
   Rng rng(34);
   std::vector<float> centers(static_cast<size_t>(kCenters * r.dim));
@@ -242,8 +241,8 @@ AnnResults MeasureAnn() {
   if (!hnsw.AddBatch(ids, rows).ok()) std::abort();
   r.build_seconds = build_timer.ElapsedSeconds();
 
-  std::vector<float> queries(static_cast<size_t>(kHnswQueries * r.dim));
-  for (int64_t q = 0; q < kHnswQueries; ++q) {
+  std::vector<float> queries(static_cast<size_t>(kQueries * r.dim));
+  for (int64_t q = 0; q < kQueries; ++q) {
     sample_row(queries.data() + q * r.dim);
   }
 
@@ -259,12 +258,11 @@ AnnResults MeasureAnn() {
     truth[static_cast<size_t>(q)] = std::move(result).value();
   }
   double hits = 0.0;
-  for (int64_t q = 0; q < kHnswQueries; ++q) {
+  for (int64_t q = 0; q < kQueries; ++q) {
     timer.Restart();
     auto result = hnsw.Query(queries.data() + q * r.dim, r.dim, kK);
     hnsw_ms.push_back(timer.ElapsedMillis());
     if (!result.ok()) std::abort();
-    if (q >= kQueries) continue;
     const auto& got = result.value();
     for (const auto& t : truth[static_cast<size_t>(q)]) {
       for (const auto& g : got) {
@@ -279,7 +277,7 @@ AnnResults MeasureAnn() {
   for (const double ms : exact_ms) exact_total_ms += ms;
   for (const double ms : hnsw_ms) hnsw_total_ms += ms;
   r.exact_qps = static_cast<double>(kQueries) / (exact_total_ms * 1e-3);
-  r.hnsw_qps = static_cast<double>(kHnswQueries) / (hnsw_total_ms * 1e-3);
+  r.hnsw_qps = static_cast<double>(kQueries) / (hnsw_total_ms * 1e-3);
   r.speedup = r.hnsw_qps / r.exact_qps;
   r.recall_at_10 =
       hits / static_cast<double>(kQueries) / static_cast<double>(kK);
@@ -552,8 +550,8 @@ int main() {
 
   // 6. Quantized serving at d=192.
   const QuantResults quant = MeasureQuantized(w);
-  const bool qgemm_avx2 = start::tensor::qgemm::ActiveBackend() ==
-                          start::tensor::qgemm::Backend::kAvx2;
+  const bool qgemm_simd = start::tensor::qgemm::ActiveBackend() !=
+                          start::tensor::qgemm::Backend::kScalar;
 
   const unsigned cores = std::thread::hardware_concurrency();
   const int usable_cpus = start::common::UsableCpuCount();
@@ -730,10 +728,13 @@ int main() {
     return 1;
   }
   // 7. Quantized serving. The accuracy and size gates are algorithmic and
-  //    hold on any host. The throughput gate depends on the SIMD backend:
-  //    with AVX2 the int8 kernels must at least double the f32 frozen path
-  //    at serving width; on scalar-only hosts the quantized path must still
-  //    never be slower (the committed baseline comes from an AVX2 host).
+  //    hold on any host. The throughput gate is a same-host ratio, not a
+  //    trajs/s floor, since an absolute rate measures the runner: with any
+  //    SIMD qgemm backend (AVX2 or AVX-512 VNNI) the int8 snapshot must at
+  //    least double the f32 frozen path at serving width, the speed it
+  //    trades its accuracy for; on scalar-only hosts it must still never be
+  //    slower. A faster f32 path lowers the ratio on purpose: int8 serving
+  //    must keep earning its accuracy loss against the f32 of its day.
   if (quant.mean_cos < 0.999) {
     std::fprintf(stderr, "FAIL: quantized mean cosine %.6f < 0.999\n",
                  quant.mean_cos);
@@ -746,7 +747,7 @@ int main() {
                  quant.snapshot_bytes, quant.checkpoint_bytes);
     return 1;
   }
-  const double quant_floor = qgemm_avx2 ? 2.0 : 0.9;
+  const double quant_floor = qgemm_simd ? 2.0 : 0.9;
   if (quant.speedup < quant_floor) {
     std::fprintf(stderr, "FAIL: quantized embed speedup %.2fx < %.1fx (%s "
                  "backend)\n",

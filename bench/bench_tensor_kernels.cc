@@ -5,7 +5,13 @@
 //  - the GEMM kernels at one d=192 encoder layer's shapes (L=161 roads,
 //    head width 48 inside rows of 192): attention scores (GemmNT), context
 //    (GemmNN) and an int8 projection (qgemm::AffineForward), each against
-//    its scalar reference, whose output it must match bit for bit.
+//    its scalar reference, whose output it must match bit for bit;
+//  - the int8 GEMM (qgemm::Gemm) on every backend this CPU supports, at
+//    m = 45 and 720 activation rows and the three (K, N) shapes of a d=192
+//    encoder layer, in GMAC/s; each backend's output must match the scalar
+//    backend's bit for bit. These rates depend on the CPU, so they are
+//    written under "int8_gemm", apart from the "benchmarks" speedups that
+//    tools/check_bench_regression.py compares with a baseline.
 // Emits BENCH_tensor.json so CI tracks the kernel perf trajectory.
 //
 // Build & run:
@@ -17,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -255,6 +262,53 @@ BenchResult BenchInt8Projection(int iters) {
       });
 }
 
+struct Int8GemmResult {
+  std::string backend;
+  int64_t m = 0, k = 0, n = 0;
+  double ms = 0.0;
+  double gmacs = 0.0;  // m * k * n multiply-adds per second, / 1e9
+};
+
+/// qgemm::Gemm of m pre-quantized rows against a packed [n, k] matrix on
+/// every supported backend; exits 1 unless each output matches the scalar
+/// backend's bit for bit.
+void BenchInt8Gemm(int64_t m, int64_t k, int64_t n,
+                   std::vector<Int8GemmResult>* out) {
+  namespace qg = start::tensor::qgemm;
+  Rng rng(10);
+  const std::vector<float> w = RandomFloats(n * k, &rng);
+  const std::vector<float> x = RandomFloats(m * k, &rng);
+  const std::vector<float> init = RandomFloats(m * n, &rng);
+  const qg::PackedMatrix packed = qg::QuantizeAndPack(w.data(), k, n, k);
+  std::vector<int8_t> aq(static_cast<size_t>(m * packed.cols_padded));
+  std::vector<float> scales(static_cast<size_t>(m));
+  qg::QuantizeActivations(x.data(), k, m, packed, aq.data(), scales.data());
+  std::vector<float> ref = init;
+  qg::Gemm(aq.data(), scales.data(), m, packed, ref.data(), n,
+           qg::Backend::kScalar);
+  for (const qg::Backend backend : qg::SupportedBackends()) {
+    std::vector<float> c = init;
+    qg::Gemm(aq.data(), scales.data(), m, packed, c.data(), n, backend);
+    if (std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)) != 0) {
+      std::fprintf(stderr, "MISMATCH in int8 gemm m=%ld k=%ld n=%ld: %s "
+                   "backend differs from scalar\n", m, k, n,
+                   qg::BackendName(backend));
+      std::exit(1);
+    }
+    Int8GemmResult r;
+    r.backend = qg::BackendName(backend);
+    r.m = m;
+    r.k = k;
+    r.n = n;
+    // C keeps accumulating across samples; only the time is used.
+    r.ms = TimeMs(backend == qg::Backend::kScalar ? 5 : 31, [&] {
+      qg::Gemm(aq.data(), scales.data(), m, packed, c.data(), n, backend);
+    });
+    r.gmacs = static_cast<double>(m * k * n) / (r.ms * 1e6);
+    out->push_back(r);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -272,6 +326,14 @@ int main() {
   results.push_back(BenchAttentionScores(51));
   results.push_back(BenchAttentionContext(51));
   results.push_back(BenchInt8Projection(51));
+  std::vector<Int8GemmResult> int8_gemm;
+  for (const int64_t m : {int64_t{45}, int64_t{720}}) {
+    for (const auto& [k, n] : {std::pair<int64_t, int64_t>{192, 192},
+                               {192, 768},
+                               {768, 192}}) {
+      BenchInt8Gemm(m, k, n, &int8_gemm);
+    }
+  }
 
   std::FILE* json = std::fopen("BENCH_tensor.json", "w");
   if (json == nullptr) {
@@ -288,6 +350,18 @@ int main() {
                  "\"kernel_ms\": %.4f, \"speedup\": %.3f}%s\n",
                  r.name.c_str(), r.scalar_ms, r.kernel_ms, r.speedup,
                  i + 1 < results.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"int8_gemm\": [\n");
+  for (size_t i = 0; i < int8_gemm.size(); ++i) {
+    const auto& r = int8_gemm[i];
+    std::printf("int8_gemm %-10s m=%-3ld k=%-3ld n=%-3ld %8.3f ms %7.2f "
+                "GMAC/s\n",
+                r.backend.c_str(), r.m, r.k, r.n, r.ms, r.gmacs);
+    std::fprintf(json,
+                 "    {\"backend\": \"%s\", \"m\": %ld, \"k\": %ld, "
+                 "\"n\": %ld, \"ms\": %.4f, \"gmac_per_s\": %.3f}%s\n",
+                 r.backend.c_str(), r.m, r.k, r.n, r.ms, r.gmacs,
+                 i + 1 < int8_gemm.size() ? "," : "");
   }
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);

@@ -188,6 +188,9 @@ inline void UnaryBackward(const ElementwisePlan& p, const float* g,
 //  - GemmNT: acc = 0; for p = 0, ..., k-1: acc += A[i,p] * B[j,p]; then
 //    C[i,j] += acc.
 // No FMA: a fused multiply-add rounds once where the reference rounds twice.
+// That is a build property: start_tensor compiles with -ffp-contract=off, so
+// GCC and clang never fuse `c += x * y`, also in code whose target has FMA
+// (the AVX-512 int8 kernel in qgemm.cc); tests/property_test.cc checks it.
 // On hosts with AVX2 (checked once with __builtin_cpu_supports) the entry
 // points run register-blocked AVX2 kernels; elsewhere they run the
 // references. GemmNT with m == 1 always runs its reference loop.

@@ -7,7 +7,7 @@
 #include "common/check.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define START_QGEMM_HAVE_AVX2 1
+#define START_QGEMM_HAVE_X86 1
 #include <immintrin.h>
 #endif
 
@@ -58,9 +58,9 @@ void QuantizeRowScalar(const float* src, int64_t cols, int8_t* dst,
   for (int64_t k = 0; k < cols; ++k) dst[k] = Code(src[k] * inv);
 }
 
-/// Shared dequant epilogue for one row and one panel: both backends run
-/// these exact float ops in this exact order, which is what makes them
-/// bitwise interchangeable.
+/// Dequant epilogue for one row and one panel: every backend runs these
+/// exact float ops in this exact order (GemmRowsVnni in 16 lanes), which is
+/// what makes them bitwise interchangeable.
 inline void Dequant(const int32_t acc[kRowsPerPanel], float sa,
                     const float* b_scales, int64_t jn, float* crow) {
   for (int64_t r = 0; r < jn; ++r) {
@@ -87,7 +87,7 @@ void PanelDotScalar(const int8_t* pa, const int8_t* panel, int64_t cols_padded,
   }
 }
 
-#if START_QGEMM_HAVE_AVX2
+#if START_QGEMM_HAVE_X86
 /// The same quantizer, eight floats per step. _mm256_max_ps(x, m) returns m
 /// when x is NaN, as std::max(m, x) does; _mm256_cvtps_epi32 rounds half to
 /// even under the default MXCSR, like nearbyintf, and turns NaN into
@@ -215,12 +215,125 @@ __attribute__((target("avx2"))) void GemmAvx2(const int8_t* aq,
     GemmRowsAvx2<1>(aq + i * b.cols_padded, a_scales + i, b, c + i * ldc, ldc);
   }
 }
-#endif  // START_QGEMM_HAVE_AVX2
+
+/// AVX-512 VNNI Gemm of R (1 to 4) activation rows against every panel of
+/// `b`. One zmm holds two channels' 32-byte k-blocks and each activation
+/// block is broadcast to both halves, so each loaded weight block serves all
+/// R rows. vpdpbusd sums four u8 x s8 products into each i32 lane, with no
+/// i16 stage: |w| is the u8 operand and the activation byte takes w's sign
+/// (|w| * -a == a * w where w < 0; codes are never -128, so -a fits).
+///
+/// The epilogue reduces the 4 x 4 sums into one zmm ordered [row][channel]
+/// and dequantizes 16 lanes at once with Dequant's operations in Dequant's
+/// order: sa * sb, then float(acc) times that, then C plus the product.
+/// Masked loads and stores leave rows >= R and columns >= b.rows untouched.
+template <int R>
+__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"),
+               always_inline)) inline void
+GemmRowsVnni(const int8_t* pa, const float* a_scales, const PackedMatrix& b,
+             float* c, int64_t ldc) {
+  static_assert(kRowsPerPanel == 4 && kColBlock == 32,
+                "microkernel is written for 4x32 panels");
+  const int64_t kp = b.cols_padded;
+  const __m512i zero = _mm512_setzero_si512();
+  // Lane 4r + ch of the reduced sums comes from lane order[4r + ch].
+  const __m512i order = _mm512_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7, 8, 12, 9,
+                                          13, 10, 14, 11, 15);
+  const __m512 sa = _mm512_permutexvar_ps(
+      _mm512_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3),
+      _mm512_castps128_ps512(_mm_maskz_loadu_ps((1 << R) - 1, a_scales)));
+  for (int64_t j0 = 0; j0 < b.rows_padded; j0 += kRowsPerPanel) {
+    const int8_t* panel = b.data.data() + j0 * kp;
+    // acc[r][p]: row r against channels 2p (low half) and 2p + 1 (high).
+    // Rows >= R stay zero.
+    __m512i acc[4][2];
+    for (int r = 0; r < 4; ++r) acc[r][0] = acc[r][1] = zero;
+    for (int64_t kb = 0; kb < kp; kb += kColBlock) {
+      const int8_t* pbk = panel + kb * kRowsPerPanel;
+      const __m512i w01 = _mm512_loadu_si512(pbk);
+      const __m512i w23 = _mm512_loadu_si512(pbk + 2 * kColBlock);
+      const __m512i u01 = _mm512_abs_epi8(w01);
+      const __m512i u23 = _mm512_abs_epi8(w23);
+      const __mmask64 neg01 = _mm512_movepi8_mask(w01);
+      const __mmask64 neg23 = _mm512_movepi8_mask(w23);
+      for (int r = 0; r < R; ++r) {
+        const __m512i va = _mm512_broadcast_i64x4(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(pa + r * kp + kb)));
+        const __m512i na = _mm512_sub_epi8(zero, va);
+        acc[r][0] = _mm512_dpbusd_epi32(acc[r][0], u01,
+                                        _mm512_mask_blend_epi8(neg01, va, na));
+        acc[r][1] = _mm512_dpbusd_epi32(acc[r][1], u23,
+                                        _mm512_mask_blend_epi8(neg23, va, na));
+      }
+    }
+    // Integer adds, so exact in any order: interleave the channel pairs,
+    // then the row pairs, then fold the 128-bit lanes.
+    __m512i u[4];
+    for (int r = 0; r < 4; ++r) {
+      u[r] = _mm512_add_epi32(_mm512_unpacklo_epi32(acc[r][0], acc[r][1]),
+                              _mm512_unpackhi_epi32(acc[r][0], acc[r][1]));
+    }
+    const __m512i v01 = _mm512_add_epi32(_mm512_unpacklo_epi64(u[0], u[1]),
+                                         _mm512_unpackhi_epi64(u[0], u[1]));
+    const __m512i v23 = _mm512_add_epi32(_mm512_unpacklo_epi64(u[2], u[3]),
+                                         _mm512_unpackhi_epi64(u[2], u[3]));
+    const __m512i sums = _mm512_permutexvar_epi32(
+        order, _mm512_add_epi32(_mm512_shuffle_i32x4(v01, v23, 0x88),
+                                _mm512_shuffle_i32x4(v01, v23, 0xdd)));
+    const int64_t jn = std::min(kRowsPerPanel, b.rows - j0);
+    const __mmask8 cols = static_cast<__mmask8>((1 << jn) - 1);
+    const __m512 sb =
+        _mm512_broadcast_f32x4(_mm_maskz_loadu_ps(cols, b.scales.data() + j0));
+    const __m512 prod =
+        _mm512_mul_ps(_mm512_cvtepi32_ps(sums), _mm512_mul_ps(sa, sb));
+    // Lane indices of insert/extract must be literals, also at -O0.
+    float* c0 = c + j0;
+    __m512 cv = _mm512_castps128_ps512(_mm_maskz_loadu_ps(cols, c0));
+    if (R > 1) {
+      cv = _mm512_insertf32x4(cv, _mm_maskz_loadu_ps(cols, c0 + ldc), 1);
+    }
+    if (R > 2) {
+      cv = _mm512_insertf32x4(cv, _mm_maskz_loadu_ps(cols, c0 + 2 * ldc), 2);
+    }
+    if (R > 3) {
+      cv = _mm512_insertf32x4(cv, _mm_maskz_loadu_ps(cols, c0 + 3 * ldc), 3);
+    }
+    cv = _mm512_add_ps(cv, prod);
+    _mm_mask_storeu_ps(c0, cols, _mm512_castps512_ps128(cv));
+    if (R > 1) _mm_mask_storeu_ps(c0 + ldc, cols, _mm512_extractf32x4_ps(cv, 1));
+    if (R > 2) {
+      _mm_mask_storeu_ps(c0 + 2 * ldc, cols, _mm512_extractf32x4_ps(cv, 2));
+    }
+    if (R > 3) {
+      _mm_mask_storeu_ps(c0 + 3 * ldc, cols, _mm512_extractf32x4_ps(cv, 3));
+    }
+  }
+}
+
+/// Four rows per pass; the last one to three rows run as one block.
+__attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni"))) void GemmVnni(
+    const int8_t* aq, const float* a_scales, int64_t m, const PackedMatrix& b,
+    float* c, int64_t ldc) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    GemmRowsVnni<4>(aq + i * b.cols_padded, a_scales + i, b, c + i * ldc, ldc);
+  }
+  const int8_t* pa = aq + i * b.cols_padded;
+  switch (m - i) {
+    case 3: return GemmRowsVnni<3>(pa, a_scales + i, b, c + i * ldc, ldc);
+    case 2: return GemmRowsVnni<2>(pa, a_scales + i, b, c + i * ldc, ldc);
+    case 1: return GemmRowsVnni<1>(pa, a_scales + i, b, c + i * ldc, ldc);
+  }
+}
+#endif  // START_QGEMM_HAVE_X86
 
 void QuantizeRow(const float* src, int64_t cols, int8_t* dst, float* scale,
                  Backend backend) {
-#if START_QGEMM_HAVE_AVX2
-  if (backend == Backend::kAvx2) return QuantizeRowAvx2(src, cols, dst, scale);
+#if START_QGEMM_HAVE_X86
+  // kAvx512Vnni quantizes with the AVX2 code too.
+  if (backend != Backend::kScalar) {
+    return QuantizeRowAvx2(src, cols, dst, scale);
+  }
 #endif
   (void)backend;
   QuantizeRowScalar(src, cols, dst, scale);
@@ -228,18 +341,35 @@ void QuantizeRow(const float* src, int64_t cols, int8_t* dst, float* scale,
 
 }  // namespace
 
-Backend ActiveBackend() {
-  static const Backend backend = [] {
-#if START_QGEMM_HAVE_AVX2
-    if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
+const std::vector<Backend>& SupportedBackends() {
+  static const std::vector<Backend> backends = [] {
+    std::vector<Backend> v = {Backend::kScalar};
+#if START_QGEMM_HAVE_X86
+    if (__builtin_cpu_supports("avx2")) v.push_back(Backend::kAvx2);
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vl") &&
+        __builtin_cpu_supports("avx512vnni")) {
+      v.push_back(Backend::kAvx512Vnni);
+    }
 #endif
-    return Backend::kScalar;
+    return v;
   }();
+  return backends;
+}
+
+Backend ActiveBackend() {
+  static const Backend backend = SupportedBackends().back();
   return backend;
 }
 
 const char* BackendName(Backend backend) {
-  return backend == Backend::kAvx2 ? "avx2" : "scalar";
+  switch (backend) {
+    case Backend::kScalar: return "scalar";
+    case Backend::kAvx2: return "avx2";
+    case Backend::kAvx512Vnni: return "avx512vnni";
+  }
+  return "unknown";
 }
 
 void QuantizeRows(const float* src, int64_t ld, int64_t rows, int64_t cols,
@@ -313,7 +443,10 @@ void QuantizeActivations(const float* a, int64_t lda, int64_t m,
 
 void Gemm(const int8_t* aq, const float* a_scales, int64_t m,
           const PackedMatrix& b, float* c, int64_t ldc, Backend backend) {
-#if START_QGEMM_HAVE_AVX2
+#if START_QGEMM_HAVE_X86
+  if (backend == Backend::kAvx512Vnni) {
+    return GemmVnni(aq, a_scales, m, b, c, ldc);
+  }
   if (backend == Backend::kAvx2) return GemmAvx2(aq, a_scales, m, b, c, ldc);
 #endif
   (void)backend;

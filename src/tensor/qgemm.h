@@ -15,10 +15,15 @@
 ///  - Activations are quantized dynamically per batch row with the same
 ///    per-row absmax scheme.
 ///  - The dot products accumulate in exact i32 arithmetic and dequantize once
-///    per output element: C[i,j] += float(acc) * (sa_i * sb_j). Because the
-///    integer part is exact and the float epilogue is shared between
-///    backends, results are bitwise identical between the scalar reference
-///    and the AVX2 microkernel.
+///    per output element: C[i,j] += float(acc) * (sa_i * sb_j), a multiply
+///    and then an add, never a fused multiply-add. Because the integer part
+///    is exact and every backend runs this one float epilogue, results are
+///    bitwise identical between the scalar reference and each SIMD kernel.
+///    The AVX-512 kernel is compiled for a target that has FMA, so the
+///    "never fused" half is a build property: start_tensor is compiled with
+///    -ffp-contract=off (CMakeLists.txt), which stops GCC and clang from
+///    contracting `c += x * y`. tests/property_test.cc checks this bit for
+///    bit; clang is covered only where its CI job runs those tests.
 ///
 /// Packing layout (cache-blocked panels): rows are grouped into panels of
 /// kRowsPerPanel output channels; within a panel the K dimension is split
@@ -34,7 +39,8 @@ namespace start::tensor::qgemm {
 
 /// Output channels interleaved per packed panel.
 inline constexpr int64_t kRowsPerPanel = 4;
-/// K-dimension block (bytes per row per step) — one AVX2 register of int8.
+/// K-dimension block (bytes per row per step): 32 int8 codes, one ymm
+/// register (the AVX-512 kernel loads two channels' blocks per zmm).
 inline constexpr int64_t kColBlock = 32;
 
 /// A quantized, panel-packed weight matrix (logical [rows, cols] = [N, K]).
@@ -47,13 +53,21 @@ struct PackedMatrix {
   std::vector<float> scales;  ///< [rows] per-row dequant scales.
 };
 
-/// Kernel backends. kScalar is the portable reference; kAvx2 is the SIMD
-/// path (quantizer eight floats per step; GEMM with maddubs + sign-transfer,
-/// 32 int8 products per instruction, two activation rows per weight block).
-/// Both produce bitwise identical codes, scales and output.
-enum class Backend { kScalar, kAvx2 };
+/// Kernel backends, all bitwise identical in codes, scales and output:
+///  - kScalar: the portable reference (the oracle tests compare against);
+///  - kAvx2: quantizer eight floats per step; GEMM with sign transfer +
+///    maddubs + madd, two activation rows per loaded weight block;
+///  - kAvx512Vnni: the kAvx2 quantizer; GEMM with vpdpbusd (four u8 x s8
+///    products summed into each i32 lane) over |w| and the activation with
+///    w's sign, four activation rows per loaded weight block.
+/// Calling a backend the CPU lacks is undefined (an illegal instruction).
+enum class Backend { kScalar, kAvx2, kAvx512Vnni };
 
-/// The backend the host dispatches to: kAvx2 when the CPU supports AVX2.
+/// Every backend this CPU can run, in enum order (kScalar first), checked
+/// once with __builtin_cpu_supports: kAvx2 needs avx2; kAvx512Vnni needs
+/// avx512f, avx512bw, avx512vl and avx512vnni.
+const std::vector<Backend>& SupportedBackends();
+/// The backend the host dispatches to: the last of SupportedBackends().
 Backend ActiveBackend();
 const char* BackendName(Backend backend);
 

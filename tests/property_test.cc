@@ -1,10 +1,12 @@
 // Cross-module property tests: parameterised sweeps over seeds and
 // configurations checking invariants that must hold for *any* input, not
 // just hand-picked cases.
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "core/start_model.h"
 #include "data/augmentation.h"
@@ -562,14 +564,6 @@ TEST(BroadcastElementwisePropertyTest, BroadcastBackwardMatchesDense) {
 
 namespace qg = tensor::qgemm;
 
-/// Every backend this host can run; the scalar reference first.
-std::vector<qg::Backend> HostBackends() {
-  return qg::ActiveBackend() == qg::Backend::kAvx2
-             ? std::vector<qg::Backend>{qg::Backend::kScalar,
-                                        qg::Backend::kAvx2}
-             : std::vector<qg::Backend>{qg::Backend::kScalar};
-}
-
 /// Exercises one (m, k, n, lda, ldc) instance end to end:
 ///  - pack→unpack bitwise identity (and re-pack determinism);
 ///  - Gemm output bitwise equal to an exact integer reference that replays
@@ -619,7 +613,7 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
   if (n >= 2) {
     EXPECT_EQ(wscales[1], 0.0f) << "all-zero row must quantize to scale 0";
   }
-  for (const qg::Backend backend : HostBackends()) {
+  for (const qg::Backend backend : qg::SupportedBackends()) {
     SCOPED_TRACE(qg::BackendName(backend));
     std::vector<int8_t> wq_b(wq.size());
     std::vector<float> wscales_b(wscales.size());
@@ -635,7 +629,7 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
   std::vector<float> ascales(static_cast<size_t>(m));
   qg::QuantizeActivations(a.data(), lda, m, packed, aq.data(),
                           ascales.data());
-  for (const qg::Backend backend : HostBackends()) {
+  for (const qg::Backend backend : qg::SupportedBackends()) {
     SCOPED_TRACE(qg::BackendName(backend));
     std::vector<int8_t> aq_b(aq.size(), 1);  // the k-tail must be written too
     std::vector<float> ascales_b(ascales.size());
@@ -671,7 +665,7 @@ void CheckQGemmInstance(common::Rng* rng, int64_t m, int64_t k, int64_t n,
   }
 
   std::vector<std::vector<float>> results;
-  for (const qg::Backend backend : HostBackends()) {
+  for (const qg::Backend backend : qg::SupportedBackends()) {
     std::vector<float> c = c_init;
     qg::Gemm(aq.data(), ascales.data(), m, packed, c.data(), ldc, backend);
     results.push_back(std::move(c));
@@ -735,7 +729,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QGemmPropertyTest, ::testing::Range(0, 10));
 
 TEST(QGemmEdgeShapeTest, BlockBoundariesAndDegenerateShapes) {
   common::Rng rng(testutil::TestSeed());
-  // Odd m leaves the 2-row AVX2 kernel a last row to run alone.
+  // Odd m leaves the 2-row AVX2 kernel a last row to run alone; m other
+  // than 4 leaves the 4-row VNNI kernel a block of one to three rows.
   const int64_t shapes[][3] = {
       {1, 1, 1},  {1, 31, 1}, {2, 32, 4},   {3, 33, 5},
       {4, 64, 8}, {5, 7, 9},  {7, 192, 13}, {9, 100, 32},
@@ -744,6 +739,59 @@ TEST(QGemmEdgeShapeTest, BlockBoundariesAndDegenerateShapes) {
     CheckQGemmInstance(&rng, s[0], s[1], s[2], /*lda=*/s[1], /*ldc=*/s[2]);
   }
 }
+
+// Each SIMD backend against the scalar reference at the encoder's serving
+// shapes: K and N of 192 (d) and 768 (the FFN width), with m = 1..9 rows
+// (every tail of the 2-row AVX2 and 4-row VNNI blocks), 45 and 161 (the
+// longest tour). C starts nonzero, as the bias leaves it, so an epilogue
+// that fused its multiply and add would round differently.
+class QGemmBackendTest : public ::testing::TestWithParam<qg::Backend> {};
+
+TEST_P(QGemmBackendTest, ServingShapesMatchScalarBitwise) {
+  const qg::Backend backend = GetParam();
+  const std::vector<qg::Backend>& supported = qg::SupportedBackends();
+  if (std::find(supported.begin(), supported.end(), backend) ==
+      supported.end()) {
+    GTEST_SKIP() << "this CPU cannot run the " << qg::BackendName(backend)
+                 << " backend";
+  }
+  common::Rng rng(testutil::TestSeed());
+  const auto random_floats = [&](int64_t count, double lo, double hi) {
+    std::vector<float> v(static_cast<size_t>(count));
+    for (auto& x : v) x = static_cast<float>(rng.Uniform(lo, hi));
+    return v;
+  };
+  const int64_t row_counts[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 45, 161};
+  for (const int64_t k : {int64_t{192}, int64_t{768}}) {
+    for (const int64_t n : {int64_t{192}, int64_t{768}}) {
+      const std::vector<float> w = random_floats(n * k, -2.0, 2.0);
+      const qg::PackedMatrix packed = qg::QuantizeAndPack(w.data(), k, n, k);
+      for (const int64_t m : row_counts) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                     " n=" + std::to_string(n));
+        const std::vector<float> a = random_floats(m * k, -2.0, 2.0);
+        std::vector<int8_t> aq(static_cast<size_t>(m * packed.cols_padded));
+        std::vector<float> ascales(static_cast<size_t>(m));
+        qg::QuantizeActivations(a.data(), k, m, packed, aq.data(),
+                                ascales.data(), qg::Backend::kScalar);
+        const std::vector<float> c_init = random_floats(m * n, -1.0, 1.0);
+        std::vector<float> want = c_init;
+        qg::Gemm(aq.data(), ascales.data(), m, packed, want.data(), n,
+                 qg::Backend::kScalar);
+        std::vector<float> got = c_init;
+        qg::Gemm(aq.data(), ascales.data(), m, packed, got.data(), n, backend);
+        testutil::ExpectFloatsBitwiseEqual(got, want, "backend vs scalar");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Simd, QGemmBackendTest,
+    ::testing::Values(qg::Backend::kAvx2, qg::Backend::kAvx512Vnni),
+    [](const ::testing::TestParamInfo<qg::Backend>& info) {
+      return std::string(qg::BackendName(info.param));
+    });
 
 TEST(QGemmQuantizeTest, RoundHalfEvenAndSaturation) {
   // absmax 127 -> scale exactly 1.0: codes are round-half-even of the input.
@@ -772,7 +820,7 @@ TEST(QGemmQuantizeTest, RoundHalfEvenAndSaturation) {
     }
     rows[static_cast<size_t>(2 * cols + 8)] = nan;
     want[static_cast<size_t>(2 * cols + 8)] = -127;
-    for (const qg::Backend backend : HostBackends()) {
+    for (const qg::Backend backend : qg::SupportedBackends()) {
       SCOPED_TRACE(qg::BackendName(backend));
       std::vector<int8_t> q(rows.size(), 1);
       std::vector<float> scales(3, -1.0f);
