@@ -297,7 +297,6 @@ int main() {
   adapt.base_checkpoint = checkpoint;
   adapt.finetune.epochs = 1;
   adapt.finetune.batch_size = 16;
-  adapt.finetune.num_workers = 0;
   adapt.drift.window_size = 1 << 30;  // the round is triggered explicitly
   adapt.stream = stream_config;
   adapt.corpus_capacity = 4096;

@@ -18,21 +18,19 @@ int UsableCpuCount();
 
 /// \brief Fixed-size worker pool with a FIFO task queue.
 ///
-/// Shared infrastructure for everything that needs background threads: the
-/// async data loader runs its augmentation workers on one, and future serving
-/// work (request fan-out, shard queries) is expected to reuse it. Tasks are
-/// plain `std::function<void()>`; long-running tasks (e.g. a loader worker
-/// loop) are fine as long as they observe their own stop signal — the pool
-/// only guarantees that the destructor waits for every submitted task to
-/// finish.
+/// Shared infrastructure for everything that needs background threads on
+/// the serving plane (EmbeddingService's encode workers, StreamPipeline's
+/// stages). Tasks are plain `std::function<void()>`; long-running tasks
+/// (e.g. a worker loop) are fine as long as they observe their own stop
+/// signal — the pool only guarantees that the destructor waits for every
+/// submitted task to finish.
 ///
 /// Threading contract:
 ///  - `Submit` may be called from any thread, including from inside a task.
 ///  - The destructor stops accepting new work, drains already-queued tasks,
 ///    and joins all workers. It must not be called from inside a task.
 ///  - The pool never touches thread-local or global RNG state; tasks that
-///    need randomness must carry their own seeded `Rng` (see
-///    `data/loader.h` for the per-batch seeding scheme).
+///    need randomness must carry their own seeded `Rng`.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

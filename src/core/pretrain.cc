@@ -35,7 +35,7 @@ constexpr uint64_t kShardedEngineMarker = 0x5aa2ded0e6019e5dULL;
 constexpr uint64_t kBatchesPerStep = 1;
 
 /// Salts separating the step's dropout streams from each other and from the
-/// loader's augmentation stream.
+/// batch's augmentation stream.
 constexpr uint64_t kEncoderDropoutSalt = 0x5aadd0f05eedULL;
 constexpr uint64_t kStage1DropoutSalt = 0x57a6e15eed01ULL;
 
@@ -64,8 +64,8 @@ struct StepLosses {
 /// One optimizer step over `batch`; Pretrain's doc comment states the
 /// contract. `opt` must be built from `model`'s parameters.
 StepLosses TrainStep(StartModel* model, const data::TrainingBatch& batch,
-                     const PretrainConfig& config, common::Rng* dropout_rng,
-                     nn::AdamW* opt, double lr) {
+                     int64_t step, const PretrainConfig& config,
+                     common::Rng* dropout_rng, nn::AdamW* opt, double lr) {
   const bool has_masked = config.use_mask_task && batch.has_masked &&
                           !batch.mask_positions.empty();
   const bool has_con = config.use_contrastive_task && batch.has_contrastive;
@@ -75,16 +75,13 @@ StepLosses TrainStep(StartModel* model, const data::TrainingBatch& batch,
   // Gradients stay unallocated until a backward pass reaches them.
   for (const auto& p : params) p.impl()->grad.reset();
 
-  dropout_rng->Seed(data::BatchLoader::StepSeed(
-      config.seed ^ kStage1DropoutSalt, batch.step));
+  dropout_rng->Seed(data::StepSeed(config.seed ^ kStage1DropoutSalt, step));
   Tensor road_reps = model->ComputeRoadReps();
   const Tensor reps = DetachedLeaf(road_reps);
   // The outer StepSeed's ordinal 0 names the first micro-shard of the
   // retired data-parallel engine, whose stream this keeps.
-  dropout_rng->Seed(data::BatchLoader::StepSeed(
-      data::BatchLoader::StepSeed(config.seed ^ kEncoderDropoutSalt,
-                                  batch.step),
-      0));
+  dropout_rng->Seed(data::StepSeed(
+      data::StepSeed(config.seed ^ kEncoderDropoutSalt, step), 0));
   StepLosses losses;
   {  // The stage-2 graphs die at the end of this scope, before stage 1's
      // backward allocates its gradients.
@@ -141,19 +138,16 @@ PretrainStats Pretrain(StartModel* model,
   START_CHECK(config.use_mask_task || config.use_contrastive_task);
   model->SetTraining(true);
 
-  // The coordinator builds the whole multi-epoch plan up front (shuffles and
-  // bucket assignment are epoch-seeded, not consumed from a shared stream),
-  // then the loader's workers assemble step k+1.. while step k trains.
+  // The whole multi-epoch plan is built up front (shuffles and bucket
+  // assignment are epoch-seeded, not consumed from a shared stream).
   data::PlanConfig plan_config;
   plan_config.batch_size = config.batch_size;
   plan_config.epochs = config.epochs;
-  plan_config.bucket_by_length = config.bucket_by_length;
   plan_config.bucket_width = config.bucket_width;
   plan_config.seed = config.seed;
   const std::vector<int64_t> corpus_lengths = data::Lengths(corpus);
-  data::PretrainPlan plan =
+  const data::PretrainPlan plan =
       data::MakeShuffledPlan(corpus_lengths, plan_config);
-  const std::vector<int64_t> epoch_of_step = std::move(plan.epoch_of_step);
   const int64_t total_steps = static_cast<int64_t>(plan.steps.size());
 
   data::PretrainBatchOptions batch_options;
@@ -178,12 +172,13 @@ PretrainStats Pretrain(StartModel* model,
   // seed, and the full length profile of the corpus — plus the marker words
   // of the step's floating-point stream (see kShardedEngineMarker), so a
   // resume under a different step plan or summation order is refused up
-  // front.
+  // front. Bucketing is always on; the constant 1 stands where the retired
+  // on/off switch was folded, so older checkpoints keep their hash.
   const uint64_t config_hash = HashStartConfig(model->config());
   uint64_t plan_hash = HashCombine(config_hash, 0x9e3779b97f4a7c15ULL);
   plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.epochs));
   plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.batch_size));
-  plan_hash = HashCombine(plan_hash, config.bucket_by_length ? 1 : 0);
+  plan_hash = HashCombine(plan_hash, 1);
   plan_hash = HashCombine(plan_hash, static_cast<uint64_t>(config.bucket_width));
   plan_hash = HashCombine(plan_hash, config.seed);
   plan_hash = HashCombine(plan_hash, corpus_lengths.size());
@@ -229,16 +224,6 @@ PretrainStats Pretrain(StartModel* model,
     }
   }
 
-  data::LoaderConfig loader_config;
-  loader_config.num_workers = config.num_workers;
-  loader_config.prefetch_depth = config.prefetch_depth;
-  loader_config.seed = config.seed;
-  loader_config.start_step = start_step;
-  data::BatchLoader loader(
-      std::move(plan.steps),
-      data::MakePretrainBuilder(&corpus, traffic, batch_options),
-      loader_config);
-
   // Dropout streams are reseeded per step from config.seed, so a resumed run
   // replays them from the saved step cursor.
   common::Rng dropout_rng(config.seed);
@@ -256,14 +241,19 @@ PretrainStats Pretrain(StartModel* model,
     }
   };
 
+  // One batch is rebuilt in place every step, so its padded arrays stop
+  // reallocating once they fit the largest step.
   data::TrainingBatch tb;
   int64_t steps_done = 0;
-  while (loader.Next(&tb)) {
-    const int64_t step = tb.step;
-    const StepLosses step_stats = TrainStep(model, tb, config, &dropout_rng,
-                                            &opt, schedule.LrAt(step));
-    const auto e =
-        static_cast<size_t>(epoch_of_step[static_cast<size_t>(step)]);
+  for (int64_t step = start_step; step < total_steps; ++step) {
+    const auto s = static_cast<size_t>(step);
+    common::Rng batch_rng(data::StepSeed(config.seed, step));
+    data::BuildPretrainBatch(corpus, traffic, batch_options, plan.steps[s],
+                             &batch_rng, &tb);
+    const StepLosses step_stats = TrainStep(model, tb, step, config,
+                                            &dropout_rng, &opt,
+                                            schedule.LrAt(step));
+    const auto e = static_cast<size_t>(plan.epoch_of_step[s]);
     state.loss_sum[e] += step_stats.loss;
     state.mask_sum[e] += step_stats.mask_loss;
     state.con_sum[e] += step_stats.con_loss;
@@ -277,8 +267,7 @@ PretrainStats Pretrain(StartModel* model,
           steps_done % config.checkpoint_every_steps == 0))) {
       save_checkpoint(step + 1);
     }
-    loader.Recycle(std::move(tb));
-    if (hit_max) break;  // simulated interruption; loader shuts down
+    if (hit_max) break;  // simulated interruption
   }
   model->SetDropoutRng(nullptr);
 

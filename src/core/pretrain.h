@@ -27,17 +27,9 @@ struct PretrainConfig {
   bool use_contrastive_task = true;  ///< false = "w/o Contra" ablation.
   uint64_t seed = 7;
 
-  // --- Data pipeline (see data/loader.h and ARCHITECTURE.md) -------------
-  /// Augmentation worker threads feeding the prefetch queue; 0 builds every
-  /// batch synchronously on the training thread. Batch contents are bitwise
-  /// identical for every value (per-step seeding), so this is purely a
-  /// throughput knob.
-  int num_workers = 2;
-  /// Assembled-batch bound of the prefetch queue.
-  int64_t prefetch_depth = 4;
-  /// Group similar-length trajectories per batch to cut padding waste.
-  bool bucket_by_length = true;
-  /// Length-bucket granularity (roads per bucket).
+  // --- Batch plan (see data/loader.h and ARCHITECTURE.md) ----------------
+  /// Length-bucket granularity (roads per bucket) of the plan's
+  /// length-bucketed batches, which cut padding waste.
   int64_t bucket_width = 8;
 
   // --- Checkpointing (see core/checkpoint.h and ARCHITECTURE.md) ----------
@@ -50,10 +42,9 @@ struct PretrainConfig {
   /// Periodic checkpoint cadence in optimizer steps; 0 = final-only.
   int64_t checkpoint_every_steps = 0;
   /// Resume from `checkpoint_path` when it holds a training checkpoint. The
-  /// resumed run replays the loader's StepSeed stream and the step's
-  /// dropout seeds from the saved cursor, so it is bitwise
-  /// identical to a never-interrupted run (tests/core_pretrain_test.cc
-  /// asserts this).
+  /// resumed run replays the batch and dropout StepSeed streams from the
+  /// saved step, so it is bitwise identical to a never-interrupted run
+  /// (tests/core_pretrain_test.cc asserts this).
   bool resume = false;
   /// Stop after this many optimizer steps past the resume point (0 = run the
   /// whole plan). Simulates interruption; pair with `checkpoint_path`.
@@ -73,9 +64,11 @@ struct PretrainStats {
 /// `traffic` supplies historical travel times for the Temporal Shifting
 /// augmentation.
 ///
-/// One optimizer step per loader batch, in a fixed order that pins every
-/// bit of the output (tests/core_pretrain_test.cc compares a default run
-/// with recorded constants):
+/// Everything runs on the calling thread. Each plan step builds its batch
+/// from `Rng(data::StepSeed(seed, step))` into one reused
+/// `data::TrainingBatch`, then takes one optimizer step over it, in a fixed
+/// order that pins every bit of the output (tests/core_pretrain_test.cc
+/// compares a default run with recorded constants):
 ///  1. Stage 1 (TPE-GAT road representations) runs once, with dropout
 ///     seeded from (seed, step).
 ///  2. Stage 2 encodes the masked batch, then the contrastive batch, through

@@ -26,8 +26,8 @@ void MakeBatchInto(const std::vector<View>& views, Batch* batch) {
   }
   const size_t total =
       static_cast<size_t>(batch->batch_size * batch->max_len);
-  // assign() overwrites in place when capacity suffices — after a few steps
-  // through the prefetch queue these buffers stop allocating entirely.
+  // assign() overwrites in place when capacity suffices — a batch rebuilt
+  // every step stops allocating once it has seen its largest extent.
   batch->roads.assign(total, kPadRoad);
   batch->minute_idx.assign(total, kMaskTimeIndex);
   batch->dow_idx.assign(total, kMaskTimeIndex);

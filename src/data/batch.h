@@ -32,9 +32,9 @@ Batch MakeBatch(const std::vector<View>& views);
 ///
 /// Equivalent to `*batch = MakeBatch(views)` but without freeing and
 /// reallocating the five per-token arrays: `assign`/`resize` reuse capacity,
-/// so a batch that cycles through the prefetch queue settles at the largest
-/// [batch, max_len] extent it has seen and stops allocating. This is the hot
-/// path under the async loader (one call per training step per worker).
+/// so a batch rebuilt every step settles at the largest [batch, max_len]
+/// extent it has seen and stops allocating. `BuildPretrainBatch` calls it
+/// twice per training step.
 void MakeBatchInto(const std::vector<View>& views, Batch* batch);
 
 /// Fraction of non-padding tokens in a padded batch with these lengths:

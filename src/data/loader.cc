@@ -7,111 +7,14 @@
 
 namespace start::data {
 
-uint64_t BatchLoader::StepSeed(uint64_t seed, int64_t step) {
+uint64_t StepSeed(uint64_t seed, int64_t step) {
   // SplitMix64 finalizer over (seed, step): adjacent steps land in
-  // uncorrelated streams, and a given step's stream never depends on which
-  // worker (or how many workers) built it.
+  // uncorrelated streams.
   uint64_t z = seed + 0x9e3779b97f4a7c15ULL *
                           (static_cast<uint64_t>(step) + 0x51ed2701ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-BatchLoader::BatchLoader(std::vector<std::vector<int64_t>> plan,
-                         Builder builder, const LoaderConfig& config)
-    : plan_(std::move(plan)), builder_(std::move(builder)), config_(config) {
-  START_CHECK(builder_ != nullptr);
-  START_CHECK_GE(config_.num_workers, 0);
-  START_CHECK_GE(config_.prefetch_depth, 1);
-  START_CHECK_GE(config_.start_step, 0);
-  START_CHECK_LE(config_.start_step, total_steps());
-  for (const auto& step : plan_) START_CHECK(!step.empty());
-  next_ticket_.store(config_.start_step, std::memory_order_relaxed);
-  next_ = config_.start_step;
-  if (config_.num_workers > 0) {
-    pool_ = std::make_unique<common::ThreadPool>(config_.num_workers);
-    for (int w = 0; w < config_.num_workers; ++w) {
-      pool_->Submit([this] { WorkerLoop(); });
-    }
-  }
-}
-
-BatchLoader::~BatchLoader() {
-  Stop();
-  pool_.reset();  // joins the workers
-}
-
-void BatchLoader::Stop() {
-  stop_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mu_);
-  cv_room_.notify_all();
-  cv_ready_.notify_all();
-}
-
-TrainingBatch BatchLoader::TakeRecycled() {
-  std::lock_guard<std::mutex> lock(recycle_mu_);
-  if (recycled_.empty()) return TrainingBatch();
-  TrainingBatch batch = std::move(recycled_.back());
-  recycled_.pop_back();
-  return batch;
-}
-
-void BatchLoader::Recycle(TrainingBatch&& batch) {
-  std::lock_guard<std::mutex> lock(recycle_mu_);
-  recycled_.push_back(std::move(batch));
-}
-
-void BatchLoader::BuildStep(int64_t seq, TrainingBatch* out) {
-  common::Rng rng(StepSeed(config_.seed, seq));
-  builder_(plan_[static_cast<size_t>(seq)], &rng, out);
-  out->step = seq;
-  built_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void BatchLoader::WorkerLoop() {
-  for (;;) {
-    const int64_t seq = next_ticket_.fetch_add(1, std::memory_order_relaxed);
-    if (seq >= total_steps() || stop_.load(std::memory_order_acquire)) return;
-    TrainingBatch batch = TakeRecycled();
-    BuildStep(seq, &batch);
-    // Publish in sequence order, honouring the prefetch bound: a worker that
-    // ran ahead parks here until the consumer drains the window.
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_room_.wait(lock, [&] {
-      return stop_.load(std::memory_order_acquire) ||
-             seq < next_ + config_.prefetch_depth;
-    });
-    if (stop_.load(std::memory_order_acquire)) return;
-    ready_.emplace(seq, std::move(batch));
-    cv_ready_.notify_all();
-  }
-}
-
-bool BatchLoader::Next(TrainingBatch* out) {
-  START_CHECK(out != nullptr);
-  if (next_ >= total_steps()) return false;
-  if (stop_.load(std::memory_order_acquire)) return false;
-  if (config_.num_workers == 0) {
-    // Synchronous path: same per-step seeding, caller's thread does the work.
-    TrainingBatch batch = TakeRecycled();
-    BuildStep(next_, &batch);
-    *out = std::move(batch);
-    ++next_;
-    return true;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_ready_.wait(lock, [&] {
-    return stop_.load(std::memory_order_acquire) ||
-           ready_.find(next_) != ready_.end();
-  });
-  const auto it = ready_.find(next_);
-  if (it == ready_.end()) return false;  // stopped before the batch arrived
-  *out = std::move(it->second);
-  ready_.erase(it);
-  ++next_;
-  cv_room_.notify_all();
-  return true;
 }
 
 PretrainPlan MakeShuffledPlan(const std::vector<int64_t>& lengths,
@@ -124,10 +27,10 @@ PretrainPlan MakeShuffledPlan(const std::vector<int64_t>& lengths,
   for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
     // One private stream per epoch, so epoch e's order does not depend on
     // how many draws epoch e-1 consumed.
-    common::Rng rng(BatchLoader::StepSeed(config.seed ^ 0xe90cd3f7ULL, epoch));
+    common::Rng rng(StepSeed(config.seed ^ 0xe90cd3f7ULL, epoch));
     std::vector<int64_t> order(static_cast<size_t>(n));
     for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-    if (config.shuffle) rng.Shuffle(&order);
+    rng.Shuffle(&order);
     std::vector<std::vector<int64_t>> batches;
     if (config.bucket_by_length) {
       batches = BucketBatchPlan(lengths, order, config.batch_size,
@@ -151,7 +54,7 @@ PretrainPlan MakeShuffledPlan(const std::vector<int64_t>& lengths,
     }
     // Bucketed batches come out roughly sorted by length; undo that so the
     // epoch is not a curriculum.
-    if (config.shuffle) rng.Shuffle(&batches);
+    rng.Shuffle(&batches);
     for (auto& b : batches) {
       plan.steps.push_back(std::move(b));
       plan.epoch_of_step.push_back(epoch);
@@ -160,57 +63,56 @@ PretrainPlan MakeShuffledPlan(const std::vector<int64_t>& lengths,
   return plan;
 }
 
-BatchLoader::Builder MakePretrainBuilder(
-    const std::vector<traj::Trajectory>* corpus,
-    const traj::TrafficModel* traffic, const PretrainBatchOptions& options) {
-  START_CHECK(corpus != nullptr);
+void BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
+                        const traj::TrafficModel* traffic,
+                        const PretrainBatchOptions& options,
+                        const std::vector<int64_t>& indices, common::Rng* rng,
+                        TrainingBatch* out) {
   START_CHECK(options.use_mask_task || options.use_contrastive_task);
-  return [corpus, traffic, options](const std::vector<int64_t>& indices,
-                                    common::Rng* rng, TrainingBatch* out) {
-    out->has_masked = false;
-    out->has_contrastive = false;
-    out->mask_positions.clear();
-    out->mask_targets.clear();
-    auto& views = out->scratch_views;
+  START_CHECK(!indices.empty());
+  out->has_masked = false;
+  out->has_contrastive = false;
+  out->mask_positions.clear();
+  out->mask_targets.clear();
+  auto& views = out->scratch_views;
 
-    // --- Task 1: span-masked recovery views (Sec. III-C1) ----------------
-    if (options.use_mask_task) {
-      auto& infos = out->scratch_infos;
-      views.clear();
-      infos.clear();
-      for (const int64_t idx : indices) {
-        const traj::Trajectory& t = (*corpus)[static_cast<size_t>(idx)];
-        View v = MakeView(t);
-        infos.push_back(ApplySpanMask(&v, options.mask_span,
-                                      options.mask_ratio, rng));
-        views.push_back(std::move(v));
-      }
-      MakeBatchInto(views, &out->masked);
-      for (size_t b = 0; b < infos.size(); ++b) {
-        for (size_t k = 0; k < infos[b].positions.size(); ++k) {
-          out->mask_positions.push_back(static_cast<int64_t>(b) *
-                                            out->masked.max_len +
-                                        infos[b].positions[k]);
-          out->mask_targets.push_back(infos[b].targets[k]);
-        }
-      }
-      out->has_masked = true;
+  // --- Task 1: span-masked recovery views (Sec. III-C1) ------------------
+  if (options.use_mask_task) {
+    auto& infos = out->scratch_infos;
+    views.clear();
+    infos.clear();
+    for (const int64_t idx : indices) {
+      const traj::Trajectory& t = corpus[static_cast<size_t>(idx)];
+      View v = MakeView(t);
+      infos.push_back(ApplySpanMask(&v, options.mask_span,
+                                    options.mask_ratio, rng));
+      views.push_back(std::move(v));
     }
+    MakeBatchInto(views, &out->masked);
+    for (size_t b = 0; b < infos.size(); ++b) {
+      for (size_t k = 0; k < infos[b].positions.size(); ++k) {
+        out->mask_positions.push_back(static_cast<int64_t>(b) *
+                                          out->masked.max_len +
+                                      infos[b].positions[k]);
+        out->mask_targets.push_back(infos[b].targets[k]);
+      }
+    }
+    out->has_masked = true;
+  }
 
-    // --- Task 2: contrastive view pairs (Sec. III-C2) --------------------
-    if (options.use_contrastive_task) {
-      views.clear();
-      for (const int64_t idx : indices) {
-        const traj::Trajectory& t = (*corpus)[static_cast<size_t>(idx)];
-        views.push_back(
-            Augment(t, options.aug_a, options.augmentation, traffic, rng));
-        views.push_back(
-            Augment(t, options.aug_b, options.augmentation, traffic, rng));
-      }
-      MakeBatchInto(views, &out->contrastive);
-      out->has_contrastive = true;
+  // --- Task 2: contrastive view pairs (Sec. III-C2) ----------------------
+  if (options.use_contrastive_task) {
+    views.clear();
+    for (const int64_t idx : indices) {
+      const traj::Trajectory& t = corpus[static_cast<size_t>(idx)];
+      views.push_back(
+          Augment(t, options.aug_a, options.augmentation, traffic, rng));
+      views.push_back(
+          Augment(t, options.aug_b, options.augmentation, traffic, rng));
     }
-  };
+    MakeBatchInto(views, &out->contrastive);
+    out->has_contrastive = true;
+  }
 }
 
 }  // namespace start::data

@@ -1,17 +1,10 @@
 #ifndef START_DATA_LOADER_H_
 #define START_DATA_LOADER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "data/augmentation.h"
 #include "data/batch.h"
 #include "data/span_mask.h"
@@ -22,11 +15,11 @@ namespace start::data {
 
 /// \brief One fully-assembled pre-training step: the span-masked batch for
 /// the recovery task plus the two-augmented-views batch for the contrastive
-/// task (Sec. III-C). Produced by loader workers, consumed by the training
-/// thread; `scratch_*` members are builder working memory that rides along so
-/// `BatchLoader::Recycle` can reuse every allocation.
+/// task (Sec. III-C). `BuildPretrainBatch` refills it in place, so the
+/// padded arrays of a batch reused across steps stop reallocating once they
+/// have grown to the largest step; `scratch_*` members are builder working
+/// memory kept for that reuse.
 struct TrainingBatch {
-  int64_t step = 0;          ///< Global step index (== queue sequence number).
   bool has_masked = false;   ///< `masked` / `mask_*` are valid.
   bool has_contrastive = false;  ///< `contrastive` is valid.
 
@@ -39,116 +32,13 @@ struct TrainingBatch {
   std::vector<SpanMaskInfo> scratch_infos;  ///< Builder scratch.
 };
 
-/// \brief Async loader configuration.
-struct LoaderConfig {
-  /// Augmentation worker threads. 0 = synchronous: `Next()` builds the batch
-  /// on the calling thread through the same per-step seeding, so outputs are
-  /// bitwise identical to every async worker count (the determinism contract
-  /// below). This is also the baseline `bench_pipeline` measures against.
-  int num_workers = 2;
-  /// Bound on completed-but-unconsumed batches the queue may hold (>= 1).
-  /// Workers that run ahead block before publishing, so memory is capped at
-  /// `prefetch_depth + num_workers` assembled batches.
-  int64_t prefetch_depth = 4;
-  /// Base seed; expanded per step via `BatchLoader::StepSeed`.
-  uint64_t seed = 7;
-  /// First plan step to deliver; steps before it are skipped entirely (no
-  /// builder invocation, no RNG draws). This is the loader's resume cursor: a
-  /// checkpointed run that stopped after consuming step s-1 restarts with
-  /// `start_step = s` and receives the exact batch stream the uninterrupted
-  /// run would have seen from step s on (per-step seeding makes the skipped
-  /// prefix irrelevant to later steps).
-  int64_t start_step = 0;
-};
-
-/// \brief Multi-worker prefetching batch loader.
-///
-/// The loader executes a fixed *plan* — `plan[s]` lists the trajectory
-/// indices of step `s` (see `MakeShuffledPlan`) — by fanning steps out to
-/// `num_workers` threads that each run the user-supplied `Builder` and
-/// publish into a bounded, sequence-ordered queue. `Next()` hands batches
-/// back strictly in step order, so the consumer sees exactly the schedule
-/// the plan describes while step k+1..k+depth assemble in the background.
-///
-/// Determinism contract: every step draws all of its randomness from a fresh
-/// `Rng(StepSeed(config.seed, step))`. Randomness therefore never crosses
-/// step boundaries, and the output stream is a pure function of
-/// (plan, builder, seed) — bitwise identical for ANY worker count, including
-/// the synchronous 0-worker path. `tests/data_loader_test.cc` asserts this.
-///
-/// Threading contract: one consumer thread calls `Next`/`Recycle`; workers
-/// live on an internal `common::ThreadPool`. Shutdown order is: set the stop
-/// flag, wake all waiters, join workers (the destructor does all three —
-/// destroying a half-consumed loader is safe and leaves no threads behind).
-class BatchLoader {
- public:
-  /// Builds the batch for one step into `*out` (reusing its buffers).
-  /// `indices` are trajectory indices from the plan; `rng` is the step's
-  /// private generator. Must be thread-safe with respect to other builder
-  /// invocations (i.e. only touch shared state read-only).
-  using Builder = std::function<void(const std::vector<int64_t>& indices,
-                                     common::Rng* rng, TrainingBatch* out)>;
-
-  BatchLoader(std::vector<std::vector<int64_t>> plan, Builder builder,
-              const LoaderConfig& config);
-  ~BatchLoader();
-
-  BatchLoader(const BatchLoader&) = delete;
-  BatchLoader& operator=(const BatchLoader&) = delete;
-
-  /// Blocks until the next in-order batch is ready and moves it into `*out`.
-  /// Returns false when the plan is exhausted or `Stop()` was called.
-  bool Next(TrainingBatch* out);
-
-  /// Returns a consumed batch to the free list so a worker can rebuild into
-  /// its buffers instead of allocating fresh ones. Optional but keeps the
-  /// steady state allocation-free.
-  void Recycle(TrainingBatch&& batch);
-
-  /// Asks workers to stop early and unblocks any waiting `Next()` (which
-  /// then returns false). Idempotent; also called by the destructor.
-  void Stop();
-
-  /// Number of steps in the plan.
-  int64_t total_steps() const { return static_cast<int64_t>(plan_.size()); }
-
-  /// Batches fully assembled so far (monotonic; for backpressure tests and
-  /// the pipeline bench). Never exceeds consumed + prefetch_depth +
-  /// num_workers.
-  int64_t batches_built() const {
-    return built_.load(std::memory_order_relaxed);
-  }
-
-  /// Derives the step-private seed: a SplitMix64-style mix of the base seed
-  /// and the step index, so neighbouring steps get uncorrelated streams.
-  static uint64_t StepSeed(uint64_t seed, int64_t step);
-
- private:
-  void WorkerLoop();
-  void BuildStep(int64_t seq, TrainingBatch* out);
-  TrainingBatch TakeRecycled();
-
-  const std::vector<std::vector<int64_t>> plan_;
-  const Builder builder_;
-  const LoaderConfig config_;
-
-  std::atomic<int64_t> next_ticket_{0};  ///< Next step a worker claims.
-  std::atomic<int64_t> built_{0};
-  std::atomic<bool> stop_{false};
-
-  std::mutex mu_;
-  std::condition_variable cv_room_;   ///< Producers wait for queue room.
-  std::condition_variable cv_ready_;  ///< Consumer waits for batch `next_`.
-  std::map<int64_t, TrainingBatch> ready_;  ///< seq -> assembled batch.
-  int64_t next_ = 0;                  ///< Next step the consumer takes.
-
-  std::mutex recycle_mu_;
-  std::vector<TrainingBatch> recycled_;
-
-  /// Last member: joins workers first during destruction, while the fields
-  /// above are still alive.
-  std::unique_ptr<common::ThreadPool> pool_;
-};
+/// Derives a step-private seed: a SplitMix64-style mix of the base seed and
+/// the step index, so neighbouring steps get uncorrelated streams. Every
+/// pre-training step draws all of its batch randomness from a fresh
+/// `Rng(StepSeed(seed, step))`, so randomness never crosses step boundaries:
+/// a step's batch is a pure function of (plan, seed, step), and a run
+/// resumed at step s builds exactly the batches of an uninterrupted one.
+uint64_t StepSeed(uint64_t seed, int64_t step);
 
 /// \brief Plan generation parameters for `MakeShuffledPlan`.
 struct PlanConfig {
@@ -160,7 +50,6 @@ struct PlanConfig {
   bool bucket_by_length = true;
   /// Lengths l with (l-1)/bucket_width equal share a bucket.
   int64_t bucket_width = 8;
-  bool shuffle = true;  ///< False = corpus order (useful for inference/tests).
   uint64_t seed = 7;
 };
 
@@ -170,11 +59,10 @@ struct PretrainPlan {
   std::vector<int64_t> epoch_of_step;       ///< Same length as `steps`.
 };
 
-/// Builds the full multi-epoch plan up front on the coordinator thread: per
-/// epoch, shuffle the corpus order with an epoch-seeded Rng, cut it into
-/// (optionally length-bucketed) batches of `batch_size` (one final batch may
-/// be partial), then shuffle the batch order. Deterministic in
-/// (lengths, config) and independent of any loader state.
+/// Builds the full multi-epoch plan up front: per epoch, shuffle the corpus
+/// order with an epoch-seeded Rng, cut it into (optionally length-bucketed)
+/// batches of `batch_size` (one final batch may be partial), then shuffle
+/// the batch order. Deterministic in (lengths, config).
 PretrainPlan MakeShuffledPlan(const std::vector<int64_t>& lengths,
                               const PlanConfig& config);
 
@@ -190,12 +78,17 @@ struct PretrainBatchOptions {
   AugmentationConfig augmentation;
 };
 
-/// Returns the standard pre-training builder: span-masked views + flattened
-/// recovery targets for task 1, and the aug_a/aug_b view pairs for task 2.
-/// `corpus` and `traffic` must outlive the loader; both are only read.
-BatchLoader::Builder MakePretrainBuilder(
-    const std::vector<traj::Trajectory>* corpus,
-    const traj::TrafficModel* traffic, const PretrainBatchOptions& options);
+/// Builds one pre-training step into `*out`, reusing its buffers:
+/// span-masked views + flattened recovery targets for task 1, and the
+/// aug_a/aug_b view pairs for task 2. `indices` are the step's trajectory
+/// indices from the plan and `rng` is its private generator
+/// (`Rng(StepSeed(seed, step))`); every field the enabled tasks use is
+/// rewritten, so nothing of the previous step carries over.
+void BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
+                        const traj::TrafficModel* traffic,
+                        const PretrainBatchOptions& options,
+                        const std::vector<int64_t>& indices, common::Rng* rng,
+                        TrainingBatch* out);
 
 }  // namespace start::data
 

@@ -45,7 +45,6 @@ TEST(AdaptationSoakTest, ChurnWithConcurrentQueriesRemovalsAndRounds) {
   config.base_checkpoint = dir.File("base.sttn");
   config.finetune.epochs = 1;
   config.finetune.batch_size = 8;
-  config.finetune.num_workers = 0;
   config.drift.window_size = 1 << 20;  // rounds are triggered explicitly
   config.stream.match_workers = 2;
   config.stream.embed_workers = 2;

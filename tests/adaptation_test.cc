@@ -86,7 +86,6 @@ class AdaptationTest : public ::testing::Test {
     config.base_checkpoint = dir.File("base.sttn");
     config.finetune.epochs = 1;
     config.finetune.batch_size = 4;
-    config.finetune.num_workers = 0;
     config.drift.window_size = 1 << 20;  // never completes a window
     config.stream.match_workers = 2;
     config.stream.embed_workers = 2;

@@ -229,72 +229,59 @@ TEST_F(PretrainTest, DefaultRunMatchesGoldenBits) {
 
 // Interrupt a run at mid-plan, resume it from the checkpoint into a fresh
 // model, and require the final parameters and loss trace to be bitwise
-// identical to a never-interrupted run. Exercised for worker counts 0
-// (synchronous) and 2 (async prefetch) on both sides — the loader's step
-// seeding plus the trainer's per-step dropout seeding make worker count a
-// pure throughput knob, and resume must preserve that.
+// identical to a never-interrupted run. Per-step seeding of the batch and
+// dropout streams makes the resumed tail replay exactly.
 TEST_F(PretrainTest, ResumeMatchesUninterruptedRunBitwise) {
-  PretrainConfig base;
-  base.epochs = 2;
-  base.batch_size = 8;
-  base.lr = 2e-3;
-  base.seed = 21;
+  PretrainConfig config;
+  config.epochs = 2;
+  config.batch_size = 8;
+  config.lr = 2e-3;
+  config.seed = 21;
 
   // The plan is a pure function of (lengths, plan knobs); rebuild it here to
   // learn the interruption point K/2.
   data::PlanConfig plan_config;
-  plan_config.batch_size = base.batch_size;
-  plan_config.epochs = base.epochs;
-  plan_config.seed = base.seed;
+  plan_config.batch_size = config.batch_size;
+  plan_config.epochs = config.epochs;
+  plan_config.seed = config.seed;
   const int64_t total_steps = static_cast<int64_t>(
       data::MakeShuffledPlan(data::Lengths(corpus_), plan_config)
           .steps.size());
   ASSERT_GT(total_steps, 3);
 
+  // Reference: one uninterrupted run.
+  common::Rng rng_full(77);
+  StartModel full(TinyConfig(), &net_, transfer_, &rng_full);
+  const PretrainStats stats_full = Pretrain(&full, corpus_, &traffic_, config);
+
+  // Interrupted run: stop (and checkpoint) after K/2 steps...
   testutil::TempDir dir;
-  for (const int workers : {0, 2}) {
-    SCOPED_TRACE("num_workers=" + std::to_string(workers));
-    PretrainConfig config = base;
-    config.num_workers = workers;
+  const std::string ckpt = dir.File("resume.sttn");
+  common::Rng rng_half(77);  // identical init to the reference run
+  StartModel half(TinyConfig(), &net_, transfer_, &rng_half);
+  PretrainConfig interrupted = config;
+  interrupted.checkpoint_path = ckpt;
+  interrupted.max_steps = total_steps / 2;
+  Pretrain(&half, corpus_, &traffic_, interrupted);
 
-    // Reference: one uninterrupted run.
-    common::Rng rng_full(77);
-    StartModel full(TinyConfig(), &net_, transfer_, &rng_full);
-    const PretrainStats stats_full =
-        Pretrain(&full, corpus_, &traffic_, config);
+  // ...then resume into a model with a *different* init: everything that
+  // matters must come from the checkpoint.
+  common::Rng rng_resumed(1234);
+  StartModel resumed(TinyConfig(), &net_, transfer_, &rng_resumed);
+  PretrainConfig tail = config;
+  tail.checkpoint_path = ckpt;
+  tail.resume = true;
+  const PretrainStats stats_resumed =
+      Pretrain(&resumed, corpus_, &traffic_, tail);
 
-    // Interrupted run: stop (and checkpoint) after K/2 steps...
-    const std::string ckpt =
-        dir.File("resume_w" + std::to_string(workers) + ".sttn");
-    common::Rng rng_half(77);  // identical init to the reference run
-    StartModel half(TinyConfig(), &net_, transfer_, &rng_half);
-    PretrainConfig interrupted = config;
-    interrupted.checkpoint_path = ckpt;
-    interrupted.max_steps = total_steps / 2;
-    Pretrain(&half, corpus_, &traffic_, interrupted);
-
-    // ...then resume into a model with a *different* init: everything that
-    // matters must come from the checkpoint. The resume side also swaps the
-    // worker count (2 <-> 0) — determinism must hold across that too.
-    common::Rng rng_resumed(1234);
-    StartModel resumed(TinyConfig(), &net_, transfer_, &rng_resumed);
-    PretrainConfig tail = config;
-    tail.num_workers = workers == 0 ? 2 : 0;
-    tail.checkpoint_path = ckpt;
-    tail.resume = true;
-    const PretrainStats stats_resumed =
-        Pretrain(&resumed, corpus_, &traffic_, tail);
-
-    // Bitwise-identical parameters and a bitwise-identical loss trace.
-    testutil::ExpectParamsBitwiseEqual(full, resumed);
-    ASSERT_EQ(stats_full.epoch_loss.size(), stats_resumed.epoch_loss.size());
-    for (size_t e = 0; e < stats_full.epoch_loss.size(); ++e) {
-      EXPECT_EQ(stats_full.epoch_loss[e], stats_resumed.epoch_loss[e]);
-      EXPECT_EQ(stats_full.epoch_mask_loss[e],
-                stats_resumed.epoch_mask_loss[e]);
-      EXPECT_EQ(stats_full.epoch_contrastive_loss[e],
-                stats_resumed.epoch_contrastive_loss[e]);
-    }
+  // Bitwise-identical parameters and a bitwise-identical loss trace.
+  testutil::ExpectParamsBitwiseEqual(full, resumed);
+  ASSERT_EQ(stats_full.epoch_loss.size(), stats_resumed.epoch_loss.size());
+  for (size_t e = 0; e < stats_full.epoch_loss.size(); ++e) {
+    EXPECT_EQ(stats_full.epoch_loss[e], stats_resumed.epoch_loss[e]);
+    EXPECT_EQ(stats_full.epoch_mask_loss[e], stats_resumed.epoch_mask_loss[e]);
+    EXPECT_EQ(stats_full.epoch_contrastive_loss[e],
+              stats_resumed.epoch_contrastive_loss[e]);
   }
 }
 

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <numeric>
 #include <set>
-#include <thread>
+#include <string>
 
 #include "data/batch.h"
 #include "data/dataset.h"
@@ -14,9 +13,6 @@
 
 namespace start::data {
 namespace {
-
-// common::ThreadPool unit tests live in tests/common_test.cc; this file
-// covers the loader stack built on top of it.
 
 // ---------------------------------------------------------------------------
 // Length-bucketed batch plans
@@ -136,7 +132,7 @@ TEST(MakeShuffledPlanTest, CoversCorpusEachEpochWithoutSingletons) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchLoader
+// Pre-training batches
 // ---------------------------------------------------------------------------
 
 class LoaderTest : public ::testing::Test {
@@ -155,41 +151,45 @@ class LoaderTest : public ::testing::Test {
     ds.min_length = 5;
     ds.min_user_trajectories = 2;
     corpus_ = TrajDataset::FromCorpus(net_, std::move(raw), ds).All();
+    PlanConfig plan_config;
+    plan_config.batch_size = 8;
+    plan_config.epochs = 2;
+    plan_config.seed = 5;
+    plan_ = MakeShuffledPlan(Lengths(corpus_), plan_config);
   }
 
-  PretrainPlan MakePlan(int64_t epochs = 2) const {
-    PlanConfig config;
-    config.batch_size = 8;
-    config.epochs = epochs;
-    config.seed = 5;
-    return MakeShuffledPlan(Lengths(corpus_), config);
+  /// Builds step `step` of the plan into `*out` from its private stream.
+  void Build(int64_t step, uint64_t seed, TrainingBatch* out) const {
+    common::Rng rng(StepSeed(seed, step));
+    BuildPretrainBatch(corpus_, &traffic_, PretrainBatchOptions{},
+                       plan_.steps[static_cast<size_t>(step)], &rng, out);
   }
 
-  BatchLoader::Builder MakeBuilder() const {
-    return MakePretrainBuilder(&corpus_, &traffic_, PretrainBatchOptions{});
-  }
-
-  std::vector<TrainingBatch> Drain(int num_workers, uint64_t seed = 5) const {
-    LoaderConfig config;
-    config.num_workers = num_workers;
-    config.prefetch_depth = 3;
-    config.seed = seed;
-    BatchLoader loader(MakePlan().steps, MakeBuilder(), config);
+  /// Steps [start_step, end of plan) built the way core::Pretrain builds
+  /// them: into one batch reused across steps, copied out after each.
+  std::vector<TrainingBatch> Run(uint64_t seed = 5,
+                                 int64_t start_step = 0) const {
     std::vector<TrainingBatch> got;
     TrainingBatch tb;
-    while (loader.Next(&tb)) got.push_back(std::move(tb));
+    for (int64_t step = start_step;
+         step < static_cast<int64_t>(plan_.steps.size()); ++step) {
+      Build(step, seed, &tb);
+      got.push_back(tb);
+    }
     return got;
   }
 
   roadnet::RoadNetwork net_;
   traj::TrafficModel traffic_;
   std::vector<traj::Trajectory> corpus_;
+  PretrainPlan plan_;
 };
 
 void ExpectBitwiseEqual(const TrainingBatch& a, const TrainingBatch& b) {
-  EXPECT_EQ(a.step, b.step);
   ASSERT_EQ(a.has_masked, b.has_masked);
   ASSERT_EQ(a.has_contrastive, b.has_contrastive);
+  EXPECT_EQ(a.masked.max_len, b.masked.max_len);
+  EXPECT_EQ(a.masked.embedding_dropout, b.masked.embedding_dropout);
   EXPECT_EQ(a.masked.roads, b.masked.roads);
   EXPECT_EQ(a.masked.minute_idx, b.masked.minute_idx);
   EXPECT_EQ(a.masked.dow_idx, b.masked.dow_idx);
@@ -197,15 +197,19 @@ void ExpectBitwiseEqual(const TrainingBatch& a, const TrainingBatch& b) {
   EXPECT_EQ(a.masked.lengths, b.masked.lengths);
   EXPECT_EQ(a.mask_positions, b.mask_positions);
   EXPECT_EQ(a.mask_targets, b.mask_targets);
+  EXPECT_EQ(a.contrastive.max_len, b.contrastive.max_len);
+  EXPECT_EQ(a.contrastive.embedding_dropout, b.contrastive.embedding_dropout);
   EXPECT_EQ(a.contrastive.roads, b.contrastive.roads);
+  EXPECT_EQ(a.contrastive.minute_idx, b.contrastive.minute_idx);
+  EXPECT_EQ(a.contrastive.dow_idx, b.contrastive.dow_idx);
   EXPECT_EQ(a.contrastive.times, b.contrastive.times);
   EXPECT_EQ(a.contrastive.lengths, b.contrastive.lengths);
 }
 
-TEST_F(LoaderTest, DeterministicForFixedSeedAndWorkerCount) {
+TEST_F(LoaderTest, DeterministicForFixedSeed) {
   ASSERT_GT(corpus_.size(), 16u);
-  const auto run1 = Drain(/*num_workers=*/3);
-  const auto run2 = Drain(/*num_workers=*/3);
+  const auto run1 = Run();
+  const auto run2 = Run();
   ASSERT_EQ(run1.size(), run2.size());
   ASSERT_FALSE(run1.empty());
   for (size_t i = 0; i < run1.size(); ++i) {
@@ -213,50 +217,38 @@ TEST_F(LoaderTest, DeterministicForFixedSeedAndWorkerCount) {
   }
 }
 
-TEST_F(LoaderTest, OutputIndependentOfWorkerCount) {
-  // Stronger than the contract requires: per-step seeding makes the stream
-  // identical across ANY worker count, including the synchronous path.
-  const auto sync = Drain(/*num_workers=*/0);
-  const auto two = Drain(/*num_workers=*/2);
-  const auto four = Drain(/*num_workers=*/4);
-  ASSERT_EQ(sync.size(), two.size());
-  ASSERT_EQ(sync.size(), four.size());
-  for (size_t i = 0; i < sync.size(); ++i) {
-    ExpectBitwiseEqual(sync[i], two[i]);
-    ExpectBitwiseEqual(sync[i], four[i]);
+TEST_F(LoaderTest, ReusedBatchMatchesAFreshBatchPerStep) {
+  // The scratch-reuse contract: core::Pretrain rebuilds one TrainingBatch in
+  // place every step, so nothing of step s-1 may reach step s. A fresh batch
+  // per step has nothing to leak; the reused one must match it bit for bit.
+  const auto reused = Run();
+  ASSERT_EQ(reused.size(), plan_.steps.size());
+  for (size_t s = 0; s < reused.size(); ++s) {
+    TrainingBatch fresh;
+    Build(static_cast<int64_t>(s), /*seed=*/5, &fresh);
+    SCOPED_TRACE("step " + std::to_string(s));
+    ExpectBitwiseEqual(reused[s], fresh);
   }
 }
 
-TEST_F(LoaderTest, StartStepResumesTheExactTailOfTheStream) {
-  // The resume cursor: a loader starting at step k must deliver the
-  // bitwise-identical suffix of a full run — the contract core::Pretrain's
-  // checkpoint resume is built on. Checked for both worker modes, and the
-  // skipped prefix must never be built (no wasted augmentation work).
-  const auto full = Drain(/*num_workers=*/2);
+TEST_F(LoaderTest, ResumedRunBuildsTheExactTailOfTheStream) {
+  // The resume contract core::Pretrain's checkpoint resume rests on: a run
+  // that starts at step s — its first batch built alone into a fresh
+  // TrainingBatch — must build exactly steps s.. of a full run.
+  const auto full = Run();
   ASSERT_GT(full.size(), 4u);
   const int64_t start = static_cast<int64_t>(full.size()) / 2;
-  for (const int workers : {0, 2}) {
-    LoaderConfig config;
-    config.num_workers = workers;
-    config.prefetch_depth = 3;
-    config.seed = 5;
-    config.start_step = start;
-    BatchLoader loader(MakePlan().steps, MakeBuilder(), config);
-    std::vector<TrainingBatch> tail;
-    TrainingBatch tb;
-    while (loader.Next(&tb)) tail.push_back(std::move(tb));
-    ASSERT_EQ(tail.size(), full.size() - static_cast<size_t>(start))
-        << "workers=" << workers;
-    for (size_t i = 0; i < tail.size(); ++i) {
-      ExpectBitwiseEqual(tail[i], full[static_cast<size_t>(start) + i]);
-    }
-    EXPECT_EQ(loader.batches_built(), static_cast<int64_t>(tail.size()));
+  const auto tail = Run(/*seed=*/5, start);
+  ASSERT_EQ(tail.size(), full.size() - static_cast<size_t>(start));
+  for (size_t i = 0; i < tail.size(); ++i) {
+    SCOPED_TRACE("step " + std::to_string(start + static_cast<int64_t>(i)));
+    ExpectBitwiseEqual(tail[i], full[static_cast<size_t>(start) + i]);
   }
 }
 
 TEST_F(LoaderTest, DifferentSeedsGiveDifferentBatches) {
-  const auto a = Drain(/*num_workers=*/2, /*seed=*/5);
-  const auto b = Drain(/*num_workers=*/2, /*seed=*/6);
+  const auto a = Run(/*seed=*/5);
+  const auto b = Run(/*seed=*/6);
   ASSERT_EQ(a.size(), b.size());
   bool any_diff = false;
   for (size_t i = 0; i < a.size() && !any_diff; ++i) {
@@ -265,62 +257,15 @@ TEST_F(LoaderTest, DifferentSeedsGiveDifferentBatches) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST_F(LoaderTest, BatchesArriveInStepOrderCoveringThePlan) {
-  const auto plan = MakePlan();
-  const auto got = Drain(/*num_workers=*/4);
-  ASSERT_EQ(got.size(), plan.steps.size());
+TEST_F(LoaderTest, BatchesCoverThePlan) {
+  const auto got = Run();
+  ASSERT_EQ(got.size(), plan_.steps.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].step, static_cast<int64_t>(i));
     EXPECT_EQ(got[i].masked.batch_size,
-              static_cast<int64_t>(plan.steps[i].size()));
+              static_cast<int64_t>(plan_.steps[i].size()));
     EXPECT_EQ(got[i].contrastive.batch_size,
-              static_cast<int64_t>(2 * plan.steps[i].size()));
+              static_cast<int64_t>(2 * plan_.steps[i].size()));
   }
-}
-
-TEST_F(LoaderTest, SlowConsumerHitsQueueBoundBackpressure) {
-  LoaderConfig config;
-  config.num_workers = 2;
-  config.prefetch_depth = 2;
-  BatchLoader loader(MakePlan(/*epochs=*/4).steps, MakeBuilder(), config);
-  ASSERT_GT(loader.total_steps(), config.prefetch_depth + 4);
-  // Give the workers ample time to run ahead as far as they are allowed.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const int64_t bound = config.prefetch_depth + config.num_workers;
-  EXPECT_LE(loader.batches_built(), bound);
-  // Draining one batch frees exactly one slot of headroom.
-  TrainingBatch tb;
-  ASSERT_TRUE(loader.Next(&tb));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_LE(loader.batches_built(), bound + 1);
-  // The rest of the stream still arrives intact.
-  int64_t remaining = 0;
-  while (loader.Next(&tb)) ++remaining;
-  EXPECT_EQ(remaining, loader.total_steps() - 1);
-}
-
-TEST_F(LoaderTest, DestructorShutsDownCleanlyMidStream) {
-  for (int trial = 0; trial < 3; ++trial) {
-    LoaderConfig config;
-    config.num_workers = 3;
-    config.prefetch_depth = 2;
-    BatchLoader loader(MakePlan(/*epochs=*/4).steps, MakeBuilder(), config);
-    TrainingBatch tb;
-    ASSERT_TRUE(loader.Next(&tb));
-    // Leave many batches unbuilt and several workers blocked on the full
-    // queue; the destructor must stop and join them without deadlock.
-  }
-}
-
-TEST_F(LoaderTest, StopUnblocksConsumerAndEndsStream) {
-  LoaderConfig config;
-  config.num_workers = 2;
-  BatchLoader loader(MakePlan(/*epochs=*/4).steps, MakeBuilder(), config);
-  TrainingBatch tb;
-  ASSERT_TRUE(loader.Next(&tb));
-  loader.Stop();
-  EXPECT_FALSE(loader.Next(&tb));
-  EXPECT_FALSE(loader.Next(&tb));  // idempotent after stop
 }
 
 TEST_F(LoaderTest, MakeBatchIntoReusesBuffersAcrossCalls) {
@@ -345,25 +290,6 @@ TEST_F(LoaderTest, MakeBatchIntoReusesBuffersAcrossCalls) {
   EXPECT_EQ(batch.dow_idx, reference.dow_idx);
   EXPECT_EQ(batch.times, reference.times);
   EXPECT_EQ(batch.lengths, reference.lengths);
-}
-
-TEST_F(LoaderTest, RecycledBatchesDoNotChangeTheStream) {
-  // Recycling feeds consumed buffers back to the workers; the produced
-  // stream must be byte-identical to a run that never recycles.
-  const auto no_recycle = Drain(/*num_workers=*/2);
-  LoaderConfig config;
-  config.num_workers = 2;
-  config.prefetch_depth = 3;
-  config.seed = 5;
-  BatchLoader loader(MakePlan().steps, MakeBuilder(), config);
-  size_t i = 0;
-  TrainingBatch tb;
-  while (loader.Next(&tb)) {
-    ASSERT_LT(i, no_recycle.size());
-    ExpectBitwiseEqual(tb, no_recycle[i++]);
-    loader.Recycle(std::move(tb));
-  }
-  EXPECT_EQ(i, no_recycle.size());
 }
 
 }  // namespace

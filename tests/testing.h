@@ -12,7 +12,7 @@
 ///    is the laptop-scale model every core test uses.
 ///  * Comparators — `ExpectAllClose` for numeric tolerance checks,
 ///    `ExpectTensorBitwiseEqual` / `ExpectParamsBitwiseEqual` for the
-///    repo's determinism contracts (loader worker counts, checkpoint resume),
+///    repo's determinism contracts (batch reuse, checkpoint resume),
 ///    where "close" is not the claim being tested.
 ///  * `TempDir` — RAII scratch directory (recursively removed), replacing
 ///    ad-hoc `::testing::TempDir() + name` + manual std::remove pairs.

@@ -40,9 +40,7 @@ HEADLINE_METRICS = {
     "BENCH_pipeline.json": [
         (
             "pipeline end-to-end speedup",
-            lambda doc: {
-                "speedup_4workers_vs_seed": doc["speedup_4workers_vs_seed"]
-            },
+            lambda doc: {"speedup_vs_seed": doc["speedup_vs_seed"]},
         ),
         (
             "length-bucketing padding efficiency",
