@@ -40,9 +40,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/start_encoder.h"
 #include "core/start_model.h"

@@ -344,7 +344,7 @@ int main() {
     served.push_back(matcher.MatchTrajectory(item.gps));
   }
   const std::vector<float> post_rows =
-      bundle.encoder->EmbedAll(served, stream_config.mode);
+      bundle.encoder->EmbedAll(served, start::eval::EncodeMode::kFull);
   start::serve::EmbeddingIndex post_exact(d);
   if (!post_exact.AddBatch(served_ids, post_rows).ok()) std::abort();
   Rng post_rng(59);

@@ -63,7 +63,7 @@ class SequenceBaseline : public nn::Module, public eval::TrajectoryEncoder {
   /// (once per loss, e.g. twice for a two-task baseline), draws any task
   /// randomness from `rng`, and returns the summed step losses.
   virtual double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                            nn::Optimizer* opt, common::Rng* rng) = 0;
+                            nn::AdamW* opt, common::Rng* rng) = 0;
 };
 
 /// Mean over valid (non-padded) positions of a [B, L, d] tensor -> [B, d].

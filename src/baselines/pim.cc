@@ -38,7 +38,7 @@ Tensor Pim::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
 }
 
 double Pim::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                       nn::Optimizer* opt, common::Rng* rng) {
+                       nn::AdamW* opt, common::Rng* rng) {
   (void)rng;  // In-batch negatives: nothing to sample.
   const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
   const Tensor emb =
@@ -74,7 +74,7 @@ Tensor PimTf::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
 }
 
 double PimTf::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                         nn::Optimizer* opt, common::Rng* rng) {
+                         nn::AdamW* opt, common::Rng* rng) {
   (void)rng;  // In-batch negatives: nothing to sample.
   const PaddedRoads padded = PadRoadBatch(batch, backbone_->pad_id());
   const Tensor seq = backbone_->Forward(padded.ids, padded.lengths,

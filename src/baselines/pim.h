@@ -36,7 +36,7 @@ class Pim : public SequenceBaseline {
 
  private:
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
   int64_t d_;
   const roadnet::RoadNetwork* net_;
   int64_t pad_id_;
@@ -57,7 +57,7 @@ class PimTf : public SequenceBaseline {
 
  private:
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
   std::unique_ptr<TokenTransformer> backbone_;
 };
 

@@ -70,7 +70,7 @@ Tensor Traj2Vec::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
 }
 
 double Traj2Vec::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                           nn::Optimizer* opt, common::Rng* rng) {
+                           nn::AdamW* opt, common::Rng* rng) {
   (void)rng;  // The reconstruction task draws nothing.
   std::vector<int64_t> lengths;
   const Tensor features =
@@ -162,7 +162,7 @@ Tensor T2Vec::TokenLogits(const PaddedRoads& padded,
 }
 
 double T2Vec::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                         nn::Optimizer* opt, common::Rng* rng) {
+                         nn::AdamW* opt, common::Rng* rng) {
   const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
   const Tensor logits = TokenLogits(padded, Decode(padded));
   // Hard targets (pad -> ignore) plus a spatially-smoothed target where
@@ -202,7 +202,7 @@ Trembr::Trembr(const Seq2SeqConfig& config, const roadnet::RoadNetwork* net,
 }
 
 double Trembr::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                          nn::Optimizer* opt, common::Rng* rng) {
+                          nn::AdamW* opt, common::Rng* rng) {
   (void)rng;  // Both reconstruction targets are deterministic.
   const PaddedRoads padded = PadRoadBatch(batch, pad_id_);
   const Tensor dec_out = Decode(padded);

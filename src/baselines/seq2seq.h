@@ -29,7 +29,7 @@ class Traj2Vec : public SequenceBaseline {
 
  private:
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
   /// [B, L, F+2] feature tensor + lengths; time features zeroed in
   /// kDepartureOnly mode.
   tensor::Tensor BuildFeatures(const std::vector<const traj::Trajectory*>& b,
@@ -59,7 +59,7 @@ class T2Vec : public SequenceBaseline {
 
  protected:
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
   tensor::Tensor EmbedRoads(const PaddedRoads& padded) const;
   /// Teacher-forced decoder outputs [B, L, d]: the decoder reads the
   /// right-shifted road sequence plus the encoder's representation.
@@ -86,7 +86,7 @@ class Trembr : public T2Vec {
 
  private:
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
   std::unique_ptr<nn::Linear> time_head_;
 };
 

@@ -113,7 +113,7 @@ Tensor TransformerMlm::MlmLoss(
 }
 
 double TransformerMlm::TrainBatch(
-    const std::vector<const traj::Trajectory*>& batch, nn::Optimizer* opt,
+    const std::vector<const traj::Trajectory*>& batch, nn::AdamW* opt,
     common::Rng* rng) {
   const Tensor loss = MlmLoss(batch, rng);
   return loss.defined() ? nn::TrainStep(opt, loss) : 0.0;
@@ -160,7 +160,7 @@ Tensor Bert::EncodeBatch(const std::vector<const traj::Trajectory*>& batch,
 }
 
 double Bert::TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                        nn::Optimizer* opt, common::Rng* rng) {
+                        nn::AdamW* opt, common::Rng* rng) {
   // Task 1: MLM (one optimizer step).
   const double mlm = TransformerMlm::TrainBatch(batch, opt, rng);
   // Task 2: binary [CLS] discrimination of each row against a negative made

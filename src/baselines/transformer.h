@@ -77,7 +77,7 @@ class TransformerMlm : public SequenceBaseline {
   tensor::Tensor MlmLoss(const std::vector<const traj::Trajectory*>& batch,
                          common::Rng* rng);
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
 
   const roadnet::RoadNetwork* net_;
   std::unique_ptr<TokenTransformer> backbone_;
@@ -103,7 +103,7 @@ class Bert : public TransformerMlm {
   /// MLM step, then the binary [CLS] step: each row is kept (label 1) or
   /// replaced by MakeNegative (label 0) with probability 1/2.
   double TrainBatch(const std::vector<const traj::Trajectory*>& batch,
-                    nn::Optimizer* opt, common::Rng* rng) override;
+                    nn::AdamW* opt, common::Rng* rng) override;
   /// Rewrites row `b` of `padded` into the binary task's negative; BERT
   /// swaps its two halves, (T1, T2) -> (T2, T1).
   virtual void MakeNegative(PaddedRoads* padded, int64_t b,

@@ -10,14 +10,6 @@
 
 namespace start::eval {
 
-namespace {
-/// Inference-time length-bucket granularity: trajectories within 4 roads of
-/// each other share a batch, so almost no attention compute is spent on
-/// padding. Narrower than the training bucket (8) because inference has no
-/// shuffling constraint to respect.
-constexpr int64_t kEmbedBucketWidth = 4;
-}  // namespace
-
 data::Batch MakeModeBatch(const std::vector<const traj::Trajectory*>& batch,
                           EncodeMode mode) {
   START_CHECK(!batch.empty());

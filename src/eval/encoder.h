@@ -21,6 +21,13 @@ enum class EncodeMode {
                    ///< departure time is exposed.
 };
 
+/// Inference-time length-bucket granularity (data::BucketBatchPlan) of every
+/// embedding path, offline EmbedAll and the serving EmbeddingService alike:
+/// trajectories within 4 roads of each other share a batch, so almost no
+/// attention compute is spent on padding. Narrower than the training bucket
+/// (8) because inference has no shuffling constraint to respect.
+inline constexpr int64_t kEmbedBucketWidth = 4;
+
 /// \brief Common interface over START and every baseline: a model that maps
 /// trajectories to d-dimensional representations.
 ///

@@ -9,64 +9,26 @@
 
 namespace start::nn {
 
-Optimizer::Optimizer(std::vector<tensor::Tensor> params)
-    : params_(std::move(params)) {
-  for (auto& p : params_) {
-    START_CHECK(p.defined());
-    START_CHECK(p.requires_grad());
-  }
-}
-
-void Optimizer::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
-Sgd::Sgd(std::vector<tensor::Tensor> params, double lr, double momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  lr_ = lr;
-  if (momentum_ != 0.0) {
-    velocity_.resize(params_.size());
-    for (size_t i = 0; i < params_.size(); ++i) {
-      velocity_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    float* w = p.data();
-    const float* g = p.grad();
-    const int64_t n = p.numel();
-    if (momentum_ == 0.0) {
-      for (int64_t j = 0; j < n; ++j) {
-        w[j] -= static_cast<float>(lr_) * g[j];
-      }
-    } else {
-      float* vel = velocity_[i].data();
-      for (int64_t j = 0; j < n; ++j) {
-        vel[j] = static_cast<float>(momentum_) * vel[j] + g[j];
-        w[j] -= static_cast<float>(lr_) * vel[j];
-      }
-    }
-  }
-}
-
 AdamW::AdamW(std::vector<tensor::Tensor> params, double lr, double beta1,
              double beta2, double eps, double weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
-  lr_ = lr;
   m_.resize(params_.size());
   v_.resize(params_.size());
   for (size_t i = 0; i < params_.size(); ++i) {
+    START_CHECK(params_[i].defined());
+    START_CHECK(params_[i].requires_grad());
     m_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
     v_[i].assign(static_cast<size_t>(params_[i].numel()), 0.0f);
   }
+}
+
+void AdamW::ZeroGrad() {
+  for (auto& p : params_) p.ZeroGrad();
 }
 
 void AdamW::Step() {
@@ -95,7 +57,7 @@ void AdamW::Step() {
   }
 }
 
-double TrainStep(Optimizer* opt, tensor::Tensor loss) {
+double TrainStep(AdamW* opt, tensor::Tensor loss) {
   opt->ZeroGrad();
   loss.Backward();
   ClipGradNorm(opt->params(), kGradClip);

@@ -9,14 +9,15 @@
 
 namespace start::nn {
 
-/// \brief Base optimizer over a fixed parameter list.
-class Optimizer {
+/// \brief AdamW (decoupled weight decay) over a fixed parameter list — the
+/// paper's optimizer [29] and the one every training path uses.
+class AdamW {
  public:
-  explicit Optimizer(std::vector<tensor::Tensor> params);
-  virtual ~Optimizer() = default;
+  AdamW(std::vector<tensor::Tensor> params, double lr, double beta1 = 0.9,
+        double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.01);
 
   /// Applies one update using the parameters' current gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Zeroes all parameter gradients.
   void ZeroGrad();
@@ -28,38 +29,6 @@ class Optimizer {
   /// same order as Module::Parameters() when built from one). Checkpointing
   /// uses this to pair slot buffers with parameter names.
   const std::vector<tensor::Tensor>& params() const { return params_; }
-
- protected:
-  std::vector<tensor::Tensor> params_;
-  double lr_ = 1e-3;
-};
-
-/// \brief SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<tensor::Tensor> params, double lr, double momentum = 0.0);
-
-  void Step() override;
-
-  /// Momentum buffers, one per parameter (empty when momentum == 0); exposed
-  /// mutable so checkpoint restore can write the saved slots back.
-  std::vector<std::vector<float>>& velocity() { return velocity_; }
-  const std::vector<std::vector<float>>& velocity() const {
-    return velocity_;
-  }
-
- private:
-  double momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// \brief AdamW (decoupled weight decay) — the paper's optimizer [29].
-class AdamW : public Optimizer {
- public:
-  AdamW(std::vector<tensor::Tensor> params, double lr, double beta1 = 0.9,
-        double beta2 = 0.999, double eps = 1e-8, double weight_decay = 0.01);
-
-  void Step() override;
 
   /// Update count driving bias correction; settable so a resumed run
   /// continues the correction schedule exactly where it stopped.
@@ -74,6 +43,8 @@ class AdamW : public Optimizer {
   const std::vector<std::vector<float>>& moment2() const { return v_; }
 
  private:
+  std::vector<tensor::Tensor> params_;
+  double lr_;
   double beta1_;
   double beta2_;
   double eps_;
@@ -88,7 +59,7 @@ inline constexpr double kGradClip = 5.0;
 
 /// One update of `opt` from `loss`: ZeroGrad, `loss.Backward()`,
 /// ClipGradNorm(opt->params(), kGradClip), Step. Returns `loss.item()`.
-double TrainStep(Optimizer* opt, tensor::Tensor loss);
+double TrainStep(AdamW* opt, tensor::Tensor loss);
 
 /// \brief The minibatch loop every pre-training task and fine-tune head
 /// shares.

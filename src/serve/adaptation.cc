@@ -274,7 +274,8 @@ common::Status AdaptationController::CatchUp(const FrozenEncoder& encoder,
     }
   }
   if (ids.empty()) return common::Status::OK();
-  const std::vector<float> rows = encoder.EmbedAll(trajs, config_.stream.mode);
+  const std::vector<float> rows =
+      encoder.EmbedAll(trajs, eval::EncodeMode::kFull);
   START_RETURN_IF_ERROR(index->AddBatch(ids, rows));
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -309,8 +310,7 @@ common::Status AdaptationController::SwapAndCatchUp(
     if (!pipeline_->WaitQuiescent(std::max<int64_t>(slice, 0))) continue;
     // Narrow the post-swap pass while the old engine still serves.
     START_RETURN_IF_ERROR(CatchUp(*encoder, index.get()));
-    const common::Status st =
-        pipeline_->SwapEngine(bundle, /*require_quiescent=*/true);
+    const common::Status st = pipeline_->SwapEngine(bundle);
     if (st.ok()) break;
     if (st.code() != common::StatusCode::kFailedPrecondition) return st;
     // In-flight items raced past the quiescence check — retry until the

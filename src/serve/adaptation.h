@@ -97,10 +97,9 @@ struct AdaptationStats {
 ///      (core::WarmStartRetrain), writing gen_<N>.sttn;
 ///   3. build a fresh FrozenEncoder + HnswIndex and re-embed the corpus
 ///      into it;
-///   4. hot-swap at a quiescent sequence boundary
-///      (StreamPipeline::SwapEngine(require_quiescent)), then run one
-///      catch-up pass for items ingested after the snapshot, and persist
-///      the new index next to its checkpoint.
+///   4. hot-swap at a quiescent sequence boundary (StreamPipeline::SwapEngine),
+///      then run one catch-up pass for items ingested after the snapshot,
+///      and persist the new index next to its checkpoint.
 ///
 /// Every failure edge — retrain crash, rebuild failure, swap timeout,
 /// corrupt persisted index — degrades gracefully: the round is abandoned,

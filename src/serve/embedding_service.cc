@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/cpu.h"
 #include "data/batch.h"
 
 namespace start::serve {
@@ -27,10 +28,9 @@ EmbeddingService::EmbeddingService(const FrozenEncoder* encoder,
   START_CHECK_GT(config_.max_queue_depth, 0);
   START_CHECK_GE(config_.batch_deadline_us, 0);
   START_CHECK_GT(config_.num_workers, 0);
-  START_CHECK_GT(config_.bucket_width, 0);
-  pool_ = std::make_unique<common::ThreadPool>(config_.num_workers);
+  workers_.reserve(static_cast<size_t>(config_.num_workers));
   for (int w = 0; w < config_.num_workers; ++w) {
-    pool_->Submit([this] { WorkerLoop(); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -43,8 +43,8 @@ EmbeddingService::~EmbeddingService() {
   cv_coalesce_.notify_all();
   cv_space_.notify_all();
   // Workers drain every queued request before exiting, so no promise is
-  // left broken; the pool destructor joins them.
-  pool_.reset();
+  // left broken.
+  for (auto& worker : workers_) worker.join();
 }
 
 common::Result<std::future<EmbeddingRow>> EmbeddingService::Encode(
@@ -144,7 +144,7 @@ void EmbeddingService::EncodeBurst(std::vector<Request>* burst) {
     }
     if (order.empty()) continue;
     const auto plan = data::BucketBatchPlan(
-        lengths, order, config_.max_batch_size, config_.bucket_width);
+        lengths, order, config_.max_batch_size, eval::kEmbedBucketWidth);
     for (const auto& step : plan) {
       std::vector<const traj::Trajectory*> batch;
       batch.reserve(step.size());

@@ -5,12 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "serve/frozen_encoder.h"
 
 namespace start::serve {
@@ -65,10 +64,6 @@ struct ServiceConfig {
   int64_t batch_deadline_us = 200;
   /// Encode worker threads (each drains and encodes whole bursts).
   int num_workers = 1;
-  /// Length-bucket granularity when splitting a drained burst into batches
-  /// (data::BucketBatchPlan); trajectories within this many roads of each
-  /// other share a batch.
-  int64_t bucket_width = 4;
 };
 
 /// Serving counters (monotonic since construction).
@@ -98,9 +93,9 @@ struct ServiceStats {
 ///
 /// Dataflow: Encode() validates the request, copies the trajectory into the
 /// queue, and returns a future. A worker drains the queue, splits the burst
-/// into length-homogeneous batches via data::BucketBatchPlan, encodes each
-/// through FrozenEncoder::EncodeBatch, and fulfils every promise with a
-/// zero-copy row of the batch result.
+/// into length-homogeneous batches via data::BucketBatchPlan (bucket width
+/// eval::kEmbedBucketWidth), encodes each through FrozenEncoder::EncodeBatch,
+/// and fulfils every promise with a zero-copy row of the batch result.
 ///
 /// When a worker waits for company is documented at
 /// ServiceConfig::batch_deadline_us.
@@ -173,7 +168,7 @@ class EmbeddingService {
   bool coalescing_ = false;  ///< A worker is waiting out the deadline.
   ServiceStats stats_;
 
-  std::unique_ptr<common::ThreadPool> pool_;  ///< Runs the worker loops.
+  std::vector<std::thread> workers_;  ///< One WorkerLoop each.
 };
 
 }  // namespace start::serve

@@ -97,15 +97,15 @@ StreamPipeline::StreamPipeline(EngineBundle engine,
   lease_ = MakeLease(std::move(engine), /*epoch=*/0);
   active_match_.store(config_.match_workers, std::memory_order_relaxed);
   active_embed_.store(config_.embed_workers, std::memory_order_relaxed);
-  pool_ = std::make_unique<common::ThreadPool>(config_.match_workers +
-                                               config_.embed_workers + 1);
+  threads_.reserve(
+      static_cast<size_t>(config_.match_workers + config_.embed_workers + 1));
   for (int i = 0; i < config_.match_workers; ++i) {
-    pool_->Submit([this] { MatchLoop(); });
+    threads_.emplace_back([this] { MatchLoop(); });
   }
   for (int i = 0; i < config_.embed_workers; ++i) {
-    pool_->Submit([this] { EmbedLoop(); });
+    threads_.emplace_back([this] { EmbedLoop(); });
   }
-  pool_->Submit([this] { FinalizeLoop(); });
+  threads_.emplace_back([this] { FinalizeLoop(); });
 }
 
 StreamPipeline::~StreamPipeline() { Drain(); }
@@ -164,8 +164,7 @@ bool StreamPipeline::WaitQuiescent(int64_t timeout_us) {
                             [this] { return in_flight_ == 0; });
 }
 
-common::Status StreamPipeline::SwapEngine(EngineBundle engine,
-                                          bool require_quiescent) {
+common::Status StreamPipeline::SwapEngine(EngineBundle engine) {
   common::Status st = ValidateEngine(engine);
   if (!st.ok()) return st;
   std::lock_guard<std::mutex> swap_serial(swap_mu_);
@@ -181,7 +180,7 @@ common::Status StreamPipeline::SwapEngine(EngineBundle engine,
           "StreamPipeline::SwapEngine: new engine dim differs from serving "
           "dim");
     }
-    if (require_quiescent && in_flight_ != 0) {
+    if (in_flight_ != 0) {
       return common::Status::FailedPrecondition(
           "StreamPipeline::SwapEngine: items in flight");
     }
@@ -197,7 +196,7 @@ common::Status StreamPipeline::SwapEngine(EngineBundle engine,
       return common::Status::FailedPrecondition(
           "StreamPipeline::SwapEngine: pipeline is draining");
     }
-    if (require_quiescent && in_flight_ != 0) {
+    if (in_flight_ != 0) {  // an item was accepted while the lease was built
       return common::Status::FailedPrecondition(
           "StreamPipeline::SwapEngine: items in flight");
     }
@@ -205,14 +204,12 @@ common::Status StreamPipeline::SwapEngine(EngineBundle engine,
     lease_ = std::move(fresh);
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
-  // `retired` drops here; items accepted under it hold their own references
-  // and release the bundle (and its EmbeddingService) as they finalize.
-  return common::Status::OK();
+  return common::Status::OK();  // releases `retired` and its service
 }
 
 void StreamPipeline::Drain() {
   std::lock_guard<std::mutex> drain_lock(drain_mu_);
-  if (pool_ == nullptr) return;  // already drained
+  if (threads_.empty()) return;  // already drained
   {
     std::lock_guard<std::mutex> lock(match_q_.mu);
     accepting_ = false;
@@ -220,7 +217,12 @@ void StreamPipeline::Drain() {
   }
   match_q_.cv_item.notify_all();
   match_q_.cv_space.notify_all();
-  pool_.reset();  // joins once every stage has drained, in stage order
+  // Each stage exits once its upstream has closed and drained.
+  for (auto& thread : threads_) thread.join();
+  threads_.clear();
+  // No swap lands once accepting_ is false, so lease_ is final; its service
+  // has no caller left.
+  lease_->service.reset();
 }
 
 common::Status StreamPipeline::RunWithRetry(const char* stage, int64_t seq,
@@ -345,7 +347,7 @@ void StreamPipeline::EmbedLoop() {
     common::Status st = RunWithRetry("embed", w.seq, &embed_);
     EmbeddingRow row;
     if (st.ok()) {
-      auto future = w.lease->service->Encode(w.traj, config_.mode);
+      auto future = w.lease->service->Encode(w.traj);
       if (!future.ok()) {
         st = future.status();
       } else {

@@ -8,11 +8,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/fault_hooks.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "roadnet/road_network.h"
 #include "serve/drift_monitor.h"
 #include "serve/embedding_service.h"
@@ -35,11 +35,10 @@ struct StreamItem {
 /// watching the stream.
 ///
 /// The pipeline serves from exactly one bundle at a time and hot-swaps to a
-/// new one atomically at a sequence boundary (SwapEngine). Ownership is
-/// shared so a retired bundle stays alive until the last in-flight item
-/// accepted under it has been finalized — the adaptation controller hands
-/// the pipeline a freshly built bundle and may immediately drop its own
-/// references. `drift` may be null (no drift tracking).
+/// new one under the contract documented at StreamPipeline::SwapEngine.
+/// Ownership is shared, so the adaptation controller may drop its own
+/// references once the swap lands. `drift` may be null (no drift
+/// tracking).
 struct EngineBundle {
   std::shared_ptr<const FrozenEncoder> encoder;
   std::shared_ptr<IndexInterface> index;
@@ -76,7 +75,6 @@ struct StreamConfig {
 
   traj::HmmMapMatcher::Config matcher;  ///< Map-matching knobs.
   ServiceConfig service;                ///< Micro-batching embed service.
-  eval::EncodeMode mode = eval::EncodeMode::kFull;
 };
 
 /// Monotonic counters + queue/latency snapshot of one stage.
@@ -119,6 +117,7 @@ struct PipelineStats {
 ///
 ///   Push(gps) -> [match workers]  HMM map matching -> road trajectory
 ///             -> [embed workers]  micro-batched EmbeddingService round trip
+///                                 (EncodeMode::kFull)
 ///             -> [finalizer]      in-order index upsert + drift observe
 ///
 /// The finalizer is single-threaded and processes items strictly in
@@ -144,16 +143,10 @@ struct PipelineStats {
 /// finalizer so ordering and accounting stay exact).
 ///
 /// Shutdown: Drain() (also the destructor) stops accepting, lets every
-/// stage finish everything already accepted, then joins the workers.
+/// stage finish everything already accepted, then joins every thread the
+/// pipeline started.
 ///
-/// Hot swap: SwapEngine() atomically replaces the serving EngineBundle
-/// (encoder + index + drift monitor + the internal EmbeddingService) at a
-/// sequence boundary: every item accepted before the swap runs every stage
-/// against the bundle it was accepted under, every item accepted after
-/// runs against the new one — zero items are dropped, reordered, or split
-/// across engines, and the retired bundle is released only after its last
-/// in-flight item finalizes. A bundle that fails validation is rejected
-/// with the old engine untouched.
+/// Hot swap: see SwapEngine(), the one home of the swap contract.
 ///
 /// Thread-safety: Push()/stats()/Flush()/SwapEngine() may be called from
 /// any number of threads. The index must be one of the serve:: backends
@@ -200,30 +193,27 @@ class StreamPipeline {
   /// controller's pre-swap drain wait.
   bool WaitQuiescent(int64_t timeout_us);
 
-  /// \brief Atomically replaces the serving engine bundle.
+  /// \brief Replaces the serving engine bundle (encoder + index + drift
+  /// monitor + the internal EmbeddingService) at a quiescent sequence
+  /// boundary.
   ///
   /// Validates the bundle (non-null encoder/index, internally consistent
-  /// dims, matching the current serving dim) and installs it under the
-  /// ingress lock: the swap lands exactly between two sequence numbers.
-  /// Items already accepted keep their original bundle through every stage
-  /// (the retired bundle — and its EmbeddingService — is destroyed when the
-  /// last of them finalizes); items accepted after land on the new one. On
-  /// any validation failure, or after Drain() has begun, the current engine
-  /// keeps serving untouched and an error is returned.
-  ///
-  /// With `require_quiescent`, the swap additionally only lands while no
-  /// accepted item is in flight (checked under the same lock that installs
-  /// the bundle) and fails with FailedPrecondition otherwise. This gives
-  /// the adaptation controller an exact hand-off point: everything accepted
-  /// before a quiescent swap has fully finalized — and been reported
-  /// through the ingested callback — before the new engine sees its first
-  /// item, so one post-swap catch-up pass over the recorded corpus closes
-  /// the gap with nothing racing into the retired index.
-  common::Status SwapEngine(EngineBundle engine,
-                            bool require_quiescent = false);
+  /// dims, matching the current serving dim), then installs it under the
+  /// ingress lock only while no accepted item is in flight; otherwise it
+  /// fails with FailedPrecondition and the caller retries (the adaptation
+  /// controller waits with WaitQuiescent() between attempts). Everything
+  /// accepted before the swap has therefore run every stage against the old
+  /// bundle, finalized, and been reported through the ingested callback
+  /// before the new bundle sees its first item; no item is dropped,
+  /// reordered, or split across engines, and one post-swap catch-up pass
+  /// over the recorded corpus closes the gap with nothing racing into the
+  /// retired index. On any failure, or after Drain() has begun, the current
+  /// engine keeps serving untouched and an error is returned.
+  common::Status SwapEngine(EngineBundle engine);
 
   /// Stops accepting, drains every accepted item through all stages, joins
-  /// the workers. Idempotent; called by the destructor.
+  /// the stage workers and the serving EmbeddingService's workers.
+  /// Idempotent; called by the destructor.
   void Drain();
 
   /// Snapshot of all counters, queue depths, and stage latencies.
@@ -349,7 +339,9 @@ class StreamPipeline {
   std::atomic<int> active_match_{0}, active_embed_{0};
 
   std::mutex drain_mu_;
-  std::unique_ptr<common::ThreadPool> pool_;
+  /// Match workers, embed workers, then the finalizer; joined in that
+  /// order by Drain().
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace start::serve

@@ -13,9 +13,7 @@ namespace start::tensor {
 // ---------------------------------------------------------------------------
 
 Tensor Add(const Tensor& a, const Tensor& b);
-Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
 Tensor Neg(const Tensor& a);
 /// a * s (scalar).
 Tensor Scale(const Tensor& a, float s);
@@ -27,13 +25,8 @@ Tensor Relu(const Tensor& a);
 Tensor LeakyRelu(const Tensor& a, float negative_slope = 0.2f);
 /// ELU with alpha = 1 (as in GAT).
 Tensor Elu(const Tensor& a, float alpha = 1.0f);
-Tensor Gelu(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
-Tensor Exp(const Tensor& a);
-/// Natural log; inputs must be positive.
-Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 
 /// Inverted-dropout: zeroes elements with probability p and rescales the rest
 /// by 1/(1-p). Identity when `training` is false or p == 0. Samples the mask
@@ -80,14 +73,10 @@ Tensor BatchMatMul(const Tensor& a, const Tensor& b, bool transpose_b = false);
 // Reductions & normalisation.
 // ---------------------------------------------------------------------------
 
-/// Sum of all elements -> scalar.
-Tensor Sum(const Tensor& a);
 /// Mean of all elements -> scalar.
 Tensor Mean(const Tensor& a);
 /// Softmax over the last dimension (numerically stabilised).
 Tensor SoftmaxLastDim(const Tensor& a);
-/// Log-softmax over the last dimension.
-Tensor LogSoftmaxLastDim(const Tensor& a);
 /// Fused layer normalisation over the last dimension:
 /// y = (x - mu) / sqrt(var + eps) * gamma + beta.
 Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

@@ -73,25 +73,11 @@ Tensor Add(const Tensor& a, const Tensor& b) {
       "add");
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      a, b, [](float x, float y) { return x - y; },
-      [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; },
-      "sub");
-}
-
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       a, b, [](float x, float y) { return x * y; },
       [](float, float y) { return y; }, [](float x, float) { return x; },
       "mul");
-}
-
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BinaryOp(
-      a, b, [](float x, float y) { return x / y; },
-      [](float, float y) { return 1.0f / y; },
-      [](float x, float y) { return -x / (y * y); }, "div");
 }
 
 Tensor Neg(const Tensor& a) {
@@ -136,26 +122,6 @@ Tensor Elu(const Tensor& a, float alpha) {
       "elu");
 }
 
-Tensor Gelu(const Tensor& a) {
-  // tanh approximation of GELU (as used by BERT).
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  return UnaryOp(
-      a,
-      [](float x) {
-        const float inner = kC * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-      },
-      [](float x, float) {
-        const float x3 = x * x * x;
-        const float inner = kC * (x + 0.044715f * x3);
-        const float t = std::tanh(inner);
-        const float sech2 = 1.0f - t * t;
-        return 0.5f * (1.0f + t) +
-               0.5f * x * sech2 * kC * (1.0f + 3.0f * 0.044715f * x * x);
-      },
-      "gelu");
-}
-
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::tanh(x); },
@@ -166,24 +132,6 @@ Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
       [](float, float y) { return y * (1.0f - y); }, "sigmoid");
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; }, "exp");
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.0f / x; }, "log");
-}
-
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(
-      a, [](float x) { return std::sqrt(x); },
-      [](float, float y) { return 0.5f / y; }, "sqrt");
 }
 
 Tensor Dropout(const Tensor& a, float p, bool training, common::Rng* rng) {

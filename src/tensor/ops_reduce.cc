@@ -5,24 +5,6 @@
 
 namespace start::tensor {
 
-Tensor Sum(const Tensor& a) {
-  START_CHECK(a.defined());
-  const Tensor ac = a.Contiguous();
-  const int64_t n = ac.numel();
-  double acc = 0.0;
-  const float* pa = ac.data();
-  for (int64_t i = 0; i < n; ++i) acc += pa[i];
-  auto a_impl = ac.impl();
-  auto backward = [a_impl, n](TensorImpl& self) {
-    if (!a_impl->requires_grad) return;
-    const float g = self.grad_ptr()[0];
-    float* ga = a_impl->grad_ptr();
-    for (int64_t i = 0; i < n; ++i) ga[i] += g;
-  };
-  return MakeOpResult(Shape({1}), {static_cast<float>(acc)}, {ac.impl()},
-                      std::move(backward), "sum");
-}
-
 Tensor Mean(const Tensor& a) {
   START_CHECK(a.defined());
   const Tensor ac = a.Contiguous();
@@ -88,45 +70,6 @@ Tensor SoftmaxLastDim(const Tensor& a) {
   };
   return MakeOpResultBuffer(ac.shape(), std::move(out), {ac.impl()},
                             std::move(backward), "softmax");
-}
-
-Tensor LogSoftmaxLastDim(const Tensor& a) {
-  START_CHECK(a.defined());
-  const Tensor ac = a.Contiguous();
-  const int64_t d = LastDim(ac);
-  const int64_t rows = ac.numel() / d;
-  auto out = AcquireBuffer(ac.numel());
-  const float* pa = ac.data();
-  for (int64_t r = 0; r < rows; ++r) {
-    const float* x = pa + r * d;
-    float* y = out->data() + r * d;
-    float mx = x[0];
-    for (int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-    float sum = 0.0f;
-    for (int64_t i = 0; i < d; ++i) sum += std::exp(x[i] - mx);
-    const float lse = mx + std::log(sum);
-    for (int64_t i = 0; i < d; ++i) y[i] = x[i] - lse;
-  }
-  auto a_impl = ac.impl();
-  auto y_buf = out;
-  auto backward = [a_impl, y_buf, rows, d](TensorImpl& self) {
-    if (!a_impl->requires_grad) return;
-    const float* g = self.grad_ptr();
-    float* ga = a_impl->grad_ptr();
-    const float* y = y_buf->data();
-    for (int64_t r = 0; r < rows; ++r) {
-      const float* yr = y + r * d;
-      const float* gr = g + r * d;
-      float gsum = 0.0f;
-      for (int64_t i = 0; i < d; ++i) gsum += gr[i];
-      float* gar = ga + r * d;
-      for (int64_t i = 0; i < d; ++i) {
-        gar[i] += gr[i] - std::exp(yr[i]) * gsum;
-      }
-    }
-  };
-  return MakeOpResultBuffer(ac.shape(), std::move(out), {ac.impl()},
-                            std::move(backward), "log_softmax");
 }
 
 Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,

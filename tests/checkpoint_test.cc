@@ -242,7 +242,7 @@ TEST_F(ModelCheckpointTest, TrainingCheckpointRestoresOptimizerSlots) {
   // Drive a couple of updates so the moment buffers are non-trivial.
   for (int iter = 0; iter < 3; ++iter) {
     model.ZeroGrad();
-    tensor::Sum(model.ComputeRoadReps()).Backward();
+    tensor::Mean(model.ComputeRoadReps()).Backward();
     opt.Step();
   }
   core::TrainerState state;

@@ -1,4 +1,3 @@
-#include <atomic>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <set>
@@ -6,34 +5,9 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table.h"
-#include "common/thread_pool.h"
 
 namespace start::common {
 namespace {
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    // Destructor drains the queue and joins.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, SubmitFromInsideATask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    pool.Submit([&] {
-      pool.Submit([&count] { count.fetch_add(1); });
-      count.fetch_add(1);
-    });
-  }
-  EXPECT_EQ(count.load(), 2);
-}
 
 TEST(StatusTest, OkByDefault) {
   Status s;

@@ -1,8 +1,9 @@
 // Thread-safety contract of the serving plane, run under ThreadSanitizer in
 // CI: N client threads hammering one EmbeddingService must (a) be race-free,
 // (b) produce embeddings bitwise identical to serial FrozenEncoder encodes
-// regardless of how requests were coalesced into micro-batches, and (c)
-// drain cleanly through backpressure and shutdown.
+// regardless of how requests were coalesced into micro-batches, (c)
+// drain cleanly through backpressure and shutdown, and (d) join every
+// thread they start, as does the StreamPipeline built on them.
 #include <gtest/gtest.h>
 
 #ifdef __linux__
@@ -11,13 +12,14 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/checkpoint.h"
 #include "core/start_model.h"
 #include "data/dataset.h"
@@ -25,6 +27,7 @@
 #include "serve/embedding_index.h"
 #include "serve/embedding_service.h"
 #include "serve/frozen_encoder.h"
+#include "serve/stream_pipeline.h"
 #include "traj/trip_generator.h"
 
 namespace start {
@@ -382,6 +385,60 @@ TEST_F(ServeConcurrencyTest, IndexReadersAndWritersCoexist) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(index.size(), 64);
+}
+
+/// Entries of /proc/self/task (one per thread of this process), or -1 where
+/// it cannot be read.
+int CountThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  int n = 0;
+  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ++n;
+  }
+  return ec ? -1 : n;
+}
+
+/// The thread count once it has held still for 10 ms (giving up after 2 s):
+/// a joined thread can stay listed for a moment after join returns, while
+/// the kernel finishes its exit.
+int StableThreadCount() {
+  int n = CountThreads();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const int next = CountThreads();
+    if (next == n) break;
+    n = next;
+  }
+  return n;
+}
+
+TEST_F(ServeConcurrencyTest, ShutdownJoinsEveryThreadItStarted) {
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation; let that happen before the baseline is taken.
+  std::thread([] {}).join();
+  const int baseline = StableThreadCount();
+  if (baseline < 0) GTEST_SKIP() << "/proc/self/task is unreadable";
+  {
+    serve::ServiceConfig config;
+    config.num_workers = 3;
+    serve::EmbeddingService service(frozen_, config);
+    EXPECT_EQ(CountThreads(), baseline + 3);
+  }
+  EXPECT_EQ(StableThreadCount(), baseline);
+
+  // The pipeline's stage threads plus its EmbeddingService's workers; a
+  // second Drain() finds nothing left to join.
+  serve::StreamPipeline pipeline(
+      {std::shared_ptr<const serve::FrozenEncoder>(
+           frozen_, [](const serve::FrozenEncoder*) {}),
+       std::make_shared<serve::EmbeddingIndex>(frozen_->dim()), nullptr},
+      city_);
+  EXPECT_GT(CountThreads(), baseline);
+  pipeline.Drain();
+  EXPECT_EQ(StableThreadCount(), baseline);
+  pipeline.Drain();
+  EXPECT_EQ(StableThreadCount(), baseline);
 }
 
 }  // namespace

@@ -327,11 +327,11 @@ TEST_F(ServeTest, EmbeddingRowsShareBatchStorageZeroCopy) {
   const auto frozen = LoadFrozen();
   serve::ServiceConfig sc;
   sc.batch_deadline_us = 20000;  // generous window: coalesce all four
-  sc.bucket_width = 1 << 20;     // single bucket: one batch
   serve::EmbeddingService service(frozen.get(), sc);
+  // Four copies of one trajectory share a length bucket: one batch.
   std::vector<std::future<serve::EmbeddingRow>> futures;
   for (size_t i = 0; i < 4; ++i) {
-    auto result = service.Encode((*corpus_)[i]);
+    auto result = service.Encode((*corpus_)[0]);
     ASSERT_TRUE(result.ok());
     futures.push_back(std::move(result).value());
   }

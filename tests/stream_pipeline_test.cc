@@ -14,13 +14,14 @@
 //  - a queries-during-ingest churn soak against the HNSW backend;
 //  - engine hot-swap: SwapEngine splits the stream exactly at a sequence
 //    boundary (items before/after run every stage against their own
-//    bundle), loses nothing under concurrent load, rejects invalid bundles
-//    with the old engine untouched, and under require_quiescent only lands
-//    with zero items in flight.
+//    bundle), loses nothing when retried against bursty load, rejects
+//    invalid bundles with the old engine untouched, and only lands with
+//    zero items in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <map>
@@ -557,8 +558,7 @@ TEST_F(StreamPipelineTest, HotSwapSplitsStreamAtSequenceBoundary) {
   pipeline.Flush();
   const int64_t pre = pipeline.stats().ingested();
   ASSERT_GT(pre, 0);
-  const common::Status swapped =
-      pipeline.SwapEngine({alt, index2, nullptr}, /*require_quiescent=*/true);
+  const common::Status swapped = pipeline.SwapEngine({alt, index2, nullptr});
   ASSERT_TRUE(swapped.ok()) << swapped.ToString();
   for (size_t i = half; i < stream.size(); ++i) {
     ASSERT_TRUE(pipeline.Push(stream[i]).ok());
@@ -606,16 +606,36 @@ TEST_F(StreamPipelineTest, SwapUnderLoadLosesNothingAndPreservesOrder) {
       world_->net.get(), SmallConfig());
   Recorder rec;
   pipeline.SetOnIngested(rec.Callback());
-  // Swap mid-stream, while items are demonstrably in flight (no quiescence
-  // requirement): in-flight items must finish on the old bundle, later ones
-  // on the new, with nothing dropped or reordered.
+  // The producer pushes in bursts with pauses; the swapper starts during
+  // the first burst and retries the quiescent swap until it lands, as
+  // AdaptationController::SwapAndCatchUp does. Items before the swap must
+  // finish on the old bundle, later ones run on the new, with nothing
+  // dropped or reordered.
+  std::atomic<bool> swapped{false};
   std::thread swapper([&] {
     while (pipeline.stats().ingested() < 5) std::this_thread::yield();
-    const common::Status st = pipeline.SwapEngine({alt, index2, nullptr});
-    EXPECT_TRUE(st.ok()) << st.ToString();
+    for (;;) {
+      if (!pipeline.WaitQuiescent(/*timeout_us=*/1000)) continue;
+      const common::Status st = pipeline.SwapEngine({alt, index2, nullptr});
+      if (st.ok()) break;
+      // A push raced in after WaitQuiescent: refused, retry.
+      ASSERT_EQ(st.code(), common::StatusCode::kFailedPrecondition)
+          << st.ToString();
+    }
+    swapped.store(true, std::memory_order_release);
   });
-  for (const StreamItem& item : stream) {
-    ASSERT_TRUE(pipeline.Push(item).ok());
+  constexpr size_t kBurst = 8;
+  for (size_t begin = 0; begin < stream.size(); begin += kBurst) {
+    const size_t end = std::min(stream.size(), begin + kBurst);
+    for (size_t i = begin; i < end; ++i) {
+      ASSERT_TRUE(pipeline.Push(stream[i]).ok());
+    }
+    // Pause: the burst drains, leaving the swapper a quiescent window.
+    pipeline.Flush();
+    for (int ms = 0; ms < 100 && !swapped.load(std::memory_order_acquire);
+         ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
   swapper.join();
   pipeline.Flush();
@@ -623,8 +643,10 @@ TEST_F(StreamPipelineTest, SwapUnderLoadLosesNothingAndPreservesOrder) {
   ExpectAccounted(s);
   EXPECT_EQ(s.swaps, 1);
   EXPECT_EQ(s.epoch, 1);
-  // Nothing lost: every ingested item is in exactly one of the two indexes.
+  // Nothing lost: every ingested item is in exactly one of the two indexes,
+  // and the stream went on after the swap.
   EXPECT_EQ(index1->size() + index2->size(), s.ingested());
+  EXPECT_GT(index2->size(), 0);
   for (const int64_t id : rec.ids) {
     EXPECT_NE(index1->Contains(id), index2->Contains(id))
         << "id " << id << " must live in exactly one generation";
@@ -683,7 +705,7 @@ TEST_F(StreamPipelineTest, SwapRejectsInvalidBundlesAndKeepsServing) {
   EXPECT_GT(s.ingested(), 0);
 }
 
-TEST_F(StreamPipelineTest, RequireQuiescentSwapRefusesWhileItemsInFlight) {
+TEST_F(StreamPipelineTest, SwapRefusesWhileItemsInFlight) {
   const std::vector<StreamItem> stream = MakeStream(6);
   std::mutex mu;
   std::condition_variable cv;
@@ -706,11 +728,9 @@ TEST_F(StreamPipelineTest, RequireQuiescentSwapRefusesWhileItemsInFlight) {
     ASSERT_TRUE(pipeline.Push(item).ok());
   }
   // Seq 0 is stalled in match, so the pipeline cannot be quiescent: the
-  // gated swap must refuse and leave the old engine serving.
+  // swap must refuse and leave the old engine serving.
   EXPECT_FALSE(pipeline.WaitQuiescent(/*timeout_us=*/1000));
-  EXPECT_EQ(pipeline.SwapEngine({alt, index2, nullptr},
-                                /*require_quiescent=*/true)
-                .code(),
+  EXPECT_EQ(pipeline.SwapEngine({alt, index2, nullptr}).code(),
             common::StatusCode::kFailedPrecondition);
   EXPECT_EQ(pipeline.stats().swaps, 0);
   EXPECT_EQ(pipeline.stats().epoch, 0);
@@ -722,8 +742,7 @@ TEST_F(StreamPipelineTest, RequireQuiescentSwapRefusesWhileItemsInFlight) {
   pipeline.Flush();
   EXPECT_TRUE(pipeline.WaitQuiescent(/*timeout_us=*/1'000'000));
   // Quiescent now: the same swap lands.
-  const common::Status st =
-      pipeline.SwapEngine({alt, index2, nullptr}, /*require_quiescent=*/true);
+  const common::Status st = pipeline.SwapEngine({alt, index2, nullptr});
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(pipeline.stats().epoch, 1);
   // After Drain() no swap may land at all.

@@ -61,11 +61,8 @@ TEST(ElementwiseTest, MulBroadcastColumn) {
   EXPECT_EQ(c.at({1, 0}), 40.0f);
 }
 
-TEST(ElementwiseTest, SubDivNegScale) {
+TEST(ElementwiseTest, NegScaleAddScalar) {
   const Tensor a = Tensor::FromVector(Shape({2}), {6, 9});
-  const Tensor b = Tensor::FromVector(Shape({2}), {2, 3});
-  EXPECT_EQ(Sub(a, b).data()[1], 6.0f);
-  EXPECT_EQ(Div(a, b).data()[0], 3.0f);
   EXPECT_EQ(Neg(a).data()[0], -6.0f);
   EXPECT_EQ(Scale(a, 0.5f).data()[1], 4.5f);
   EXPECT_EQ(AddScalar(a, 1.0f).data()[0], 7.0f);
@@ -192,9 +189,8 @@ TEST(ShapeOpsTest, GatherRows) {
   EXPECT_EQ(g.at({2, 0}), 20.0f);
 }
 
-TEST(ReduceTest, SumAndMean) {
+TEST(ReduceTest, Mean) {
   const Tensor a = Tensor::FromVector(Shape({2, 2}), {1, 2, 3, 4});
-  EXPECT_EQ(Sum(a).item(), 10.0f);
   EXPECT_EQ(Mean(a).item(), 2.5f);
 }
 
@@ -214,16 +210,6 @@ TEST(ReduceTest, SoftmaxHandlesLargeLogits) {
   const Tensor s = SoftmaxLastDim(a);
   EXPECT_NEAR(s.data()[0], 0.5f, 1e-5);
   EXPECT_NEAR(s.data()[2], 0.0f, 1e-6);
-}
-
-TEST(ReduceTest, LogSoftmaxMatchesLogOfSoftmax) {
-  common::Rng rng(7);
-  const Tensor a = Tensor::Rand(Shape({2, 5}), &rng, -2, 2);
-  const Tensor ls = LogSoftmaxLastDim(a);
-  const Tensor s = SoftmaxLastDim(a);
-  for (int64_t i = 0; i < 10; ++i) {
-    EXPECT_NEAR(ls.data()[i], std::log(s.data()[i]), 1e-5);
-  }
 }
 
 TEST(ReduceTest, LayerNormNormalises) {
