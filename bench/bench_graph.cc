@@ -1,7 +1,6 @@
 // Graph-plane benchmark: contraction-hierarchy preprocessing and query
 // performance against plain CSR Dijkstra on a city-scale synthetic network
-// (>= 100k edges), plus the batched many-to-many path. Emits
-// BENCH_graph.json for CI tracking.
+// (>= 100k edges). Emits BENCH_graph.json for CI tracking.
 //
 // Measurements:
 //  1. CSR lowering + CH preprocessing wall-clock, shortcut count.
@@ -9,9 +8,7 @@
 //     same random (src, dst) pairs — and exact-distance agreement between
 //     the two on every pair. Costs are integer (fixed-point milliseconds),
 //     so agreement is bitwise equality, not a tolerance.
-//  3. Many-to-many: a |S| x |T| table via the bucket algorithm vs |S|*|T|
-//     pairwise CH queries.
-//  4. Serialization round-trip (Save + Load) wall-clock and artifact size.
+//  3. Serialization round-trip (Save + Load) wall-clock and artifact size.
 //
 // Acceptance gates (hard CI failures):
 //  - the city has >= 100,000 arcs;
@@ -47,7 +44,6 @@ using start::roadnet::CsrGraph;
 using start::roadnet::kInfCost;
 
 constexpr int64_t kQueryPairs = 256;
-constexpr int64_t kManyToManySide = 48;
 
 double BestOf2(const std::function<double()>& run) {
   const double first = run();
@@ -127,41 +123,7 @@ int main() {
               "(%.1fx), exact on %ld/%ld pairs\n",
               dijkstra_qps, ch_qps, speedup, agree, kQueryPairs);
 
-  // 3. Many-to-many table vs pairwise CH queries.
-  std::vector<int32_t> sources, targets;
-  for (int64_t i = 0; i < kManyToManySide; ++i) {
-    sources.push_back(static_cast<int32_t>(rng.UniformInt(v)));
-    targets.push_back(static_cast<int32_t>(rng.UniformInt(v)));
-  }
-  std::vector<Cost> table;
-  const double m2m_s = BestOf2([&] {
-    Stopwatch w;
-    ch.ManyToMany(sources, targets, &ctx, &table);
-    return w.ElapsedSeconds();
-  });
-  const double pairwise_s = BestOf2([&] {
-    Stopwatch w;
-    for (const int32_t s : sources) {
-      for (const int32_t t : targets) (void)ch.Distance(s, t, &ctx);
-    }
-    return w.ElapsedSeconds();
-  });
-  int64_t m2m_mismatch = 0;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      if (table[i * targets.size() + j] !=
-          ch.Distance(sources[i], targets[j], &ctx)) {
-        ++m2m_mismatch;
-      }
-    }
-  }
-  const double m2m_speedup = pairwise_s / m2m_s;
-  std::printf("many-to-many %ldx%ld : bucket %.1f ms | pairwise %.1f ms "
-              "(%.1fx), %ld mismatches\n",
-              kManyToManySide, kManyToManySide, m2m_s * 1e3, pairwise_s * 1e3,
-              m2m_speedup, m2m_mismatch);
-
-  // 4. Serialization round trip: the loaded hierarchy must answer the
+  // 3. Serialization round trip: the loaded hierarchy must answer the
   // sampled pairs with the very integers the built one did.
   const std::string artifact = "BENCH_graph_ch.bin";
   watch.Restart();
@@ -206,12 +168,11 @@ int main() {
                "  \"ch_queries_per_sec\": %.1f,\n"
                "  \"ch_speedup\": %.3f,\n"
                "  \"ch_exactness\": %.6f,\n"
-               "  \"m2m_speedup_vs_pairwise\": %.3f,\n"
                "  \"serialize_save_seconds\": %.3f,\n"
                "  \"serialize_load_seconds\": %.3f\n"
                "}\n",
                v, e, ch_build_s, ch.num_shortcuts(), dijkstra_qps, ch_qps,
-               speedup, exactness, m2m_speedup, save_s, load_s);
+               speedup, exactness, save_s, load_s);
   std::fclose(json);
   std::printf("wrote BENCH_graph.json\n");
 
@@ -221,10 +182,9 @@ int main() {
                  e);
     return 1;
   }
-  if (exactness != 1.0 || m2m_mismatch != 0) {
-    std::fprintf(stderr,
-                 "FAIL: CH not exact (p2p %.4f, m2m mismatches %ld)\n",
-                 exactness, m2m_mismatch);
+  if (exactness != 1.0) {
+    std::fprintf(stderr, "FAIL: CH not exact (%ld/%ld pairs agree)\n", agree,
+                 kQueryPairs);
     return 1;
   }
   if (loaded_mismatch != 0) {

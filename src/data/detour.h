@@ -62,8 +62,6 @@ class DetourGenerator {
   std::optional<traj::Trajectory> Generate(const traj::Trajectory& t,
                                            common::Rng* rng);
 
-  const roadnet::ChEngine& ch() const { return *ch_; }
-
  private:
   const traj::TrafficModel* traffic_;
   DetourConfig config_;

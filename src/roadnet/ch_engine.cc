@@ -689,60 +689,6 @@ std::optional<CsrPath> ChEngine::Route(int32_t src, int32_t dst,
   return path;
 }
 
-void ChEngine::ManyToMany(const std::vector<int32_t>& sources,
-                          const std::vector<int32_t>& targets,
-                          QueryContext* ctx, std::vector<Cost>* out) const {
-  ctx->Ensure(num_nodes_);
-  const int64_t nt = static_cast<int64_t>(targets.size());
-  out->assign(sources.size() * targets.size(), kInfCost);
-  if (sources.empty() || targets.empty()) return;
-
-  // Phase 1: one backward search per target fills (node, target, dist)
-  // bucket entries; labels are discarded between targets.
-  struct Bucket {
-    int32_t node;
-    int32_t tidx;
-    Cost d;
-  };
-  std::vector<Bucket> buckets;
-  for (int64_t j = 0; j < nt; ++j) {
-    ctx->Reset();
-    ctx->settled_.clear();
-    UpwardSearch(targets[static_cast<size_t>(j)], /*forward=*/false, 0, ctx,
-                 &ctx->settled_);
-    for (const int32_t v : ctx->settled_) {
-      buckets.push_back(
-          {v, static_cast<int32_t>(j), ctx->dist_b_[static_cast<size_t>(v)]});
-    }
-  }
-  std::sort(buckets.begin(), buckets.end(),
-            [](const Bucket& a, const Bucket& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.tidx < b.tidx;
-            });
-
-  // Phase 2: one forward search per source; every settled node contributes
-  // its bucket entries as candidate meeting points.
-  for (size_t i = 0; i < sources.size(); ++i) {
-    const int32_t s = sources[i];
-    ctx->Reset();
-    ctx->settled_.clear();
-    UpwardSearch(s, /*forward=*/true, graph_->node_cost(s), ctx,
-                 &ctx->settled_);
-    Cost* row = out->data() + static_cast<int64_t>(i) * nt;
-    for (const int32_t v : ctx->settled_) {
-      const Cost df = ctx->dist_f_[static_cast<size_t>(v)];
-      auto it = std::lower_bound(
-          buckets.begin(), buckets.end(), v,
-          [](const Bucket& b, int32_t node) { return b.node < node; });
-      for (; it != buckets.end() && it->node == v; ++it) {
-        const Cost cand = df + it->d;
-        if (cand < row[it->tidx]) row[it->tidx] = cand;
-      }
-    }
-  }
-}
-
 std::vector<CsrPath> ChEngine::AlternativeRoutes(int32_t src, int32_t dst,
                                                  int64_t max_alternatives,
                                                  QueryContext* ctx) const {

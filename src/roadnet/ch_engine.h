@@ -79,16 +79,6 @@ class ChEngine {
   std::optional<CsrPath> Route(int32_t src, int32_t dst,
                                QueryContext* ctx) const;
 
-  /// \brief Batched many-to-many table: out[i * targets.size() + j] is the
-  /// exact cost src[i] -> tgt[j] (kInfCost when unreachable).
-  ///
-  /// Bucket algorithm: one backward upward search per target fills per-node
-  /// buckets, then one forward upward search per source scans the buckets of
-  /// the nodes it settles — |S| + |T| searches instead of |S| * |T|.
-  void ManyToMany(const std::vector<int32_t>& sources,
-                  const std::vector<int32_t>& targets, QueryContext* ctx,
-                  std::vector<Cost>* out) const;
-
   /// \brief Up to `max_alternatives` distinct simple s->t paths via the
   /// via-node method: every node settled by both upward searches proposes the
   /// path s -> via -> t. Results are sorted by (cost, node sequence) and
@@ -139,9 +129,9 @@ class ChEngine {
   /// rank) or backward (reversed arcs from higher rank) side. Fills the
   /// corresponding dist/parent labels of `ctx` for every settled node and,
   /// when `settled` is non-null, appends each settled node to it. Runs to
-  /// exhaustion — required by the bucket and via-node algorithms, which
-  /// consume every upward label. Labels, heap entries and `settled` are in
-  /// rank space (see BuildSearchGraphs); `src` is a node id.
+  /// exhaustion — required by the via-node algorithm (AlternativeRoutes),
+  /// which consumes every upward label. Labels, heap entries and `settled`
+  /// are in rank space (see BuildSearchGraphs); `src` is a node id.
   void UpwardSearch(int32_t src, bool forward, Cost seed_cost,
                     QueryContext* ctx, std::vector<int32_t>* settled) const;
 

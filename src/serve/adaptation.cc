@@ -168,14 +168,6 @@ void AdaptationController::TriggerRetrain() {
   cv_.notify_all();
 }
 
-void AdaptationController::TriggerCompaction() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    compact_pending_ = true;
-  }
-  cv_.notify_all();
-}
-
 bool AdaptationController::WaitUntilIdle(int64_t timeout_us) {
   std::unique_lock<std::mutex> lock(mu_);
   return cv_.wait_for(lock, std::chrono::microseconds(timeout_us), [this] {

@@ -148,9 +148,6 @@ class AdaptationController {
   /// tests; ops override). Returns immediately.
   void TriggerRetrain();
 
-  /// Schedules a compaction check. Returns immediately.
-  void TriggerCompaction();
-
   /// Blocks until no round is running or pending, or `timeout_us` elapses;
   /// true on idle. Note pending != guaranteed-started: rounds scheduled
   /// after this returns still run later.

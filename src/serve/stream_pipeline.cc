@@ -293,8 +293,11 @@ void StreamPipeline::EmitOutcome(Outcome o) {
 
 void StreamPipeline::MatchLoop() {
   const traj::HmmMapMatcher matcher(net_, config_.matcher);
-  Work w;
-  while (PopWork(&match_q_, &w)) {
+  for (;;) {
+    // Scoped to one item, so a failed item's lease (and with it a retired
+    // engine and its EmbeddingService) is released before the next wait.
+    Work w;
+    if (!PopWork(&match_q_, &w)) break;
     const int64_t t0 = hooks_->NowUs();
     common::Status st = RunWithRetry("match", w.seq, &match_);
     if (st.ok()) {
@@ -341,8 +344,9 @@ void StreamPipeline::MatchLoop() {
 }
 
 void StreamPipeline::EmbedLoop() {
-  Work w;
-  while (PopWork(&embed_q_, &w)) {
+  for (;;) {
+    Work w;  // scoped to one item, as in MatchLoop
+    if (!PopWork(&embed_q_, &w)) break;
     const int64_t t0 = hooks_->NowUs();
     common::Status st = RunWithRetry("embed", w.seq, &embed_);
     EmbeddingRow row;

@@ -51,10 +51,14 @@ bool ReadBytes(std::FILE* f, void* p, size_t n) {
   return std::fread(p, 1, n, f) == n;
 }
 
-/// Appends raw bytes to the record buffer being assembled.
+/// Appends raw bytes to the record buffer being assembled. An empty append
+/// returns early: `p` may then be an empty vector's null data(), which
+/// memcpy does not accept even for zero bytes.
 void Append(std::vector<uint8_t>* buf, const void* p, size_t n) {
-  const auto* bytes = static_cast<const uint8_t*>(p);
-  buf->insert(buf->end(), bytes, bytes + n);
+  if (n == 0) return;
+  const size_t at = buf->size();
+  buf->resize(at + n);
+  std::memcpy(buf->data() + at, p, n);
 }
 
 template <typename T>

@@ -53,6 +53,10 @@ TEST(AdaptationSoakTest, ChurnWithConcurrentQueriesRemovalsAndRounds) {
   config.corpus_capacity = 64;
   config.min_retrain_corpus = 8;
   config.swap_timeout_us = 10'000'000;
+  // The churner removes every 4th id, so the first burst's removals alone
+  // cross this and Remove() schedules a real compaction swap (the 0.5
+  // default is never reached).
+  config.compact_dead_fraction = 0.1;
   {
     common::Rng rng(7);
     core::StartModel model(model_config, world->net.get(),
@@ -89,7 +93,8 @@ TEST(AdaptationSoakTest, ChurnWithConcurrentQueriesRemovalsAndRounds) {
 
   std::atomic<bool> stop_readers{false};
   std::atomic<bool> stop_churn{false};
-  std::atomic<int64_t> pushed_frontier{0};  // ids < frontier were pushed
+  std::atomic<int64_t> flushed_frontier{0};  // ids < frontier were flushed
+  std::atomic<int64_t> churn_next{0};  // the churner's next victim id
   std::mutex removed_mu;
   std::set<int64_t> removed;
 
@@ -115,13 +120,15 @@ TEST(AdaptationSoakTest, ChurnWithConcurrentQueriesRemovalsAndRounds) {
     });
   }
 
-  // The churn thread removes every 4th pushed id, trailing the frontier.
-  // NotFound is a legal outcome (the id may have failed matching or been
-  // shed); anything else is not.
+  // The churn thread removes every 4th flushed id, trailing the frontier
+  // while the next burst ingests. (Trailing the pushed frontier instead
+  // would race every removal ahead of its item's upsert.) NotFound is a
+  // legal outcome (the id may have failed matching or been shed); anything
+  // else is not.
   std::thread churner([&] {
     int64_t next = 0;
     while (!stop_churn.load(std::memory_order_acquire)) {
-      if (next + 4 <= pushed_frontier.load(std::memory_order_acquire)) {
+      if (next + 4 <= flushed_frontier.load(std::memory_order_acquire)) {
         const int64_t victim = next;
         next += 4;
         const common::Status st = controller->Remove(victim);
@@ -132,25 +139,35 @@ TEST(AdaptationSoakTest, ChurnWithConcurrentQueriesRemovalsAndRounds) {
           EXPECT_EQ(st.code(), common::StatusCode::kNotFound)
               << st.ToString();
         }
+        churn_next.store(next, std::memory_order_release);
       } else {
         std::this_thread::yield();
       }
     }
   });
 
-  // Producer: bursts with interleaved retrain/compaction triggers, all
-  // while the readers and the churner keep running.
+  // Producer: bursts with interleaved retrain triggers, all while the
+  // readers and the churner keep running; compactions are scheduled by the
+  // churner's removals.
   size_t cursor = 0;
   for (int64_t burst = 0; burst < kBursts; ++burst) {
     for (int64_t i = 0; i < kBurstSize && cursor < stream.size();
          ++i, ++cursor) {
       ASSERT_TRUE(controller->Push(stream[cursor]).ok());
-      pushed_frontier.store(stream[cursor].id + 1,
-                            std::memory_order_release);
     }
     controller->Flush();
+    const int64_t frontier = stream[cursor - 1].id + 1;
+    flushed_frontier.store(frontier, std::memory_order_release);
+    if (burst == 0) {
+      // The first burst's removals and the compaction they schedule land
+      // before any retrain is triggered (a retrain landing first would
+      // replace the tombstoned index); later compactions race the rounds.
+      while (churn_next.load(std::memory_order_acquire) + 4 <= frontier) {
+        std::this_thread::yield();
+      }
+      ASSERT_TRUE(controller->WaitUntilIdle(kIdleTimeoutUs));
+    }
     if (burst % 3 == 1) controller->TriggerRetrain();
-    if (burst % 3 == 2) controller->TriggerCompaction();
   }
   // Quiesce the churn before the final round: a Remove() racing a swap may
   // legitimately resurrect an id in the new index until the NEXT round (the
@@ -176,6 +193,7 @@ TEST(AdaptationSoakTest, ChurnWithConcurrentQueriesRemovalsAndRounds) {
   // exactly one completed retrain round or compaction.
   EXPECT_EQ(p.swaps, p.epoch);
   EXPECT_EQ(p.swaps, s.rounds_completed + s.compactions);
+  EXPECT_GE(s.compactions, 1);
   EXPECT_LE(s.rounds_completed, s.rounds_started);
   EXPECT_EQ(s.state, AdaptationState::kServing);
   // The final (quiescent, uncontended) round must have landed.

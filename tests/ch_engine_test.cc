@@ -217,43 +217,6 @@ TEST(ChEngineTest, SourceEqualsTargetCostsOneSegment) {
   EXPECT_EQ(route->nodes, std::vector<int32_t>{3});
 }
 
-// --- Many-to-many ----------------------------------------------------------
-
-TEST(ChEngineTest, ManyToManyMatchesPairwiseDistances) {
-  const RoadNetwork net = MakeCity(6, 42);
-  const CsrGraph g = CsrGraph::FromNetworkFreeFlow(net);
-  const ChEngine ch = ChEngine::Build(&g);
-  ChEngine::QueryContext ctx = ch.MakeContext();
-  auto rng = testutil::TestRng();
-  std::vector<int32_t> sources, targets;
-  for (int i = 0; i < 9; ++i) {
-    sources.push_back(static_cast<int32_t>(rng.UniformInt(0, g.num_nodes() - 1)));
-    targets.push_back(static_cast<int32_t>(rng.UniformInt(0, g.num_nodes() - 1)));
-  }
-  std::vector<Cost> table;
-  ch.ManyToMany(sources, targets, &ctx, &table);
-  ASSERT_EQ(table.size(), sources.size() * targets.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_EQ(table[i * targets.size() + j],
-                ch.Distance(sources[i], targets[j], &ctx))
-          << "i=" << i << " j=" << j;
-    }
-  }
-}
-
-TEST(ChEngineTest, ManyToManyEmptyInputs) {
-  const RoadNetwork net = MakeCity(4, 2);
-  const CsrGraph g = CsrGraph::FromNetworkFreeFlow(net);
-  const ChEngine ch = ChEngine::Build(&g);
-  ChEngine::QueryContext ctx = ch.MakeContext();
-  std::vector<Cost> table;
-  ch.ManyToMany({}, {1, 2}, &ctx, &table);
-  EXPECT_TRUE(table.empty());
-  ch.ManyToMany({1}, {}, &ctx, &table);
-  EXPECT_TRUE(table.empty());
-}
-
 // --- Alternative routes ----------------------------------------------------
 
 TEST(ChEngineTest, AlternativeRoutesAreSimpleSortedAndLeadWithShortest) {

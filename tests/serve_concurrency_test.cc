@@ -3,7 +3,8 @@
 // (b) produce embeddings bitwise identical to serial FrozenEncoder encodes
 // regardless of how requests were coalesced into micro-batches, (c)
 // drain cleanly through backpressure and shutdown, and (d) join every
-// thread they start, as does the StreamPipeline built on them.
+// thread they start, as does the StreamPipeline built on them, which also
+// lets a retired engine's threads go once nothing in flight holds it.
 #include <gtest/gtest.h>
 
 #ifdef __linux__
@@ -28,6 +29,7 @@
 #include "serve/embedding_service.h"
 #include "serve/frozen_encoder.h"
 #include "serve/stream_pipeline.h"
+#include "traj/map_matching.h"
 #include "traj/trip_generator.h"
 
 namespace start {
@@ -439,6 +441,47 @@ TEST_F(ServeConcurrencyTest, ShutdownJoinsEveryThreadItStarted) {
   EXPECT_EQ(StableThreadCount(), baseline);
   pipeline.Drain();
   EXPECT_EQ(StableThreadCount(), baseline);
+}
+
+TEST_F(ServeConcurrencyTest, FailedItemsDoNotPinARetiredEngine) {
+  // One item fails permanently at embed, the next (the last item any match
+  // worker sees) at match. Neither may keep its worker holding the engine it
+  // was pinned to: after a quiescent swap the retired EmbeddingService's
+  // workers must be gone, so the thread count is what it was before the
+  // swap.
+  common::FaultHooks hooks;
+  hooks.before_stage = [](const char* stage, int64_t seq) {
+    const bool fail = (seq == 0 && std::strcmp(stage, "embed") == 0) ||
+                      (seq == 1 && std::strcmp(stage, "match") == 0);
+    return fail ? common::Status::InvalidArgument("injected permanent fault")
+                : common::Status::OK();
+  };
+  const auto bundle = [this] {
+    return serve::EngineBundle{
+        std::shared_ptr<const serve::FrozenEncoder>(
+            frozen_, [](const serve::FrozenEncoder*) {}),
+        std::make_shared<serve::EmbeddingIndex>(frozen_->dim()), nullptr};
+  };
+  serve::StreamPipeline pipeline(bundle(), city_, {}, &hooks);
+  const int running = StableThreadCount();
+  if (running < 0) GTEST_SKIP() << "/proc/self/task is unreadable";
+
+  common::Rng rng(5);
+  for (int64_t id = 0; id < 2; ++id) {
+    serve::StreamItem item;
+    item.id = id;
+    item.gps = traj::SimulateGps(*city_, (*corpus_)[0],
+                                 /*sample_interval_s=*/15.0,
+                                 /*noise_m=*/0.0, &rng);
+    ASSERT_TRUE(pipeline.Push(std::move(item)).ok());
+  }
+  pipeline.Flush();
+  const serve::PipelineStats stats = pipeline.stats();
+  ASSERT_EQ(stats.match.failed, 1);
+  ASSERT_EQ(stats.embed.failed, 1);
+
+  ASSERT_TRUE(pipeline.SwapEngine(bundle()).ok());
+  EXPECT_EQ(StableThreadCount(), running);
 }
 
 }  // namespace
