@@ -5,6 +5,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -35,6 +36,7 @@ enum RecordKind : uint8_t {
 
 constexpr int64_t kMaxNdim = 8;
 constexpr uint64_t kMaxArrayLen = 1ULL << 32;  ///< Plausibility bound.
+constexpr int64_t kF16Chunk = 1024;  ///< Halves converted per file read/write.
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -51,70 +53,142 @@ bool ReadBytes(std::FILE* f, void* p, size_t n) {
   return std::fread(p, 1, n, f) == n;
 }
 
-/// Appends raw bytes to the record buffer being assembled. An empty append
-/// returns early: `p` may then be an empty vector's null data(), which
-/// memcpy does not accept even for zero bytes.
-void Append(std::vector<uint8_t>* buf, const void* p, size_t n) {
-  if (n == 0) return;
-  const size_t at = buf->size();
-  buf->resize(at + n);
-  std::memcpy(buf->data() + at, p, n);
-}
+/// Streams one record (name length, name, kind, payload) straight to the
+/// file and chains the CRC-32 over the same bytes; Finish() appends the CRC.
+class RecordWriter {
+ public:
+  RecordWriter(std::FILE* f, const std::string& name, uint8_t kind)
+      : f_(f), name_(name) {
+    PutValue(static_cast<uint32_t>(name.size()));
+    Put(name.data(), name.size());
+    PutValue(kind);
+  }
+
+  /// An empty put returns early: `p` may then be an empty vector's null
+  /// data(), which fwrite does not accept even for zero bytes.
+  void Put(const void* p, size_t n) {
+    if (n == 0 || !ok_) return;
+    crc_ = common::Crc32(p, n, crc_);
+    ok_ = WriteBytes(f_, p, n);
+  }
+
+  template <typename T>
+  void PutValue(T value) {
+    Put(&value, sizeof(value));
+  }
+
+  common::Status Finish() {
+    if (!ok_ || !WriteBytes(f_, &crc_, sizeof(crc_))) {
+      return common::Status::IOError("write record failed: " + name_);
+    }
+    return common::Status::OK();
+  }
+
+ private:
+  std::FILE* f_;
+  const std::string& name_;
+  uint32_t crc_ = 0;
+  bool ok_ = true;
+};
 
 template <typename T>
-void AppendValue(std::vector<uint8_t>* buf, T value) {
-  Append(buf, &value, sizeof(value));
+common::Status WriteArrayRecord(std::FILE* f, const std::string& name,
+                                uint8_t kind, const std::vector<T>& values) {
+  RecordWriter w(f, name, kind);
+  w.PutValue(static_cast<uint64_t>(values.size()));
+  w.Put(values.data(), values.size() * sizeof(T));
+  return w.Finish();
 }
 
-/// Serialises one record (name + kind + payload) into `buf` and writes it to
-/// `f` followed by its CRC.
-common::Status WriteRecord(std::FILE* f, std::vector<uint8_t>* buf,
-                           const std::string& name) {
-  const uint32_t crc = common::Crc32(buf->data(), buf->size());
-  if (!WriteBytes(f, buf->data(), buf->size()) ||
-      !WriteBytes(f, &crc, sizeof(crc))) {
-    return common::Status::IOError("write record failed: " + name);
+/// Reads one record's fields straight into their destinations and chains
+/// the CRC-32 over every byte read, in file order.
+class RecordReader {
+ public:
+  explicit RecordReader(std::FILE* f) : f_(f) {}
+
+  bool Get(void* p, size_t n) {
+    if (n == 0) return true;  // `p` may be an empty vector's null data()
+    if (!ReadBytes(f_, p, n)) return false;
+    crc_ = common::Crc32(p, n, crc_);
+    return true;
+  }
+
+  template <typename T>
+  bool GetValue(T* out) {
+    return Get(out, sizeof(T));
+  }
+
+  uint32_t crc() const { return crc_; }
+
+ private:
+  std::FILE* f_;
+  uint32_t crc_ = 0;
+};
+
+/// Adds an empty record `name` to one kind's map. A name the kind already
+/// holds is an error: keeping either copy would make a crafted file load
+/// differently depending on the kind.
+template <typename Map>
+common::Result<typename Map::mapped_type*> AddRecord(Map* records,
+                                                     const std::string& name,
+                                                     const std::string& path) {
+  auto [it, inserted] = records->try_emplace(name);
+  if (!inserted) {
+    return common::Status::InvalidArgument("duplicate record '" + name +
+                                           "' in " + path);
+  }
+  return &it->second;
+}
+
+/// Reads a tensor record's `u32 ndim, i64 dims...` header and bounds it:
+/// at most kMaxNdim positive dims whose product stays under 2^40.
+common::Status ReadDims(RecordReader* r, const std::string& name,
+                        const std::string& path, std::vector<int64_t>* dims,
+                        int64_t* numel) {
+  uint32_t ndim = 0;
+  if (!r->GetValue(&ndim)) {
+    return common::Status::IOError("truncated tensor header for " + name);
+  }
+  if (ndim > kMaxNdim) {
+    return common::Status::InvalidArgument("implausible ndim in " + path);
+  }
+  dims->resize(ndim);
+  *numel = 1;
+  for (auto& d : *dims) {
+    if (!r->GetValue(&d)) {
+      return common::Status::IOError("truncated dims for " + name);
+    }
+    if (d <= 0 || *numel > (1LL << 40) / d) {
+      return common::Status::InvalidArgument("bad dim in " + path);
+    }
+    *numel *= d;
   }
   return common::Status::OK();
 }
 
-void BeginRecord(std::vector<uint8_t>* buf, const std::string& name,
-                 uint8_t kind) {
-  buf->clear();
-  AppendValue(buf, static_cast<uint32_t>(name.size()));
-  Append(buf, name.data(), name.size());
-  AppendValue(buf, kind);
-}
-
+/// Reads a `u64 len, T[len]` array record into a new entry of `records`.
 template <typename T>
-common::Status WriteArrayRecord(std::FILE* f, std::vector<uint8_t>* buf,
-                                const std::string& name, uint8_t kind,
-                                const std::vector<T>& values) {
-  BeginRecord(buf, name, kind);
-  AppendValue(buf, static_cast<uint64_t>(values.size()));
-  Append(buf, values.data(), values.size() * sizeof(T));
-  return WriteRecord(f, buf, name);
+common::Status ReadArrayRecord(RecordReader* r, const std::string& name,
+                               const std::string& path, uint64_t file_size,
+                               std::map<std::string, std::vector<T>>* records) {
+  uint64_t len = 0;
+  if (!r->GetValue(&len)) {
+    return common::Status::IOError("truncated array header for " + name);
+  }
+  if (len > kMaxArrayLen || len * sizeof(T) > file_size) {
+    return common::Status::InvalidArgument("implausible array length in " +
+                                           path);
+  }
+  START_ASSIGN_OR_RETURN(std::vector<T> * v, AddRecord(records, name, path));
+  v->resize(static_cast<size_t>(len));
+  if (!r->Get(v->data(), v->size() * sizeof(T))) {
+    return common::Status::IOError("truncated array data for " + name);
+  }
+  return common::Status::OK();
 }
 
-/// Reads `n` bytes into the record buffer (which accumulates everything the
-/// CRC covers) and returns a pointer to them.
-const uint8_t* ReadInto(std::FILE* f, std::vector<uint8_t>* buf, size_t n) {
-  const size_t at = buf->size();
-  buf->resize(at + n);
-  if (!ReadBytes(f, buf->data() + at, n)) return nullptr;
-  return buf->data() + at;
-}
-
-template <typename T>
-bool ReadValueInto(std::FILE* f, std::vector<uint8_t>* buf, T* out) {
-  const uint8_t* p = ReadInto(f, buf, sizeof(T));
-  if (p == nullptr) return false;
-  std::memcpy(out, p, sizeof(T));
-  return true;
-}
-
-/// Legacy (v1) body: tensors only, no CRC. `file_size` bounds every size
-/// field (see LoadBundle).
+/// Legacy (v1) body: tensors only, no CRC (the reader's running CRC goes
+/// unchecked). `file_size` bounds every size field (see LoadBundle).
 common::Result<LoadedBundle> LoadLegacyBody(std::FILE* f,
                                             const std::string& path,
                                             uint64_t file_size) {
@@ -124,8 +198,9 @@ common::Result<LoadedBundle> LoadLegacyBody(std::FILE* f,
   }
   LoadedBundle out;
   for (uint64_t i = 0; i < count; ++i) {
+    RecordReader r(f);
     uint32_t name_len = 0;
-    if (!ReadBytes(f, &name_len, sizeof(name_len))) {
+    if (!r.GetValue(&name_len)) {
       return common::Status::IOError("read name length failed: " + path);
     }
     // Same bound as the v2 reader: a corrupt length word must not drive a
@@ -135,37 +210,23 @@ common::Result<LoadedBundle> LoadLegacyBody(std::FILE* f,
                                              path);
     }
     std::string name(name_len, '\0');
-    uint32_t ndim = 0;
-    if (!ReadBytes(f, name.data(), name_len) ||
-        !ReadBytes(f, &ndim, sizeof(ndim))) {
+    if (!r.Get(name.data(), name_len)) {
       return common::Status::IOError("read tensor header failed: " + path);
     }
-    if (ndim > kMaxNdim) {
-      return common::Status::InvalidArgument("implausible ndim in " + path);
-    }
-    std::vector<int64_t> dims(ndim);
-    int64_t numel = 1;
-    for (auto& d : dims) {
-      if (!ReadBytes(f, &d, sizeof(d))) {
-        return common::Status::IOError("read dims failed: " + path);
-      }
-      if (d <= 0 || numel > (1LL << 40) / d) {
-        return common::Status::InvalidArgument("bad dim in " + path);
-      }
-      numel *= d;
-    }
+    std::vector<int64_t> dims;
+    int64_t numel = 0;
+    START_RETURN_IF_ERROR(ReadDims(&r, name, path, &dims, &numel));
     if (static_cast<uint64_t>(numel) * sizeof(float) > file_size) {
       return common::Status::InvalidArgument(
           "tensor '" + name + "' claims more data than " + path + " holds");
     }
+    START_ASSIGN_OR_RETURN(Tensor * t,
+                           AddRecord(&out.records.tensors, name, path));
     std::vector<float> data(static_cast<size_t>(numel));
-    if (!ReadBytes(f, data.data(),
-                   static_cast<size_t>(numel) * sizeof(float))) {
+    if (!r.Get(data.data(), data.size() * sizeof(float))) {
       return common::Status::IOError("read data failed for " + name);
     }
-    out.records.tensors.emplace(
-        std::move(name),
-        Tensor::FromVector(Shape(std::move(dims)), std::move(data)));
+    *t = Tensor::FromVector(Shape(std::move(dims)), std::move(data));
   }
   return out;
 }
@@ -250,7 +311,6 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
         !WriteBytes(f.get(), &count, sizeof(count))) {
       return common::Status::IOError("write header failed: " + tmp_path);
     }
-    std::vector<uint8_t> buf;
     for (const auto& [name, t] : bundle.tensors) {
       if (!t.defined()) {
         return common::Status::InvalidArgument("undefined tensor: " + name);
@@ -258,31 +318,26 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
       if (t.ndim() > kMaxNdim) {
         return common::Status::InvalidArgument("too many dims: " + name);
       }
-      BeginRecord(&buf, name, kTensorF32);
-      AppendValue(&buf, static_cast<uint32_t>(t.ndim()));
-      for (int64_t i = 0; i < t.ndim(); ++i) AppendValue(&buf, t.dim(i));
+      RecordWriter w(f.get(), name, kTensorF32);
+      w.PutValue(static_cast<uint32_t>(t.ndim()));
+      for (int64_t i = 0; i < t.ndim(); ++i) w.PutValue(t.dim(i));
       // Files always hold dense row-major data; a strided view is compacted
       // into a fresh buffer before writing.
       const Tensor dense = t.is_contiguous() ? t : t.Detach();
-      Append(&buf, dense.data(),
-             static_cast<size_t>(dense.numel()) * sizeof(float));
-      START_RETURN_IF_ERROR(WriteRecord(f.get(), &buf, name));
+      w.Put(dense.data(), static_cast<size_t>(dense.numel()) * sizeof(float));
+      START_RETURN_IF_ERROR(w.Finish());
     }
     for (const auto& [name, v] : bundle.doubles) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayF64, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f.get(), name, kArrayF64, v));
     }
     for (const auto& [name, v] : bundle.ints) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayI64, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f.get(), name, kArrayI64, v));
     }
     for (const auto& [name, v] : bundle.uints) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayU64, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f.get(), name, kArrayU64, v));
     }
     for (const auto& [name, v] : bundle.ints32) {
-      START_RETURN_IF_ERROR(
-          WriteArrayRecord(f.get(), &buf, name, kArrayI32, v));
+      START_RETURN_IF_ERROR(WriteArrayRecord(f.get(), name, kArrayI32, v));
     }
     for (const auto& [name, q] : bundle.qtensors) {
       if (q.rows <= 0 || q.cols <= 0 ||
@@ -291,13 +346,13 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
         return common::Status::InvalidArgument(
             "inconsistent quantized tensor: " + name);
       }
-      BeginRecord(&buf, name, kTensorI8);
-      AppendValue(&buf, q.rows);
-      AppendValue(&buf, q.cols);
-      AppendValue(&buf, static_cast<uint64_t>(q.scales.size()));
-      Append(&buf, q.scales.data(), q.scales.size() * sizeof(float));
-      Append(&buf, q.data.data(), q.data.size());
-      START_RETURN_IF_ERROR(WriteRecord(f.get(), &buf, name));
+      RecordWriter w(f.get(), name, kTensorI8);
+      w.PutValue(q.rows);
+      w.PutValue(q.cols);
+      w.PutValue(static_cast<uint64_t>(q.scales.size()));
+      w.Put(q.scales.data(), q.scales.size() * sizeof(float));
+      w.Put(q.data.data(), q.data.size());
+      START_RETURN_IF_ERROR(w.Finish());
     }
     for (const auto& [name, t] : bundle.halfs) {
       if (!t.defined()) {
@@ -306,15 +361,18 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
       if (t.ndim() > kMaxNdim) {
         return common::Status::InvalidArgument("too many dims: " + name);
       }
-      BeginRecord(&buf, name, kTensorF16);
-      AppendValue(&buf, static_cast<uint32_t>(t.ndim()));
-      for (int64_t i = 0; i < t.ndim(); ++i) AppendValue(&buf, t.dim(i));
+      RecordWriter w(f.get(), name, kTensorF16);
+      w.PutValue(static_cast<uint32_t>(t.ndim()));
+      for (int64_t i = 0; i < t.ndim(); ++i) w.PutValue(t.dim(i));
       const Tensor dense = t.is_contiguous() ? t : t.Detach();
       const float* src = dense.data();
-      for (int64_t i = 0; i < dense.numel(); ++i) {
-        AppendValue(&buf, F32ToF16(src[i]));
+      uint16_t chunk[kF16Chunk];
+      for (int64_t i = 0; i < dense.numel(); i += kF16Chunk) {
+        const int64_t n = std::min<int64_t>(kF16Chunk, dense.numel() - i);
+        for (int64_t j = 0; j < n; ++j) chunk[j] = F32ToF16(src[i + j]);
+        w.Put(chunk, static_cast<size_t>(n) * sizeof(uint16_t));
       }
-      START_RETURN_IF_ERROR(WriteRecord(f.get(), &buf, name));
+      START_RETURN_IF_ERROR(w.Finish());
     }
     if (std::fflush(f.get()) != 0) {
       return common::Status::IOError("flush failed: " + tmp_path);
@@ -358,12 +416,13 @@ common::Result<LoadedBundle> LoadBundle(const std::string& path) {
   if (std::fseek(f.get(), 0, SEEK_END) != 0) {
     return common::Status::IOError("seek failed: " + path);
   }
-  const long file_size = std::ftell(f.get());
-  if (file_size < 0 || std::fseek(f.get(), 0, SEEK_SET) != 0) {
+  const long end = std::ftell(f.get());
+  if (end < 0 || std::fseek(f.get(), 0, SEEK_SET) != 0) {
     return common::Status::IOError("seek failed: " + path);
   }
+  const uint64_t file_size = static_cast<uint64_t>(end);
   const auto payload_fits = [file_size](uint64_t bytes) {
-    return bytes <= static_cast<uint64_t>(file_size);
+    return bytes <= file_size;
   };
   char magic[4];
   uint32_t version = 0;
@@ -375,7 +434,7 @@ common::Result<LoadedBundle> LoadBundle(const std::string& path) {
     return common::Status::InvalidArgument("bad magic in " + path);
   }
   if (version == kLegacyVersion) {
-    return LoadLegacyBody(f.get(), path, static_cast<uint64_t>(file_size));
+    return LoadLegacyBody(f.get(), path, file_size);
   }
   if (version != kVersion) {
     return common::Status::InvalidArgument(
@@ -389,113 +448,58 @@ common::Result<LoadedBundle> LoadBundle(const std::string& path) {
       !ReadBytes(f.get(), &count, sizeof(count))) {
     return common::Status::IOError("read header failed: " + path);
   }
-  std::vector<uint8_t> buf;  // bytes of the current record, for the CRC
   for (uint64_t i = 0; i < count; ++i) {
-    buf.clear();
+    RecordReader r(f.get());
     uint32_t name_len = 0;
-    if (!ReadValueInto(f.get(), &buf, &name_len)) {
+    if (!r.GetValue(&name_len)) {
       return common::Status::IOError("truncated record header in " + path);
     }
     if (name_len > 4096) {
       return common::Status::InvalidArgument("implausible name length in " +
                                              path);
     }
-    const uint8_t* name_bytes = ReadInto(f.get(), &buf, name_len);
-    if (name_bytes == nullptr) {
+    std::string name(name_len, '\0');
+    if (!r.Get(name.data(), name_len)) {
       return common::Status::IOError("truncated record name in " + path);
     }
-    const std::string name(reinterpret_cast<const char*>(name_bytes),
-                           name_len);
     uint8_t kind = 0;
-    if (!ReadValueInto(f.get(), &buf, &kind)) {
+    if (!r.GetValue(&kind)) {
       return common::Status::IOError("truncated record kind for " + name);
     }
     if (kind == kTensorF32) {
-      uint32_t ndim = 0;
-      if (!ReadValueInto(f.get(), &buf, &ndim)) {
-        return common::Status::IOError("truncated tensor header for " + name);
-      }
-      if (ndim > kMaxNdim) {
-        return common::Status::InvalidArgument("implausible ndim in " + path);
-      }
-      std::vector<int64_t> dims(ndim);
-      int64_t numel = 1;
-      for (auto& d : dims) {
-        if (!ReadValueInto(f.get(), &buf, &d)) {
-          return common::Status::IOError("truncated dims for " + name);
-        }
-        if (d <= 0 || numel > (1LL << 40) / d) {
-          return common::Status::InvalidArgument("bad dim in " + path);
-        }
-        numel *= d;
-      }
+      std::vector<int64_t> dims;
+      int64_t numel = 0;
+      START_RETURN_IF_ERROR(ReadDims(&r, name, path, &dims, &numel));
       if (!payload_fits(static_cast<uint64_t>(numel) * sizeof(float))) {
         return common::Status::InvalidArgument(
             "tensor '" + name + "' claims more data than " + path +
             " holds (corrupted size field)");
       }
-      const uint8_t* data =
-          ReadInto(f.get(), &buf, static_cast<size_t>(numel) * sizeof(float));
-      if (data == nullptr) {
+      START_ASSIGN_OR_RETURN(Tensor * t,
+                             AddRecord(&out.records.tensors, name, path));
+      std::vector<float> values(static_cast<size_t>(numel));
+      if (!r.Get(values.data(), values.size() * sizeof(float))) {
         return common::Status::IOError("truncated data for " + name);
       }
-      std::vector<float> values(static_cast<size_t>(numel));
-      std::memcpy(values.data(), data, values.size() * sizeof(float));
-      out.records.tensors.emplace(
-          name, Tensor::FromVector(Shape(std::move(dims)), std::move(values)));
-    } else if (kind == kArrayF64 || kind == kArrayI64 || kind == kArrayU64) {
-      uint64_t len = 0;
-      if (!ReadValueInto(f.get(), &buf, &len)) {
-        return common::Status::IOError("truncated array header for " + name);
-      }
-      if (len > kMaxArrayLen || !payload_fits(len * 8)) {
-        return common::Status::InvalidArgument("implausible array length in " +
-                                               path);
-      }
-      const uint8_t* data =
-          ReadInto(f.get(), &buf, static_cast<size_t>(len) * 8);
-      if (data == nullptr) {
-        return common::Status::IOError("truncated array data for " + name);
-      }
-      // len == 0 is a legal record; v.data() is null then, and memcpy's
-      // pointer arguments must be non-null even for a zero-byte copy.
-      if (kind == kArrayF64) {
-        auto& v = out.records.doubles[name];
-        v.resize(static_cast<size_t>(len));
-        if (len != 0) std::memcpy(v.data(), data, v.size() * sizeof(double));
-      } else if (kind == kArrayI64) {
-        auto& v = out.records.ints[name];
-        v.resize(static_cast<size_t>(len));
-        if (len != 0) std::memcpy(v.data(), data, v.size() * sizeof(int64_t));
-      } else {
-        auto& v = out.records.uints[name];
-        v.resize(static_cast<size_t>(len));
-        if (len != 0) std::memcpy(v.data(), data, v.size() * sizeof(uint64_t));
-      }
+      *t = Tensor::FromVector(Shape(std::move(dims)), std::move(values));
+    } else if (kind == kArrayF64) {
+      START_RETURN_IF_ERROR(
+          ReadArrayRecord(&r, name, path, file_size, &out.records.doubles));
+    } else if (kind == kArrayI64) {
+      START_RETURN_IF_ERROR(
+          ReadArrayRecord(&r, name, path, file_size, &out.records.ints));
+    } else if (kind == kArrayU64) {
+      START_RETURN_IF_ERROR(
+          ReadArrayRecord(&r, name, path, file_size, &out.records.uints));
     } else if (kind == kArrayI32) {
-      uint64_t len = 0;
-      if (!ReadValueInto(f.get(), &buf, &len)) {
-        return common::Status::IOError("truncated array header for " + name);
-      }
-      if (len > kMaxArrayLen || !payload_fits(len * sizeof(int32_t))) {
-        return common::Status::InvalidArgument("implausible array length in " +
-                                               path);
-      }
-      const uint8_t* data =
-          ReadInto(f.get(), &buf, static_cast<size_t>(len) * sizeof(int32_t));
-      if (data == nullptr) {
-        return common::Status::IOError("truncated array data for " + name);
-      }
-      auto& v = out.records.ints32[name];
-      v.resize(static_cast<size_t>(len));
-      if (len != 0) std::memcpy(v.data(), data, v.size() * sizeof(int32_t));
+      START_RETURN_IF_ERROR(
+          ReadArrayRecord(&r, name, path, file_size, &out.records.ints32));
     } else if (kind == kTensorI8) {
       int64_t rows = 0;
       int64_t cols = 0;
       uint64_t scale_count = 0;
-      if (!ReadValueInto(f.get(), &buf, &rows) ||
-          !ReadValueInto(f.get(), &buf, &cols) ||
-          !ReadValueInto(f.get(), &buf, &scale_count)) {
+      if (!r.GetValue(&rows) || !r.GetValue(&cols) ||
+          !r.GetValue(&scale_count)) {
         return common::Status::IOError("truncated int8 header for " + name);
       }
       if (rows <= 0 || cols <= 0 || rows > (1LL << 40) / cols) {
@@ -515,61 +519,39 @@ common::Result<LoadedBundle> LoadBundle(const std::string& path) {
             "quantized tensor '" + name + "' claims more data than " + path +
             " holds (corrupted size field)");
       }
-      QuantizedTensor q;
-      q.rows = rows;
-      q.cols = cols;
-      const uint8_t* scales =
-          ReadInto(f.get(), &buf, static_cast<size_t>(rows) * sizeof(float));
-      if (scales == nullptr) {
+      START_ASSIGN_OR_RETURN(QuantizedTensor * q,
+                             AddRecord(&out.records.qtensors, name, path));
+      q->rows = rows;
+      q->cols = cols;
+      q->scales.resize(static_cast<size_t>(rows));
+      if (!r.Get(q->scales.data(), q->scales.size() * sizeof(float))) {
         return common::Status::IOError("truncated scales for " + name);
       }
-      q.scales.resize(static_cast<size_t>(rows));
-      std::memcpy(q.scales.data(), scales, q.scales.size() * sizeof(float));
-      const uint8_t* codes =
-          ReadInto(f.get(), &buf, static_cast<size_t>(rows * cols));
-      if (codes == nullptr) {
+      q->data.resize(static_cast<size_t>(rows * cols));
+      if (!r.Get(q->data.data(), q->data.size())) {
         return common::Status::IOError("truncated data for " + name);
       }
-      q.data.resize(static_cast<size_t>(rows * cols));
-      std::memcpy(q.data.data(), codes, q.data.size());
-      out.records.qtensors.emplace(name, std::move(q));
     } else if (kind == kTensorF16) {
-      uint32_t ndim = 0;
-      if (!ReadValueInto(f.get(), &buf, &ndim)) {
-        return common::Status::IOError("truncated tensor header for " + name);
-      }
-      if (ndim > kMaxNdim) {
-        return common::Status::InvalidArgument("implausible ndim in " + path);
-      }
-      std::vector<int64_t> dims(ndim);
-      int64_t numel = 1;
-      for (auto& d : dims) {
-        if (!ReadValueInto(f.get(), &buf, &d)) {
-          return common::Status::IOError("truncated dims for " + name);
-        }
-        if (d <= 0 || numel > (1LL << 40) / d) {
-          return common::Status::InvalidArgument("bad dim in " + path);
-        }
-        numel *= d;
-      }
+      std::vector<int64_t> dims;
+      int64_t numel = 0;
+      START_RETURN_IF_ERROR(ReadDims(&r, name, path, &dims, &numel));
       if (!payload_fits(static_cast<uint64_t>(numel) * sizeof(uint16_t))) {
         return common::Status::InvalidArgument(
             "tensor '" + name + "' claims more data than " + path +
             " holds (corrupted size field)");
       }
-      const uint8_t* data = ReadInto(
-          f.get(), &buf, static_cast<size_t>(numel) * sizeof(uint16_t));
-      if (data == nullptr) {
-        return common::Status::IOError("truncated data for " + name);
-      }
+      START_ASSIGN_OR_RETURN(Tensor * t,
+                             AddRecord(&out.records.halfs, name, path));
       std::vector<float> values(static_cast<size_t>(numel));
-      for (int64_t j = 0; j < numel; ++j) {
-        uint16_t h = 0;
-        std::memcpy(&h, data + j * sizeof(uint16_t), sizeof(h));
-        values[static_cast<size_t>(j)] = F16ToF32(h);
+      uint16_t chunk[kF16Chunk];
+      for (int64_t j = 0; j < numel; j += kF16Chunk) {
+        const int64_t n = std::min<int64_t>(kF16Chunk, numel - j);
+        if (!r.Get(chunk, static_cast<size_t>(n) * sizeof(uint16_t))) {
+          return common::Status::IOError("truncated data for " + name);
+        }
+        for (int64_t k = 0; k < n; ++k) values[j + k] = F16ToF32(chunk[k]);
       }
-      out.records.halfs.emplace(
-          name, Tensor::FromVector(Shape(std::move(dims)), std::move(values)));
+      *t = Tensor::FromVector(Shape(std::move(dims)), std::move(values));
     } else {
       return common::Status::InvalidArgument(
           "unknown record kind " + std::to_string(kind) + " in " + path);
@@ -578,12 +560,17 @@ common::Result<LoadedBundle> LoadBundle(const std::string& path) {
     if (!ReadBytes(f.get(), &stored_crc, sizeof(stored_crc))) {
       return common::Status::IOError("truncated CRC for " + name);
     }
-    const uint32_t actual_crc = common::Crc32(buf.data(), buf.size());
-    if (stored_crc != actual_crc) {
+    if (stored_crc != r.crc()) {
       return common::Status::InvalidArgument(
           "CRC mismatch for record '" + name + "' in " + path +
           " (file is corrupted)");
     }
+  }
+  // No CRC covers the header's record count: bytes after the last record
+  // mean it was corrupted (a lowered count would otherwise drop records).
+  if (std::fgetc(f.get()) != EOF) {
+    return common::Status::InvalidArgument(
+        "bytes after the last record in " + path + " (corrupted count)");
   }
   return out;
 }

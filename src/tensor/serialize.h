@@ -67,7 +67,8 @@ common::Status SaveBundle(const std::string& path, uint64_t meta_tag,
                           const RecordBundle& bundle);
 
 /// Reads a bundle written by SaveBundle. Rejects bad magic, unknown versions,
-/// truncated files, and records whose CRC does not match (corruption).
+/// truncated files, records whose CRC does not match (corruption), a name
+/// repeated within one record kind, and bytes after the last record.
 /// Version-1 files (tensors only, no CRC) are still accepted.
 common::Result<LoadedBundle> LoadBundle(const std::string& path);
 

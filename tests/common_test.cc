@@ -1,7 +1,9 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <set>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table.h"
@@ -131,6 +133,55 @@ TEST(TablePrinterTest, AlignsColumns) {
 TEST(TablePrinterTest, NumFormatsPrecision) {
   EXPECT_EQ(TablePrinter::Num(1.23456, 2), "1.23");
   EXPECT_EQ(TablePrinter::Num(1.23456, 4), "1.2346");
+}
+
+/// The textbook one-table, one-byte-per-step CRC-32 (IEEE, reflected), kept
+/// here as the reference the sliced implementation must agree with.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(256));
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, AgreesWithBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-300 cover zero to 18 sliced steps plus every tail length;
+  // offsets 0-15 put the 16-byte loads at every alignment.
+  const std::vector<uint8_t> bytes = RandomBytes(300 + 16, 7);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32(p, n), BytewiseCrc32(p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAtEverySplitPoint) {
+  const std::vector<uint8_t> bytes = RandomBytes(300, 8);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    ASSERT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 }  // namespace

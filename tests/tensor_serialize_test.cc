@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -337,6 +340,115 @@ TEST(SerializeTest, CorruptQuantizedRecordFailsCrc) {
   const auto result = LoadBundle(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+}
+
+/// One record of every kind, with a multi-dim tensor and an empty array, so
+/// the sweeps below cut and flip inside every header and payload layout.
+RecordBundle AllKindsBundle() {
+  common::Rng rng(14);
+  RecordBundle bundle;
+  bundle.tensors.emplace("f32", Tensor::Rand(Shape({2, 3}), &rng, -1, 1));
+  bundle.doubles.emplace("d", std::vector<double>{1.5, -2.5});
+  bundle.ints.emplace("i", std::vector<int64_t>{-7, 9});
+  bundle.uints.emplace("u", std::vector<uint64_t>{42});
+  bundle.ints32.emplace("i32", std::vector<int32_t>{3, -4, 5});
+  bundle.ints32.emplace("i32.empty", std::vector<int32_t>{});
+  QuantizedTensor q;
+  q.rows = 2;
+  q.cols = 3;
+  q.scales = {0.25f, 0.5f};
+  q.data = {1, -2, 3, -4, 5, -6};
+  bundle.qtensors.emplace("q", q);
+  bundle.halfs.emplace("h", Tensor::Rand(Shape({5}), &rng, -1, 1));
+  return bundle;
+}
+
+void ExpectCleanLoadError(const std::string& path, const std::string& what) {
+  const auto result = LoadBundle(path);
+  ASSERT_FALSE(result.ok()) << what;
+  EXPECT_TRUE(result.status().code() == common::StatusCode::kIOError ||
+              result.status().code() == common::StatusCode::kInvalidArgument)
+      << what << ": " << result.status().ToString();
+}
+
+// STTN v2 header: magic (4), version (4), meta_tag (8), record count (8).
+constexpr size_t kMetaTagAt = 8;
+constexpr size_t kHeaderBytes = 24;
+
+TEST(SerializeTest, TruncationAtEveryByteIsCleanError) {
+  const std::string path = TempPath("sweep_trunc.sttn");
+  ASSERT_TRUE(SaveBundle(path, 77, AllKindsBundle()).ok());
+  const std::vector<uint8_t> bytes = testutil::ReadFileBytes(path);
+  ASSERT_TRUE(LoadBundle(path).ok());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    testutil::WriteFileBytes(
+        path, std::vector<uint8_t>(bytes.begin(), bytes.begin() + cut));
+    ExpectCleanLoadError(path, "cut at " + std::to_string(cut));
+  }
+}
+
+TEST(SerializeTest, BitFlipAtEveryBitIsCleanError) {
+  const std::string path = TempPath("sweep_flip.sttn");
+  ASSERT_TRUE(SaveBundle(path, 77, AllKindsBundle()).ok());
+  const std::vector<uint8_t> bytes = testutil::ReadFileBytes(path);
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = bytes;
+      flipped[at] ^= static_cast<uint8_t>(1u << bit);
+      testutil::WriteFileBytes(path, flipped);
+      const std::string what = "flip of bit " + std::to_string(bit) +
+                               " at byte " + std::to_string(at);
+      if (at >= kMetaTagAt && at < kMetaTagAt + sizeof(uint64_t)) {
+        // No CRC covers the meta_tag; its callers check it (snapshot, HNSW
+        // and CH loaders reject a foreign tag, checkpoints warn), so the
+        // loader must hand the corrupted value back, not the original.
+        const auto result = LoadBundle(path);
+        ASSERT_TRUE(result.ok()) << what;
+        EXPECT_NE(result->meta_tag, 77u) << what;
+        continue;
+      }
+      ExpectCleanLoadError(path, what);
+    }
+  }
+}
+
+TEST(SerializeTest, RepeatedNameWithinAKindIsInvalidArgument) {
+  // For each kind, a file holding the same CRC-valid record twice.
+  const RecordBundle all = AllKindsBundle();
+  std::vector<RecordBundle> singles(7);
+  singles[0].tensors.emplace("x", all.tensors.at("f32"));
+  singles[1].doubles.emplace("x", all.doubles.at("d"));
+  singles[2].ints.emplace("x", all.ints.at("i"));
+  singles[3].uints.emplace("x", all.uints.at("u"));
+  singles[4].ints32.emplace("x", all.ints32.at("i32"));
+  singles[5].qtensors.emplace("x", all.qtensors.at("q"));
+  singles[6].halfs.emplace("x", all.halfs.at("h"));
+  for (size_t k = 0; k < singles.size(); ++k) {
+    SCOPED_TRACE("kind " + std::to_string(k));
+    const std::string path = TempPath("repeat.sttn");
+    ASSERT_TRUE(SaveBundle(path, 0, singles[k]).ok());
+    std::vector<uint8_t> bytes = testutil::ReadFileBytes(path);
+    const std::vector<uint8_t> record(bytes.begin() + kHeaderBytes,
+                                      bytes.end());
+    bytes.insert(bytes.end(), record.begin(), record.end());
+    const uint64_t count = 2;
+    std::memcpy(bytes.data() + kHeaderBytes - sizeof(count), &count,
+                sizeof(count));
+    testutil::WriteFileBytes(path, bytes);
+    const auto result = LoadBundle(path);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+  // One name in two different kinds is two distinct records.
+  RecordBundle shared;
+  shared.tensors.emplace("x", all.tensors.at("f32"));
+  shared.doubles.emplace("x", all.doubles.at("d"));
+  const std::string path = TempPath("shared_name.sttn");
+  ASSERT_TRUE(SaveBundle(path, 0, shared).ok());
+  const auto loaded = LoadBundle(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->records.doubles.at("x"), all.doubles.at("d"));
 }
 
 }  // namespace
