@@ -1,6 +1,6 @@
 // Data-pipeline benchmark: measures what the pre-training batch pipeline
-// (length-bucketed plan, per-step seeding, one batch rebuilt in place) buys
-// over the seed path, and emits BENCH_pipeline.json for CI tracking.
+// (length-bucketed plan, per-step seeding) buys over the seed path, and
+// emits BENCH_pipeline.json for CI tracking.
 //
 // Four measurements:
 //  1. End-to-end training-step throughput (assemble + encoder forward):
@@ -195,8 +195,8 @@ double RunSeedPath(const World& w, const start::core::StartModel* model,
   return timer.ElapsedSeconds();
 }
 
-/// The pipeline as core::Pretrain runs it: bucketed plan, each step built
-/// from its own StepSeed stream into one reused batch. With
+/// The pipeline as core::Pretrain runs it: bucketed plan, each step a fresh
+/// batch built from its own StepSeed stream. With
 /// `model == nullptr` the consumer is a no-op (producer-only variant).
 double RunPipeline(const World& w, const start::core::StartModel* model,
                    int64_t steps, double* sink) {
@@ -213,12 +213,11 @@ double RunPipeline(const World& w, const start::core::StartModel* model,
   steps = std::min<int64_t>(steps, static_cast<int64_t>(plan.steps.size()));
 
   Stopwatch timer;
-  start::data::TrainingBatch tb;
   for (int64_t step = 0; step < steps; ++step) {
     Rng rng(start::data::StepSeed(kSeed, step));
-    start::data::BuildPretrainBatch(w.corpus, w.traffic.get(), {},
-                                    plan.steps[static_cast<size_t>(step)],
-                                    &rng, &tb);
+    const start::data::TrainingBatch tb = start::data::BuildPretrainBatch(
+        w.corpus, w.traffic.get(), {}, plan.steps[static_cast<size_t>(step)],
+        &rng);
     if (model != nullptr) {
       *sink += ConsumeStep(*model, tb, /*share_road_reps=*/true);
     }

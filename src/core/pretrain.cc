@@ -241,15 +241,12 @@ PretrainStats Pretrain(StartModel* model,
     }
   };
 
-  // One batch is rebuilt in place every step, so its padded arrays stop
-  // reallocating once they fit the largest step.
-  data::TrainingBatch tb;
   int64_t steps_done = 0;
   for (int64_t step = start_step; step < total_steps; ++step) {
     const auto s = static_cast<size_t>(step);
     common::Rng batch_rng(data::StepSeed(config.seed, step));
-    data::BuildPretrainBatch(corpus, traffic, batch_options, plan.steps[s],
-                             &batch_rng, &tb);
+    const data::TrainingBatch tb = data::BuildPretrainBatch(
+        corpus, traffic, batch_options, plan.steps[s], &batch_rng);
     const StepLosses step_stats = TrainStep(model, tb, step, config,
                                             &dropout_rng, &opt,
                                             schedule.LrAt(step));

@@ -64,11 +64,11 @@ struct PretrainStats {
 /// `traffic` supplies historical travel times for the Temporal Shifting
 /// augmentation.
 ///
-/// Everything runs on the calling thread. Each plan step builds its batch
-/// from `Rng(data::StepSeed(seed, step))` into one reused
-/// `data::TrainingBatch`, then takes one optimizer step over it, in a fixed
-/// order that pins every bit of the output (tests/core_pretrain_test.cc
-/// compares a default run with recorded constants):
+/// Everything runs on the calling thread. Each plan step builds a fresh
+/// `data::TrainingBatch` from `Rng(data::StepSeed(seed, step))`, then takes
+/// one optimizer step over it, in a fixed order that pins every bit of the
+/// output (tests/core_pretrain_test.cc compares a default run with recorded
+/// constants):
 ///  1. Stage 1 (TPE-GAT road representations) runs once, with dropout
 ///     seeded from (seed, step).
 ///  2. Stage 2 encodes the masked batch, then the contrastive batch, through

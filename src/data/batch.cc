@@ -8,42 +8,32 @@
 namespace start::data {
 
 Batch MakeBatch(const std::vector<View>& views) {
-  Batch batch;
-  MakeBatchInto(views, &batch);
-  return batch;
-}
-
-void MakeBatchInto(const std::vector<View>& views, Batch* batch) {
-  START_CHECK(batch != nullptr);
   START_CHECK(!views.empty());
-  batch->batch_size = static_cast<int64_t>(views.size());
-  batch->max_len = 0;
-  batch->embedding_dropout = false;
+  Batch batch;
+  batch.batch_size = static_cast<int64_t>(views.size());
   for (const auto& v : views) {
     START_CHECK_GT(v.size(), 0);
-    batch->max_len = std::max(batch->max_len, v.size());
-    batch->embedding_dropout |= v.embedding_dropout;
+    batch.max_len = std::max(batch.max_len, v.size());
+    batch.embedding_dropout |= v.embedding_dropout;
   }
-  const size_t total =
-      static_cast<size_t>(batch->batch_size * batch->max_len);
-  // assign() overwrites in place when capacity suffices — a batch rebuilt
-  // every step stops allocating once it has seen its largest extent.
-  batch->roads.assign(total, kPadRoad);
-  batch->minute_idx.assign(total, kMaskTimeIndex);
-  batch->dow_idx.assign(total, kMaskTimeIndex);
-  batch->times.assign(total, 0.0);
-  batch->lengths.resize(static_cast<size_t>(batch->batch_size));
-  for (int64_t b = 0; b < batch->batch_size; ++b) {
+  const size_t total = static_cast<size_t>(batch.batch_size * batch.max_len);
+  batch.roads.assign(total, kPadRoad);
+  batch.minute_idx.assign(total, kMaskTimeIndex);
+  batch.dow_idx.assign(total, kMaskTimeIndex);
+  batch.times.assign(total, 0.0);
+  batch.lengths.resize(static_cast<size_t>(batch.batch_size));
+  for (int64_t b = 0; b < batch.batch_size; ++b) {
     const View& v = views[static_cast<size_t>(b)];
-    batch->lengths[static_cast<size_t>(b)] = v.size();
-    const size_t base = static_cast<size_t>(b * batch->max_len);
-    std::copy(v.roads.begin(), v.roads.end(), batch->roads.begin() + base);
+    batch.lengths[static_cast<size_t>(b)] = v.size();
+    const size_t base = static_cast<size_t>(b * batch.max_len);
+    std::copy(v.roads.begin(), v.roads.end(), batch.roads.begin() + base);
     std::copy(v.minute_idx.begin(), v.minute_idx.end(),
-              batch->minute_idx.begin() + base);
+              batch.minute_idx.begin() + base);
     std::copy(v.dow_idx.begin(), v.dow_idx.end(),
-              batch->dow_idx.begin() + base);
-    std::copy(v.times.begin(), v.times.end(), batch->times.begin() + base);
+              batch.dow_idx.begin() + base);
+    std::copy(v.times.begin(), v.times.end(), batch.times.begin() + base);
   }
+  return batch;
 }
 
 double PaddingEfficiency(const std::vector<int64_t>& lengths) {

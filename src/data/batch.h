@@ -28,15 +28,6 @@ struct Batch {
 /// Pads a list of views into a batch. All views must be non-empty.
 Batch MakeBatch(const std::vector<View>& views);
 
-/// \brief Pads `views` into `*batch`, reusing its existing buffers.
-///
-/// Equivalent to `*batch = MakeBatch(views)` but without freeing and
-/// reallocating the five per-token arrays: `assign`/`resize` reuse capacity,
-/// so a batch rebuilt every step settles at the largest [batch, max_len]
-/// extent it has seen and stops allocating. `BuildPretrainBatch` calls it
-/// twice per training step.
-void MakeBatchInto(const std::vector<View>& views, Batch* batch);
-
 /// Fraction of non-padding tokens in a padded batch with these lengths:
 /// sum(lengths) / (n * max(lengths)). 1.0 means zero padding waste.
 double PaddingEfficiency(const std::vector<int64_t>& lengths);

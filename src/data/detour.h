@@ -44,8 +44,10 @@ std::optional<traj::Trajectory> MakeDetour(const traj::TrafficModel& traffic,
 /// node per candidate — fine for a handful of queries, quadratic pain for the
 /// Sec. IV-D4 protocol sizes (Nq + Nneg alternatives over the same city).
 /// This class builds the free-flow CsrGraph + ChEngine once and answers each
-/// query with one bidirectional upward search (ChEngine::AlternativeRoutes),
-/// reusing one QueryContext so repeated calls allocate nothing.
+/// query with one pair of upward searches (ChEngine::AlternativeRoutes),
+/// reusing one QueryContext, so no per-call allocation scales with the
+/// graph: the CH query allocates only its candidate paths and the
+/// via-candidate list.
 ///
 /// The sub-trajectory selection, time-threshold test and splice/re-time logic
 /// are identical to MakeDetour; only the candidate search differs (via-node

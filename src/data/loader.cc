@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "data/span_mask.h"
 
 namespace start::data {
 
@@ -63,24 +64,19 @@ PretrainPlan MakeShuffledPlan(const std::vector<int64_t>& lengths,
   return plan;
 }
 
-void BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
-                        const traj::TrafficModel* traffic,
-                        const PretrainBatchOptions& options,
-                        const std::vector<int64_t>& indices, common::Rng* rng,
-                        TrainingBatch* out) {
+TrainingBatch BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
+                                 const traj::TrafficModel* traffic,
+                                 const PretrainBatchOptions& options,
+                                 const std::vector<int64_t>& indices,
+                                 common::Rng* rng) {
   START_CHECK(options.use_mask_task || options.use_contrastive_task);
   START_CHECK(!indices.empty());
-  out->has_masked = false;
-  out->has_contrastive = false;
-  out->mask_positions.clear();
-  out->mask_targets.clear();
-  auto& views = out->scratch_views;
+  TrainingBatch out;
 
   // --- Task 1: span-masked recovery views (Sec. III-C1) ------------------
   if (options.use_mask_task) {
-    auto& infos = out->scratch_infos;
-    views.clear();
-    infos.clear();
+    std::vector<View> views;
+    std::vector<SpanMaskInfo> infos;
     for (const int64_t idx : indices) {
       const traj::Trajectory& t = corpus[static_cast<size_t>(idx)];
       View v = MakeView(t);
@@ -88,21 +84,21 @@ void BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
                                     options.mask_ratio, rng));
       views.push_back(std::move(v));
     }
-    MakeBatchInto(views, &out->masked);
+    out.masked = MakeBatch(views);
     for (size_t b = 0; b < infos.size(); ++b) {
       for (size_t k = 0; k < infos[b].positions.size(); ++k) {
-        out->mask_positions.push_back(static_cast<int64_t>(b) *
-                                          out->masked.max_len +
-                                      infos[b].positions[k]);
-        out->mask_targets.push_back(infos[b].targets[k]);
+        out.mask_positions.push_back(static_cast<int64_t>(b) *
+                                         out.masked.max_len +
+                                     infos[b].positions[k]);
+        out.mask_targets.push_back(infos[b].targets[k]);
       }
     }
-    out->has_masked = true;
+    out.has_masked = true;
   }
 
   // --- Task 2: contrastive view pairs (Sec. III-C2) ----------------------
   if (options.use_contrastive_task) {
-    views.clear();
+    std::vector<View> views;
     for (const int64_t idx : indices) {
       const traj::Trajectory& t = corpus[static_cast<size_t>(idx)];
       views.push_back(
@@ -110,9 +106,10 @@ void BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
       views.push_back(
           Augment(t, options.aug_b, options.augmentation, traffic, rng));
     }
-    MakeBatchInto(views, &out->contrastive);
-    out->has_contrastive = true;
+    out.contrastive = MakeBatch(views);
+    out.has_contrastive = true;
   }
+  return out;
 }
 
 }  // namespace start::data

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "data/augmentation.h"
 #include "data/batch.h"
-#include "data/span_mask.h"
 #include "traj/traffic_model.h"
 #include "traj/trajectory.h"
 
@@ -15,10 +14,7 @@ namespace start::data {
 
 /// \brief One fully-assembled pre-training step: the span-masked batch for
 /// the recovery task plus the two-augmented-views batch for the contrastive
-/// task (Sec. III-C). `BuildPretrainBatch` refills it in place, so the
-/// padded arrays of a batch reused across steps stop reallocating once they
-/// have grown to the largest step; `scratch_*` members are builder working
-/// memory kept for that reuse.
+/// task (Sec. III-C).
 struct TrainingBatch {
   bool has_masked = false;   ///< `masked` / `mask_*` are valid.
   bool has_contrastive = false;  ///< `contrastive` is valid.
@@ -27,9 +23,6 @@ struct TrainingBatch {
   std::vector<int64_t> mask_positions;  ///< Flat b * max_len + pos indices.
   std::vector<int64_t> mask_targets;    ///< Original road ids (Eq. 13).
   Batch contrastive;         ///< aug_a(t), aug_b(t) interleaved per t.
-
-  std::vector<View> scratch_views;          ///< Builder scratch.
-  std::vector<SpanMaskInfo> scratch_infos;  ///< Builder scratch.
 };
 
 /// Derives a step-private seed: a SplitMix64-style mix of the base seed and
@@ -78,17 +71,15 @@ struct PretrainBatchOptions {
   AugmentationConfig augmentation;
 };
 
-/// Builds one pre-training step into `*out`, reusing its buffers:
-/// span-masked views + flattened recovery targets for task 1, and the
-/// aug_a/aug_b view pairs for task 2. `indices` are the step's trajectory
-/// indices from the plan and `rng` is its private generator
-/// (`Rng(StepSeed(seed, step))`); every field the enabled tasks use is
-/// rewritten, so nothing of the previous step carries over.
-void BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
-                        const traj::TrafficModel* traffic,
-                        const PretrainBatchOptions& options,
-                        const std::vector<int64_t>& indices, common::Rng* rng,
-                        TrainingBatch* out);
+/// Builds one pre-training step: span-masked views + flattened recovery
+/// targets for task 1, and the aug_a/aug_b view pairs for task 2.
+/// `indices` are the step's trajectory indices from the plan and `rng` is
+/// its private generator (`Rng(StepSeed(seed, step))`).
+TrainingBatch BuildPretrainBatch(const std::vector<traj::Trajectory>& corpus,
+                                 const traj::TrafficModel* traffic,
+                                 const PretrainBatchOptions& options,
+                                 const std::vector<int64_t>& indices,
+                                 common::Rng* rng);
 
 }  // namespace start::data
 

@@ -1,12 +1,10 @@
 #include "roadnet/ch_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <queue>
 #include <tuple>
 
 #include "common/check.h"
-#include "tensor/serialize.h"
 
 namespace start::roadnet {
 
@@ -256,7 +254,6 @@ ChEngine ChEngine::Build(const CsrGraph* graph, const ChOptions& options) {
   START_CHECK(graph != nullptr);
   ChEngine e;
   e.graph_ = graph;
-  e.options_ = options;
   e.num_nodes_ = graph->num_nodes();
   const int32_t n = e.num_nodes_;
   e.rank_.assign(static_cast<size_t>(n), -1);
@@ -366,7 +363,7 @@ void ChEngine::BuildSearchGraphs() {
   // Superseded arcs can never lie on a cheapest path, so drop them from the
   // search graphs: sort each row by (endpoint, weight, arc id) and keep the
   // lightest arc per endpoint. Purely a query-side compaction — the arena
-  // (and num_shortcuts()) is unchanged, so serialization stays stable.
+  // (and num_shortcuts()) is unchanged.
   const auto compact = [&](std::vector<int64_t>& offsets,
                            std::vector<int32_t>& arcs, bool by_head) {
     const std::vector<int32_t>& other_of = by_head ? arc_head_ : arc_tail_;
@@ -402,10 +399,9 @@ void ChEngine::BuildSearchGraphs() {
   compact(up_offsets_, up_arcs_, /*by_head=*/true);
   compact(down_offsets_, down_arcs_, /*by_head=*/false);
 
-  // Flatten the rows into parallel (node, weight) arrays: relaxation and
-  // stall scans then read two contiguous streams instead of chasing arena
-  // ids — on the dense top-of-hierarchy rows this halves the cache misses
-  // per settled node.
+  // Flatten the rows into parallel (node, weight) arrays: relaxation then
+  // reads two contiguous streams instead of chasing arena ids — on the dense
+  // top-of-hierarchy rows this halves the cache misses per settled node.
   up_nodes_.resize(up_arcs_.size());
   up_weights_.resize(up_arcs_.size());
   for (size_t k = 0; k < up_arcs_.size(); ++k) {
@@ -435,6 +431,7 @@ void ChEngine::QueryContext::Ensure(int32_t num_nodes) {
   parent_b_.assign(n, -1);
   stamp_f_.assign(n, 0);
   stamp_b_.assign(n, 0);
+  seen_.assign(n, 0);
   cur_stamp_ = 0;
 }
 
@@ -503,136 +500,6 @@ void ChEngine::UpwardSearch(int32_t src, bool forward, Cost seed_cost,
   }
 }
 
-int32_t ChEngine::BidirectionalSearch(int32_t src, int32_t dst,
-                                      QueryContext* ctx, Cost* cost) const {
-  ctx->Ensure(num_nodes_);
-  ctx->Reset();
-  const uint32_t cur = ctx->cur_stamp_;
-  auto& hf = ctx->heap_;
-  auto& hb = ctx->heap_b_;
-  hf.clear();
-  hb.clear();
-
-  auto seed = [&](bool forward, int32_t v, Cost c) {
-    std::vector<Cost>& dist = forward ? ctx->dist_f_ : ctx->dist_b_;
-    std::vector<int32_t>& parent = forward ? ctx->parent_f_ : ctx->parent_b_;
-    std::vector<uint32_t>& stamp = forward ? ctx->stamp_f_ : ctx->stamp_b_;
-    stamp[static_cast<size_t>(v)] = cur;
-    dist[static_cast<size_t>(v)] = c;
-    parent[static_cast<size_t>(v)] = -1;
-    (forward ? hf : hb).emplace_back(c, v);
-  };
-  // Everything inside runs in rank space (labels, heaps, the returned
-  // meeting point); only the seeds are translated here.
-  seed(/*forward=*/true, rank_[static_cast<size_t>(src)],
-       graph_->node_cost(src));
-  seed(/*forward=*/false, rank_[static_cast<size_t>(dst)], 0);
-
-  Cost mu = kInfCost;
-  int32_t meet = -1;
-
-  // Settles (or stalls) one node of `forward`'s queue. Returns false once
-  // the direction is exhausted or its queue minimum reaches mu — every
-  // later settle would cost >= mu, so no better meeting can come from it.
-  auto step = [&](bool forward) -> bool {
-    auto& heap = forward ? hf : hb;
-    std::vector<Cost>& dist = forward ? ctx->dist_f_ : ctx->dist_b_;
-    std::vector<int32_t>& parent = forward ? ctx->parent_f_ : ctx->parent_b_;
-    std::vector<uint32_t>& stamp = forward ? ctx->stamp_f_ : ctx->stamp_b_;
-    std::vector<Cost>& odist = forward ? ctx->dist_b_ : ctx->dist_f_;
-    std::vector<uint32_t>& ostamp = forward ? ctx->stamp_b_ : ctx->stamp_f_;
-    const std::vector<int64_t>& offsets =
-        forward ? up_offsets_ : down_offsets_;
-    const std::vector<int32_t>& arcs = forward ? up_arcs_ : down_arcs_;
-    const std::vector<int32_t>& nodes = forward ? up_nodes_ : down_nodes_;
-    const std::vector<Cost>& weights = forward ? up_weights_ : down_weights_;
-    // Stall check scans the *opposite* partition: arcs reaching u from a
-    // higher-ranked node on this side's search graph.
-    const std::vector<int64_t>& soffsets =
-        forward ? down_offsets_ : up_offsets_;
-    const std::vector<int32_t>& snodes = forward ? down_nodes_ : up_nodes_;
-    const std::vector<Cost>& sweights =
-        forward ? down_weights_ : up_weights_;
-
-    while (!heap.empty()) {
-      if (heap.front().first >= mu) return false;  // stopping criterion
-      std::pop_heap(heap.begin(), heap.end(),
-                    std::greater<std::pair<Cost, int32_t>>());
-      const auto [d, u] = heap.back();
-      heap.pop_back();
-      if (stamp[static_cast<size_t>(u)] != cur ||
-          d > dist[static_cast<size_t>(u)]) {
-        continue;  // stale
-      }
-      if (ostamp[static_cast<size_t>(u)] == cur) {
-        const Cost cand = d + odist[static_cast<size_t>(u)];
-        if (cand < mu) {
-          mu = cand;
-          meet = u;
-        }
-      }
-      // Stall-on-demand: a strictly cheaper path into u via a higher-ranked
-      // node proves u's label is not a shortest up-down prefix — settle it
-      // but do not relax.
-      bool stalled = false;
-      for (int64_t k = soffsets[static_cast<size_t>(u)];
-           k < soffsets[static_cast<size_t>(u) + 1]; ++k) {
-        const int32_t w = snodes[static_cast<size_t>(k)];
-        if (stamp[static_cast<size_t>(w)] == cur &&
-            dist[static_cast<size_t>(w)] + sweights[static_cast<size_t>(k)] <
-                d) {
-          stalled = true;
-          break;
-        }
-      }
-      if (stalled) return true;
-      for (int64_t k = offsets[static_cast<size_t>(u)];
-           k < offsets[static_cast<size_t>(u) + 1]; ++k) {
-        const int32_t next = nodes[static_cast<size_t>(k)];
-        const Cost nd = d + weights[static_cast<size_t>(k)];
-        const int32_t a = arcs[static_cast<size_t>(k)];
-        const size_t ni = static_cast<size_t>(next);
-        if (stamp[ni] != cur) {
-          stamp[ni] = cur;
-          dist[ni] = kInfCost;
-          parent[ni] = -1;
-        }
-        if (nd < dist[ni]) {
-          dist[ni] = nd;
-          parent[ni] = a;
-          heap.emplace_back(nd, next);
-          std::push_heap(heap.begin(), heap.end(),
-                         std::greater<std::pair<Cost, int32_t>>());
-        }
-      }
-      return true;
-    }
-    return false;
-  };
-
-  bool alive_f = true, alive_b = true;
-  while (alive_f || alive_b) {
-    const bool has_f = alive_f && !hf.empty();
-    const bool has_b = alive_b && !hb.empty();
-    if (!has_f && !has_b) break;
-    bool forward;
-    if (has_f && has_b) {
-      forward = hf.front().first <= hb.front().first;
-    } else {
-      forward = has_f;
-    }
-    if (!step(forward)) (forward ? alive_f : alive_b) = false;
-  }
-  *cost = mu;
-  return meet;
-}
-
-Cost ChEngine::Distance(int32_t src, int32_t dst, QueryContext* ctx) const {
-  Cost cost = kInfCost;
-  (void)BidirectionalSearch(src, dst, ctx, &cost);
-  return cost;
-}
-
 std::vector<int32_t> ChEngine::UnpackUpwardPath(int32_t via, bool forward,
                                                 const QueryContext& ctx) const {
   std::vector<int32_t> arcs;
@@ -675,20 +542,6 @@ void ChEngine::UnpackArc(int32_t arc, std::vector<int32_t>* out) const {
   UnpackArc(arc_skip2_[static_cast<size_t>(arc)], out);
 }
 
-std::optional<CsrPath> ChEngine::Route(int32_t src, int32_t dst,
-                                       QueryContext* ctx) const {
-  Cost best = kInfCost;
-  const int32_t via = BidirectionalSearch(src, dst, ctx, &best);
-  if (via < 0) return std::nullopt;
-  CsrPath path;
-  path.cost = best;
-  path.nodes = UnpackUpwardPath(via, /*forward=*/true, *ctx);
-  const std::vector<int32_t> tail =
-      UnpackUpwardPath(via, /*forward=*/false, *ctx);
-  path.nodes.insert(path.nodes.end(), tail.begin() + 1, tail.end());
-  return path;
-}
-
 std::vector<CsrPath> ChEngine::AlternativeRoutes(int32_t src, int32_t dst,
                                                  int64_t max_alternatives,
                                                  QueryContext* ctx) const {
@@ -710,7 +563,7 @@ std::vector<CsrPath> ChEngine::AlternativeRoutes(int32_t src, int32_t dst,
   }
   std::sort(candidates.begin(), candidates.end());
 
-  std::vector<uint8_t> seen(static_cast<size_t>(num_nodes_), 0);
+  std::vector<uint8_t>& seen = ctx->seen_;
   for (const auto& [total, via] : candidates) {
     if (static_cast<int64_t>(results.size()) >= max_alternatives) break;
     CsrPath path;
@@ -740,113 +593,6 @@ std::vector<CsrPath> ChEngine::AlternativeRoutes(int32_t src, int32_t dst,
     if (!duplicate) results.push_back(std::move(path));
   }
   return results;
-}
-
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Container meta_tag marking a contraction-hierarchy artifact, so an HNSW
-/// index or model checkpoint handed to Load is rejected by tag.
-constexpr uint64_t kChMetaTag = 0x5354434832ULL;  // "STCH2"
-}  // namespace
-
-common::Status ChEngine::Save(const std::string& path) const {
-  tensor::RecordBundle bundle;
-  bundle.uints["header"] = {graph_->Fingerprint(), options_.seed,
-                            static_cast<uint64_t>(
-                                options_.witness_settle_limit)};
-  bundle.ints32["rank"] = rank_;
-  bundle.ints32["skip1"].assign(arc_skip1_.begin() + num_original_arcs_,
-                                arc_skip1_.end());
-  bundle.ints32["skip2"].assign(arc_skip2_.begin() + num_original_arcs_,
-                                arc_skip2_.end());
-  return tensor::SaveBundle(path, kChMetaTag, bundle);
-}
-
-common::Result<ChEngine> ChEngine::Load(const std::string& path,
-                                        const CsrGraph* graph) {
-  START_CHECK(graph != nullptr);
-  START_ASSIGN_OR_RETURN(tensor::LoadedBundle loaded,
-                         tensor::LoadBundle(path));
-  if (loaded.meta_tag != kChMetaTag) {
-    return common::Status::InvalidArgument(
-        path + " is not a contraction-hierarchy artifact (meta tag mismatch)");
-  }
-  tensor::RecordBundle& rec = loaded.records;
-  const auto bad = [&path](const std::string& what) {
-    return common::Status::InvalidArgument("corrupt CH artifact " + path +
-                                           ": " + what);
-  };
-  const auto header_it = rec.uints.find("header");
-  const auto rank_it = rec.ints32.find("rank");
-  const auto skip1_it = rec.ints32.find("skip1");
-  const auto skip2_it = rec.ints32.find("skip2");
-  if (header_it == rec.uints.end() || header_it->second.size() != 3 ||
-      rank_it == rec.ints32.end() || skip1_it == rec.ints32.end() ||
-      skip2_it == rec.ints32.end()) {
-    return bad("missing records");
-  }
-  const std::vector<uint64_t>& header = header_it->second;
-  if (header[0] != graph->Fingerprint()) {
-    return common::Status::FailedPrecondition(
-        "CH artifact was built from a different graph/metric: " + path);
-  }
-  ChEngine e;
-  e.graph_ = graph;
-  e.options_.seed = header[1];
-  e.options_.witness_settle_limit = static_cast<int64_t>(header[2]);
-  e.num_nodes_ = graph->num_nodes();
-  e.rank_ = std::move(rank_it->second);
-  if (e.rank_.size() != static_cast<size_t>(e.num_nodes_)) {
-    return bad("rank length disagrees with the graph");
-  }
-  std::vector<uint8_t> taken(e.rank_.size(), 0);
-  for (const int32_t r : e.rank_) {
-    if (r < 0 || r >= e.num_nodes_ || taken[static_cast<size_t>(r)]) {
-      return bad("rank is not a permutation");
-    }
-    taken[static_cast<size_t>(r)] = 1;
-  }
-  const std::vector<int32_t>& skip1 = skip1_it->second;
-  const std::vector<int32_t>& skip2 = skip2_it->second;
-  if (skip1.size() != skip2.size()) return bad("skip1/skip2 lengths differ");
-
-  // Original arcs are re-derived from the graph; each shortcut's endpoints
-  // and weight from its two halves, which must already be in the arena.
-  e.AddOriginalArcs();
-  if (e.num_original_arcs_ + static_cast<int64_t>(skip1.size()) >
-      std::numeric_limits<int32_t>::max()) {
-    return bad("implausible shortcut count");
-  }
-  for (size_t i = 0; i < skip1.size(); ++i) {
-    const int64_t a = static_cast<int64_t>(e.arc_tail_.size());
-    const int32_t s1 = skip1[i];
-    const int32_t s2 = skip2[i];
-    if (s1 < 0 || s1 >= a || s2 < 0 || s2 >= a) {
-      return bad("shortcut half out of range");
-    }
-    const int32_t tail = e.arc_tail_[static_cast<size_t>(s1)];
-    const int32_t head = e.arc_head_[static_cast<size_t>(s2)];
-    if (e.arc_head_[static_cast<size_t>(s1)] !=
-        e.arc_tail_[static_cast<size_t>(s2)]) {
-      return bad("shortcut halves do not chain");
-    }
-    if (tail == head) return bad("loop shortcut");
-    // Both halves are below kInfCost = INT64_MAX / 4, so the sum cannot
-    // overflow; refusing it here bounds the next sum the same way.
-    const Cost weight = e.arc_weight_[static_cast<size_t>(s1)] +
-                        e.arc_weight_[static_cast<size_t>(s2)];
-    if (weight >= kInfCost) return bad("shortcut weight overflows");
-    e.arc_tail_.push_back(tail);
-    e.arc_head_.push_back(head);
-    e.arc_weight_.push_back(weight);
-    e.arc_skip1_.push_back(s1);
-    e.arc_skip2_.push_back(s2);
-  }
-  e.BuildSearchGraphs();
-  return e;
 }
 
 }  // namespace start::roadnet

@@ -2,11 +2,8 @@
 #define START_ROADNET_CH_ENGINE_H_
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "roadnet/csr_graph.h"
 
 namespace start::roadnet {
@@ -14,7 +11,7 @@ namespace start::roadnet {
 struct ChOptions {
   /// Seed mixed into the contraction-order tie-break. Two builds over the
   /// same CsrGraph with the same seed produce bit-identical hierarchies
-  /// (same ranks, same shortcut arena, same serialized artifact).
+  /// (same ranks, same shortcut arena).
   uint64_t seed = 0x5354415254ULL;  // "START"
 
   /// Settled-node cap per witness search. Smaller caps make preprocessing
@@ -36,19 +33,21 @@ struct ChOptions {
 /// constituent arcs (skip1/skip2), so path unpacking is a branch-free
 /// recursion with no map lookups.
 ///
-/// Queries run two upward searches (forward from s over arcs into
-/// higher-ranked nodes, backward from t over reversed such arcs) and take the
-/// best meeting node. Because costs are integer (see roadnet::Cost), the
-/// result is *identical* to CsrDijkstra over the same graph — the tests and
-/// the bench gate assert 100% agreement, not approximate parity.
+/// The one query, AlternativeRoutes, runs two exhaustive upward searches
+/// (forward from s over arcs into higher-ranked nodes, backward from t over
+/// reversed such arcs) and proposes every node both settle as a via node.
+/// Because costs are integer (see roadnet::Cost), its leading path costs
+/// *exactly* what CsrDijkstra finds over the same graph — the tests assert
+/// equality, not approximate parity.
 ///
-/// The engine itself is immutable after Build/Load; all query state lives in
-/// an explicit QueryContext, so any number of threads may query one engine
+/// The engine itself is immutable after Build; all query state lives in an
+/// explicit QueryContext, so any number of threads may query one engine
 /// concurrently, each with its own context.
 class ChEngine {
  public:
-  /// Per-thread query workspace (timestamp-versioned labels; queries after
-  /// the first are allocation-free). Obtain via MakeContext().
+  /// Per-thread query workspace (timestamp-versioned labels). It holds every
+  /// array that scales with the graph, so after the first query no per-call
+  /// allocation does. Obtain via MakeContext().
   class QueryContext {
    public:
     QueryContext() = default;
@@ -62,8 +61,11 @@ class ChEngine {
     std::vector<int32_t> parent_f_, parent_b_;  ///< Arena arc ids, -1 at root.
     std::vector<uint32_t> stamp_f_, stamp_b_;
     uint32_t cur_stamp_ = 0;
-    std::vector<std::pair<Cost, int32_t>> heap_, heap_b_;
+    std::vector<std::pair<Cost, int32_t>> heap_;
     std::vector<int32_t> settled_;  ///< Scratch: nodes settled by a search.
+    /// Scratch: nodes of the candidate path being checked for simplicity;
+    /// all zero between checks (cleared through the nodes it marked).
+    std::vector<uint8_t> seen_;
   };
 
   /// Builds the hierarchy. `graph` must outlive the engine.
@@ -71,19 +73,14 @@ class ChEngine {
 
   QueryContext MakeContext() const;
 
-  /// Exact cheapest-path cost (node_cost(src) included, matching
-  /// CsrDijkstra::Distance); kInfCost when unreachable.
-  Cost Distance(int32_t src, int32_t dst, QueryContext* ctx) const;
-
-  /// Exact cheapest path with shortcuts unpacked back to graph nodes.
-  std::optional<CsrPath> Route(int32_t src, int32_t dst,
-                               QueryContext* ctx) const;
-
   /// \brief Up to `max_alternatives` distinct simple s->t paths via the
   /// via-node method: every node settled by both upward searches proposes the
-  /// path s -> via -> t. Results are sorted by (cost, node sequence) and
-  /// deduplicated; the first entry is always the exact shortest path. Returns
-  /// an empty vector when t is unreachable.
+  /// path s -> via -> t. Results are sorted by cost (ties by via rank) and
+  /// deduplicated; the first entry is always an exact shortest path, whose
+  /// cost (node_cost(src) included) equals CsrDijkstra::Distance. Returns an
+  /// empty vector when t is unreachable. No per-call allocation scales with
+  /// the graph: the only allocations are the candidate paths (path-sized)
+  /// and the via-candidate list.
   std::vector<CsrPath> AlternativeRoutes(int32_t src, int32_t dst,
                                          int64_t max_alternatives,
                                          QueryContext* ctx) const;
@@ -96,33 +93,13 @@ class ChEngine {
   /// Contraction rank of a node (0 = contracted first).
   int32_t Rank(int32_t node) const { return rank_[static_cast<size_t>(node)]; }
 
-  const CsrGraph& graph() const { return *graph_; }
-  const ChOptions& options() const { return options_; }
-
-  /// \brief Writes what contraction decided as an STTN record bundle
-  /// (tensor::SaveBundle): a `header` of {graph Fingerprint(), seed,
-  /// witness_settle_limit}, the `rank` order, and each shortcut's two
-  /// halves (`skip1`/`skip2`). Everything else is re-derived by Load.
-  common::Status Save(const std::string& path) const;
-
-  /// \brief Loads a hierarchy previously Save()d. Refuses artifacts whose
-  /// stored fingerprint does not match `graph` (FailedPrecondition: the
-  /// hierarchy is only valid for the exact graph + metric it was built
-  /// from), and any rank that is not a permutation or shortcut whose halves
-  /// are not earlier, chaining, non-loop arcs of finite total weight
-  /// (InvalidArgument).
-  static common::Result<ChEngine> Load(const std::string& path,
-                                       const CsrGraph* graph);
-
  private:
   ChEngine() = default;
 
-  /// Seeds the arena with the graph's arcs in CSR order, self-loops skipped
-  /// (shared by Build and Load).
+  /// Seeds the arena with the graph's arcs in CSR order, self-loops skipped.
   void AddOriginalArcs();
 
-  /// Rebuilds up_/down_ CSR from rank_ + the arc arena (shared by Build and
-  /// Load).
+  /// Builds the up_/down_ search graphs from rank_ + the arc arena.
   void BuildSearchGraphs();
 
   /// Upward search from `src` on the forward (`forward=true`, arcs to higher
@@ -135,18 +112,8 @@ class ChEngine {
   void UpwardSearch(int32_t src, bool forward, Cost seed_cost,
                     QueryContext* ctx, std::vector<int32_t>* settled) const;
 
-  /// Interleaved bidirectional upward search for point-to-point queries:
-  /// each direction stops once its queue minimum reaches the best meeting
-  /// cost found so far (the standard CH stopping criterion — still exact),
-  /// and settled nodes whose label is beaten via a higher-ranked neighbor
-  /// are stalled instead of relaxed (stall-on-demand). Returns the *rank* of
-  /// the best meeting node, -1 when `dst` is unreachable; `*cost` gets the
-  /// exact distance (kInfCost when unreachable).
-  int32_t BidirectionalSearch(int32_t src, int32_t dst, QueryContext* ctx,
-                              Cost* cost) const;
-
   /// Appends the fully unpacked node sequence of arena arc `arc` to `out`
-  /// (tail inclusive, head exclusive when `drop_head`).
+  /// (tail inclusive, head exclusive).
   void UnpackArc(int32_t arc, std::vector<int32_t>* out) const;
 
   /// Reconstructs the s->via (forward) or via->t (backward) node path from
@@ -155,7 +122,6 @@ class ChEngine {
                                         const QueryContext& ctx) const;
 
   const CsrGraph* graph_ = nullptr;
-  ChOptions options_;
   int32_t num_nodes_ = 0;
   int64_t num_original_arcs_ = 0;
 

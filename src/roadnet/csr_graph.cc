@@ -10,20 +10,6 @@
 
 namespace start::roadnet {
 
-namespace {
-
-/// SplitMix64 step — the mixing primitive behind the graph fingerprint.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashCombine(uint64_t h, uint64_t v) { return Mix64(h ^ Mix64(v)); }
-
-}  // namespace
-
 CsrGraph CsrGraph::FromNetwork(const RoadNetwork& net,
                                const SegmentWeightFn& weight,
                                const CsrGraphOptions& options) {
@@ -113,25 +99,6 @@ CsrGraph CsrGraph::FromNetwork(const RoadNetwork& net,
       }
     }
   }
-
-  // Fingerprint over structure + metric (+ scale bits), so a serialized CH
-  // artifact can detect it was built from a different graph or weighting.
-  uint64_t h = 0x5354435352ULL;  // "STCSR"
-  h = HashCombine(h, static_cast<uint64_t>(v));
-  h = HashCombine(h, static_cast<uint64_t>(e));
-  uint64_t scale_bits = 0;
-  static_assert(sizeof(scale_bits) == sizeof(options.cost_scale));
-  __builtin_memcpy(&scale_bits, &options.cost_scale, sizeof(scale_bits));
-  h = HashCombine(h, scale_bits);
-  for (int64_t i = 0; i < v; ++i) {
-    h = HashCombine(h, static_cast<uint64_t>(g.to_segment_[static_cast<size_t>(i)]));
-    h = HashCombine(h, static_cast<uint64_t>(g.node_cost_[static_cast<size_t>(i)]));
-    h = HashCombine(h, static_cast<uint64_t>(g.out_offsets_[static_cast<size_t>(i) + 1]));
-  }
-  for (int64_t k = 0; k < e; ++k) {
-    h = HashCombine(h, static_cast<uint64_t>(g.out_heads_[static_cast<size_t>(k)]));
-  }
-  g.fingerprint_ = h;
   return g;
 }
 

@@ -115,18 +115,11 @@ class CsrGraph {
            in_offsets_[static_cast<size_t>(v)];
   }
 
-  /// \brief Structural + metric fingerprint (offsets, heads, weights, scale).
-  ///
-  /// A serialized ChEngine artifact stores this and refuses to load against
-  /// a graph it was not built from.
-  uint64_t Fingerprint() const { return fingerprint_; }
-
  private:
   CsrGraph() = default;
 
   int32_t num_nodes_ = 0;
   CsrGraphOptions options_;
-  uint64_t fingerprint_ = 0;
   std::vector<int32_t> to_node_;    ///< segment id -> CSR node.
   std::vector<int64_t> to_segment_; ///< CSR node -> segment id.
   std::vector<Cost> node_cost_;

@@ -57,9 +57,12 @@ struct DriftWindowStats {
 /// histogram catches magnitude/shape changes that can cancel out in the
 /// mean (e.g. the stream bifurcating into two symmetric modes).
 ///
-/// The on-drift callback is the retraining trigger seam: production wires
-/// it to kick off a warm-start fine-tune from the latest checkpoint
-/// (core::PretrainConfig::resume); tests and the bench wire a counter.
+/// The on-drift callback is the retraining trigger seam: production
+/// (serve::AdaptationController::OnDrift) wires it to schedule an adaptation
+/// round on the controller's worker thread, whose retrain step is
+/// core::WarmStartRetrain — a new run over the ingested corpus that starts
+/// from the serving checkpoint's weights, not a PretrainConfig::resume.
+/// Tests and the bench wire a counter.
 ///
 /// Determinism: Observe() accumulates in double precision, strictly in call
 /// order, so the same embedding stream always produces bitwise-identical

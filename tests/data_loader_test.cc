@@ -158,23 +158,18 @@ class LoaderTest : public ::testing::Test {
     plan_ = MakeShuffledPlan(Lengths(corpus_), plan_config);
   }
 
-  /// Builds step `step` of the plan into `*out` from its private stream.
-  void Build(int64_t step, uint64_t seed, TrainingBatch* out) const {
-    common::Rng rng(StepSeed(seed, step));
-    BuildPretrainBatch(corpus_, &traffic_, PretrainBatchOptions{},
-                       plan_.steps[static_cast<size_t>(step)], &rng, out);
-  }
-
   /// Steps [start_step, end of plan) built the way core::Pretrain builds
-  /// them: into one batch reused across steps, copied out after each.
+  /// them: each from its private stream.
   std::vector<TrainingBatch> Run(uint64_t seed = 5,
                                  int64_t start_step = 0) const {
     std::vector<TrainingBatch> got;
-    TrainingBatch tb;
     for (int64_t step = start_step;
          step < static_cast<int64_t>(plan_.steps.size()); ++step) {
-      Build(step, seed, &tb);
-      got.push_back(tb);
+      common::Rng rng(StepSeed(seed, step));
+      got.push_back(BuildPretrainBatch(corpus_, &traffic_,
+                                       PretrainBatchOptions{},
+                                       plan_.steps[static_cast<size_t>(step)],
+                                       &rng));
     }
     return got;
   }
@@ -217,20 +212,6 @@ TEST_F(LoaderTest, DeterministicForFixedSeed) {
   }
 }
 
-TEST_F(LoaderTest, ReusedBatchMatchesAFreshBatchPerStep) {
-  // The scratch-reuse contract: core::Pretrain rebuilds one TrainingBatch in
-  // place every step, so nothing of step s-1 may reach step s. A fresh batch
-  // per step has nothing to leak; the reused one must match it bit for bit.
-  const auto reused = Run();
-  ASSERT_EQ(reused.size(), plan_.steps.size());
-  for (size_t s = 0; s < reused.size(); ++s) {
-    TrainingBatch fresh;
-    Build(static_cast<int64_t>(s), /*seed=*/5, &fresh);
-    SCOPED_TRACE("step " + std::to_string(s));
-    ExpectBitwiseEqual(reused[s], fresh);
-  }
-}
-
 TEST_F(LoaderTest, ResumedRunBuildsTheExactTailOfTheStream) {
   // The resume contract core::Pretrain's checkpoint resume rests on: a run
   // that starts at step s — its first batch built alone into a fresh
@@ -266,30 +247,6 @@ TEST_F(LoaderTest, BatchesCoverThePlan) {
     EXPECT_EQ(got[i].contrastive.batch_size,
               static_cast<int64_t>(2 * plan_.steps[i].size()));
   }
-}
-
-TEST_F(LoaderTest, MakeBatchIntoReusesBuffersAcrossCalls) {
-  ASSERT_GE(corpus_.size(), 8u);
-  std::vector<View> big, small;
-  for (size_t i = 0; i < 8; ++i) big.push_back(MakeView(corpus_[i]));
-  for (size_t i = 0; i < 4; ++i) small.push_back(MakeView(corpus_[i]));
-  Batch batch;
-  MakeBatchInto(big, &batch);
-  const Batch reference = MakeBatch(small);
-  const int64_t* roads_buffer = batch.roads.data();
-  const double* times_buffer = batch.times.data();
-  // Refilling with a smaller extent must not reallocate...
-  MakeBatchInto(small, &batch);
-  EXPECT_EQ(batch.roads.data(), roads_buffer);
-  EXPECT_EQ(batch.times.data(), times_buffer);
-  // ...and must produce exactly what a fresh MakeBatch would.
-  EXPECT_EQ(batch.batch_size, reference.batch_size);
-  EXPECT_EQ(batch.max_len, reference.max_len);
-  EXPECT_EQ(batch.roads, reference.roads);
-  EXPECT_EQ(batch.minute_idx, reference.minute_idx);
-  EXPECT_EQ(batch.dow_idx, reference.dow_idx);
-  EXPECT_EQ(batch.times, reference.times);
-  EXPECT_EQ(batch.lengths, reference.lengths);
 }
 
 }  // namespace

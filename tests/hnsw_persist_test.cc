@@ -180,6 +180,8 @@ TEST(HnswPersistTest, ModelCheckpointRejectedByMetaTag) {
   const auto result = HnswIndex::Load(path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("meta tag"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(HnswPersistTest, MissingFileIsIOError) {

@@ -56,19 +56,6 @@ HEADLINE_METRICS = {
             lambda doc: {"detour.ch_speedup": doc["detour"]["ch_speedup"]},
         ),
     ],
-    "BENCH_graph.json": [
-        # Contraction-hierarchy point-to-point speedup over CSR Dijkstra on
-        # the same pairs, and the exactness share (must stay 1.0 — the CH
-        # answers are integer-identical to Dijkstra by construction).
-        (
-            "contraction-hierarchy query speedup",
-            lambda doc: {"ch_speedup": doc["ch_speedup"]},
-        ),
-        (
-            "contraction-hierarchy exactness",
-            lambda doc: {"ch_exactness": doc["ch_exactness"]},
-        ),
-    ],
     "BENCH_serve.json": [
         # Frozen-engine corpus embedding vs the seed grad-tracking consumer
         # path: algorithmic (no autograd capture, precomputed road table,
